@@ -313,38 +313,30 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = []
+    lines = []
     try:
         for k in _indices_within(args.max_weight, args.max_length, min_length=0):
             expr, trace = reduce_index(k, fuel=args.fuel)
-            rows.append((k, expr, trace))
+            lines.append(
+                json.dumps(
+                    {
+                        "index": list(k),
+                        "expression": expr.to_json_dict(),
+                        "trace_len": len(trace.steps),
+                        "terminal": len(trace.steps) == 0,
+                    },
+                    sort_keys=True,
+                )
+                + "\n"
+            )
     except FuelExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FUEL
-
-    def render(row):
-        k, expr, trace = row
-        return json.dumps(
-            {
-                "index": list(k),
-                "expression": expr.to_json_dict(),
-                "trace_len": len(trace.steps),
-                "terminal": len(trace.steps) == 0,
-            },
-            sort_keys=True,
-        )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            lines = list(pool.map(render, rows))
-    else:
-        lines = [render(row) for row in rows]
-    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 
@@ -443,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--max-length", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--fuel", type=int, default=10_000)
     p.set_defaults(func=cmd_table)
 

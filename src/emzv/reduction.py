@@ -65,7 +65,7 @@ class ReductionTrace:
         """Re-apply the recorded identities from the starting atom."""
         expr = Expression.atom(self.start)
         for step in self.steps:
-            expr = expr.substitute_atom(step.index, step.identity.rhs)
+            expr = expr.substitute({step.index: step.identity.rhs})
         return expr
 
 
@@ -155,7 +155,10 @@ def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, Reduct
     Every distinct non-terminal atom is rewritten exactly once by its
     dispatch rule and the results are combined bottom-up; since the rule per
     atom is a function of the atom alone, this reproduces the expression the
-    naive one-substitution-at-a-time loop would produce.  The recorded trace
+    naive one-substitution-at-a-time loop would produce, and each atom's
+    reduced expression is cached across calls (`reduced_atom`).  The rule
+    discovery below still runs on every call, so the trace, the fuel count
+    and the measure check do not depend on the cache.  The recorded trace
     lists each atom's identity in decreasing measure order, which makes a
     sequential replay of the substitutions reproduce the final expression
     exactly.
@@ -203,18 +206,26 @@ def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, Reduct
         key=lambda s: (measure(s.index), word_sort_key(s.index)),
         reverse=True,
     )
-    reduced: dict[Index, Expression] = {}
-    for step in reversed(steps):
-        expr = step.identity.rhs
-        for child in sorted(expr.atoms(), key=word_sort_key):
-            if child in reduced:
-                expr = expr.substitute_atom(child, reduced[child])
-        reduced[step.index] = expr
     final = Expression.atom(k)
-    if k in reduced:
-        final = reduced[k]
+    # Increasing measure: every child is cached before its parent asks for
+    # it, so reduced_atom never recurses more than one level.  The last step
+    # is k itself.
+    for step in reversed(steps):
+        final = reduced_atom(step.index)
     trace = ReductionTrace(k, steps, final)
     return final, trace
+
+
+@functools.lru_cache(maxsize=None)
+def reduced_atom(k: Index) -> Expression:
+    """Fully reduced expression of the non-terminal atom k.
+
+    It depends on k alone, so it is computed once per process and shared by
+    every reduction that meets k.  Callers must have checked, as
+    `reduce_index` does, that the measure decreases below k.
+    """
+    rhs = rewrite_step(k).identity.rhs
+    return rhs.substitute({c: reduced_atom(c) for c in rhs.atoms() if not is_terminal(c)})
 
 
 def simplify_zero_one(expr: Expression) -> Expression:
@@ -225,17 +236,15 @@ def simplify_zero_one(expr: Expression) -> Expression:
     {0,1} atoms such as I(0,1) are genuine generators and stay.
     """
     while True:
-        target = None
-        for atom in sorted(expr.atoms(), key=word_sort_key):
+        mapping = {}
+        for atom in expr.atoms():
             if atom == (1,):
-                target, replacement = atom, Expression.zero()
-                break
-            if is_zero_one(atom) and len(atom) >= 2 and parity_is_even(atom):
-                target, replacement = atom, parity_split(atom).rhs
-                break
-        if target is None:
+                mapping[atom] = Expression.zero()
+            elif is_zero_one(atom) and len(atom) >= 2 and parity_is_even(atom):
+                mapping[atom] = parity_split(atom).rhs
+        if not mapping:
             return expr
-        expr = expr.substitute_atom(target, replacement)
+        expr = expr.substitute(mapping)
 
 
 def verify_reduction(k: Index, tau, tol: float = 1e-6, cfg=None) -> dict:

@@ -116,20 +116,18 @@ class Expression:
                 terms[m] = terms.get(m, Fraction(0)) + c1 * c2
         return Expression(terms)
 
-    def substitute_atom(self, atom: Index, replacement: "Expression") -> "Expression":
-        """Replace every occurrence of `atom` (each power) by `replacement`."""
-        atom = tuple(atom)
-        out = Expression.zero()
+    def substitute(self, mapping: dict[Index, "Expression"]) -> "Expression":
+        """Replace every occurrence (each power) of every atom in `mapping` by
+        its expression, all atoms in one pass."""
+        terms: dict[Monomial, Fraction] = {}
         for mon, c in self._terms.items():
-            mult = sum(1 for a in mon if a == atom)
-            if mult == 0:
-                out = out + Expression({mon: c})
-                continue
-            rest = Expression({monomial(a for a in mon if a != atom): c})
-            for _ in range(mult):
-                rest = rest * replacement
-            out = out + rest
-        return out
+            product = Expression({tuple(a for a in mon if a not in mapping): c})
+            for a in mon:
+                if a in mapping:
+                    product = product * mapping[a]
+            for m, v in product._terms.items():
+                terms[m] = terms.get(m, Fraction(0)) + v
+        return Expression(terms)
 
     def drop_odd_singletons(self) -> "Expression":
         """Remove monomials with a length-1 odd-weight factor (those values vanish)."""

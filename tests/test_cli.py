@@ -142,7 +142,7 @@ def test_verify_out_file(tmp_path, capsys):
 
 def test_table_counts_and_determinism(tmp_path, capsys):
     paths = []
-    for i, jobs in enumerate((1, 1, 4)):
+    for i in range(3):
         path = tmp_path / f"table{i}.jsonl"
         code, _, _ = run(
             capsys,
@@ -153,8 +153,6 @@ def test_table_counts_and_determinism(tmp_path, capsys):
             "3",
             "--out",
             str(path),
-            "--jobs",
-            str(jobs),
         )
         assert code == 0
         paths.append(path)
@@ -166,6 +164,25 @@ def test_table_counts_and_determinism(tmp_path, capsys):
     by_index = {tuple(r["index"]): r for r in rows}
     assert by_index[(0, 2)]["terminal"] and by_index[(0, 2)]["trace_len"] == 0
     assert not by_index[(2, 1)]["terminal"]
+
+
+def test_table_fuel_exit_code_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "table.jsonl"
+    code, _, err = run(
+        capsys,
+        "table",
+        "--max-weight",
+        "4",
+        "--max-length",
+        "3",
+        "--fuel",
+        "1",
+        "--out",
+        str(path),
+    )
+    assert code == 3
+    assert "fuel" in err
+    assert not path.exists()
 
 
 def test_selftest(capsys):

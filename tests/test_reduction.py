@@ -7,6 +7,7 @@ from emzv.reduction import (
     is_terminal,
     measure,
     reduce_index,
+    reduced_atom,
     rewrite_step,
     simplify_zero_one,
     verify_reduction,
@@ -78,6 +79,32 @@ def test_fuel_exhausted():
     assert info.value.trace is not None
     with pytest.raises(ValueError):
         reduce_index((1, 2), fuel=0)
+
+
+def test_fuel_exhausted_with_warm_cache():
+    k = (1, 2, 2, 3)
+    expr, trace = reduce_index(k)
+    assert reduced_atom.cache_info().currsize > 0
+    with pytest.raises(FuelExhausted):
+        reduce_index(k, fuel=len(trace.steps) - 1)
+    assert reduce_index(k, fuel=len(trace.steps))[0] == expr
+
+
+def test_reduced_atom_cache_is_transparent():
+    indices = list(all_indices(6, 4))
+    cold = {}
+    for k in indices:
+        reduced_atom.cache_clear()
+        cold[k] = reduce_index(k)
+        # replay substitutes the recorded rules one at a time, without the cache
+        assert cold[k][1].replay() == cold[k][0], k
+    reduced_atom.cache_clear()
+    for k in reversed(indices):
+        reduce_index(k)
+    for k in indices:
+        expr, trace = reduce_index(k)
+        assert expr == cold[k][0], k
+        assert trace.steps == cold[k][1].steps, k
 
 
 def test_rewrite_step_dispatch():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emzv.relations import (
     DegenerateError,
@@ -31,10 +33,57 @@ def test_expression_unit_and_atom():
 
 def test_expression_substitute():
     e = A(1) * A(1) + A(2)
-    swapped = e.substitute_atom((1,), A(3, coeff=2))
+    swapped = e.substitute({(1,): A(3, coeff=2)})
     assert swapped == A(3) * A(3, coeff=4) + A(2)
-    e2 = (A(1) * A(2)).substitute_atom((1,), Expression.unit(5))
+    e2 = (A(1) * A(2)).substitute({(1,): Expression.unit(5)})
     assert e2 == A(2, coeff=5)
+    # all mapped atoms are replaced at once: a replacement is not rewritten again
+    both = (A(1) * A(2) + A(0)).substitute({(1,): A(2), (2,): A(3)})
+    assert both == A(2) * A(3) + A(0)
+    assert (A(1) - A(2)).substitute({(1,): A(4), (2,): A(4)}).is_zero()
+
+
+def substitute_one(expr, atom, replacement):
+    """Reference: replace one atom, monomial by monomial, with the public
+    arithmetic of Expression."""
+    out = Expression.zero()
+    for mon, c in expr.items():
+        term = Expression.unit(c)
+        for a in mon:
+            term = term * (replacement if a == atom else Expression.atom(a))
+        out = out + term
+    return out
+
+
+POOL = [(0,), (2,), (1, 2), (3, 0), (0, 1, 4)]
+coefs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def expressions(draw, atoms):
+    out = Expression.zero()
+    # an atom drawn twice in one monomial is a power
+    for mon in draw(st.lists(st.lists(st.sampled_from(atoms), max_size=3), max_size=4)):
+        term = Expression.unit(draw(coefs))
+        for a in mon:
+            term = term * Expression.atom(a)
+        out = out + term
+    return out
+
+
+@given(data=st.data())
+@settings(deadline=None)
+def test_substitute_matches_single_atom_substitutions(data):
+    keys = data.draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3, unique=True))
+    # Replacements avoid the mapped atoms; only then do one pass and one atom
+    # at a time agree.
+    others = [a for a in POOL if a not in keys]
+    mapping = {a: data.draw(expressions(others)) for a in keys}
+    expr = data.draw(expressions(POOL))
+    expected = expr
+    for atom, replacement in mapping.items():
+        expected = substitute_one(expected, atom, replacement)
+    assert expr.substitute(mapping) == expected
 
 
 def test_expression_json_text_roundtrip():
