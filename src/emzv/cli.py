@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 import numpy as np
@@ -278,11 +277,7 @@ def cmd_verify(args) -> int:
         }
 
     try:
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(evaluate, instances))
-        else:
-            reports = [evaluate(item) for item in instances]
+        reports = [evaluate(item) for item in instances]
     except FuelExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FUEL
@@ -426,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--fuel", type=int, default=10_000)
     p.add_argument("--config")
     p.set_defaults(func=cmd_verify)

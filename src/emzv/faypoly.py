@@ -18,7 +18,6 @@ suffix linear forms and divided out exactly, with the zero remainder checked.
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 from typing import Iterator
 
@@ -26,23 +25,72 @@ from .words import ArgumentError, Index, weight
 
 ExpVec = tuple[int, ...]
 
+#: Bits per variable in a packed exponent key.
+_BITS = 8
+#: Largest exponent a field holds, and so the largest total degree.
+_MAX_DEGREE = (1 << _BITS) - 1
+
 
 class NonPolynomialError(ArithmeticError):
     """Exact division left a remainder where polynomiality is guaranteed."""
+
+
+def _pack(nvars: int, exps: ExpVec) -> int:
+    if len(exps) != nvars:
+        raise ArgumentError(f"exponent vector {exps} does not have {nvars} entries")
+    key = 0
+    for v, e in enumerate(exps):
+        if not 0 <= e <= _MAX_DEGREE:
+            raise ArgumentError(f"exponent {e} outside 0..{_MAX_DEGREE}")
+        key |= e << (_BITS * v)
+    return key
+
+
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _unpack(nvars: int, key: int) -> ExpVec:
+    return tuple((key >> (_BITS * v)) & _MAX_DEGREE for v in range(nvars))
 
 
 class SparsePoly:
     """Multivariate polynomial with integer coefficients, stored sparsely.
 
     Terms map exponent vectors (fixed length = number of variables) to
-    non-zero integer coefficients.
+    non-zero integer coefficients.  Internally an exponent vector is packed
+    into one integer key, 8 bits per variable: the exponent of u_v is
+    ``(key >> 8*v) & 0xFF``, so the product of two monomials is the sum of
+    their keys.  ``terms`` decodes the keys back to tuples.
+
+    Each polynomial carries an upper bound on its total degree.  An
+    exponent above 255, or a product whose degree bounds sum past 255,
+    raises ArgumentError instead of carrying into the next variable's field.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms", "_degree")
 
     def __init__(self, nvars: int, terms: dict[ExpVec, int] | None = None):
         self.nvars = nvars
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+        self._terms = {}
+        self._degree = 0
+        for e, c in (terms or {}).items():
+            if c != 0:
+                self._terms[_pack(nvars, tuple(e))] = c
+                self._degree = max(self._degree, sum(e))
+
+    @classmethod
+    def _packed(cls, nvars: int, terms: dict[int, int], degree: int) -> "SparsePoly":
+        """Wrap packed terms, all coefficients non-zero, with a degree bound."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly._terms = terms
+        poly._degree = degree
+        return poly
+
+    @property
+    def terms(self) -> dict[ExpVec, int]:
+        return {_unpack(self.nvars, e): c for e, c in self._terms.items()}
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":
@@ -50,7 +98,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: c}) if c else cls(nvars)
+        return cls._packed(nvars, {0: c} if c else {}, 0)
 
     @classmethod
     def monomial(cls, nvars: int, exps: ExpVec, c: int = 1) -> "SparsePoly":
@@ -59,61 +107,67 @@ class SparsePoly:
     @classmethod
     def suffix_form(cls, nvars: int, start: int) -> "SparsePoly":
         """The linear form u_start + u_{start+1} + ... + u_{nvars-1} (0-based)."""
-        terms = {}
-        for v in range(start, nvars):
-            e = [0] * nvars
-            e[v] = 1
-            terms[tuple(e)] = 1
-        return cls(nvars, terms)
+        return cls._packed(nvars, {1 << (_BITS * v): 1 for v in range(start, nvars)}, 1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        terms = dict(self._terms)
+        for e, c in other._terms.items():
             terms[e] = terms.get(e, 0) + c
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._packed(self.nvars, _nonzero(terms), max(self._degree, other._degree))
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
+        terms = dict(self._terms)
+        for e, c in other._terms.items():
             terms[e] = terms.get(e, 0) - c
-        return SparsePoly(self.nvars, terms)
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._packed(self.nvars, _nonzero(terms), max(self._degree, other._degree))
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        terms: dict[ExpVec, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return SparsePoly(self.nvars, terms)
+        degree = self._degree + other._degree
+        if degree > _MAX_DEGREE:
+            raise ArgumentError(f"product degree {degree} exceeds {_MAX_DEGREE}")
+        terms: dict[int, int] = {}
+        get = terms.get
+        other_items = other._terms.items()
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other_items:
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+        return SparsePoly._packed(self.nvars, _nonzero(terms), degree)
 
-    def scale(self, c: int) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+    def _times_monomial(self, exps: ExpVec) -> "SparsePoly":
+        """Multiply by u^exps: one addition per key."""
+        shift = _pack(self.nvars, tuple(exps))
+        degree = self._degree + sum(exps)
+        if degree > _MAX_DEGREE:
+            raise ArgumentError(f"product degree {degree} exceeds {_MAX_DEGREE}")
+        return SparsePoly._packed(
+            self.nvars, {e + shift: c for e, c in self._terms.items()}, degree
+        )
 
     def pow(self, n: int) -> "SparsePoly":
-        out = SparsePoly.constant(self.nvars, 1)
-        for _ in range(n):
+        if n == 0:
+            return SparsePoly.constant(self.nvars, 1)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
     def coeff(self, exps: ExpVec) -> int:
-        return self.terms.get(tuple(exps), 0)
-
-    def degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
+        try:
+            return self._terms.get(_pack(self.nvars, tuple(exps)), 0)
+        except ArgumentError:  # no term has this shape
+            return 0
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)
@@ -130,47 +184,34 @@ class SparsePoly:
     def divide_by_suffix_form(self, start: int) -> "SparsePoly":
         """Exact division by u_start + ... + u_{nvars-1}; remainder must vanish.
 
-        Synthetic division viewing the polynomial in u_start with coefficients
-        in the remaining variables.
+        Long division in x = u_start: terms are grouped by the exponent of x
+        (the masked field of their key) and processed from the highest
+        exponent down.  A term c*x*m moves c*m into the quotient and leaves
+        -c*m*u_v behind for every later variable v, one exponent of x lower;
+        whatever reaches exponent 0 is the remainder.
         """
-        nv = self.nvars
-        rest_exp = [0] * nv
-        # by_deg[d] collects terms with u_start exponent d
-        by_deg: dict[int, dict[ExpVec, int]] = {}
-        for e, c in self.terms.items():
-            d = e[start]
-            key = e[:start] + (0,) + e[start + 1 :]
-            by_deg.setdefault(d, {})[key] = c
-        if not by_deg:
-            return SparsePoly.zero(nv)
-        tail = SparsePoly.suffix_form(nv, start + 1) if start + 1 < nv else None
-        if tail is None:
-            # dividing by the single variable u_{nvars-1}
-            quot: dict[ExpVec, int] = {}
-            for e, c in self.terms.items():
-                if e[start] == 0:
-                    raise NonPolynomialError("term not divisible by last variable")
-                quot[e[:start] + (e[start] - 1,) + e[start + 1 :]] = c
-            return SparsePoly(nv, quot)
-        dmax = max(by_deg)
-        quotient = SparsePoly.zero(nv)
-        carry = SparsePoly.zero(nv)  # coefficient polynomial being reduced
-        for d in range(dmax, 0, -1):
-            coeff_poly = SparsePoly(nv, by_deg.get(d, {})) + carry
-            # quotient gains coeff_poly * u_start^{d-1}
-            shifted = {
-                e[:start] + (e[start] + d - 1,) + e[start + 1 :]: c
-                for e, c in coeff_poly.terms.items()
-            }
-            quotient = quotient + SparsePoly(nv, shifted)
-            carry = -(coeff_poly * tail)
-        remainder = SparsePoly(nv, by_deg.get(0, {})) + carry
-        if not remainder.is_zero():
+        shift = _BITS * start
+        unit = 1 << shift
+        later = [1 << (_BITS * v) for v in range(start + 1, self.nvars)]
+        by_deg: dict[int, dict[int, int]] = {}
+        for e, c in self._terms.items():
+            by_deg.setdefault((e >> shift) & _MAX_DEGREE, {})[e] = c
+        quotient: dict[int, int] = {}
+        for d in range(max(by_deg, default=0), 0, -1):
+            lower = by_deg.setdefault(d - 1, {})
+            for e, c in by_deg.get(d, {}).items():
+                if c == 0:
+                    continue
+                q = e - unit
+                quotient[q] = c
+                for u in later:
+                    lower[q + u] = lower.get(q + u, 0) - c
+        if any(by_deg.get(0, {}).values()):
             raise NonPolynomialError("exact division left a remainder")
-        return quotient
+        return SparsePoly._packed(self.nvars, quotient, max(self._degree - 1, 0))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "SparsePoly(0)"
         parts = []
         for e, c in sorted(self.terms.items()):
@@ -187,6 +228,7 @@ def _term_numerator(l: Index, i: int, denom_vars: frozenset[int]) -> SparsePoly:
     Variables are 0-based; suffix form T_v means u_v + ... + u_{r-1}.  The
     summand's own negative powers are T_{i-1} and T_i (when the matching
     l entry is 0); the remaining forms of the common denominator multiply in.
+    The summand's monomial multiplies in last, as a shift of every key.
     """
     r = len(l)
     exps = [0] * r
@@ -198,7 +240,7 @@ def _term_numerator(l: Index, i: int, denom_vars: frozenset[int]) -> SparsePoly:
         exps[v] += l[v + 1]
     exps[r - 1] += 1
     sign = -1 if (l[i] - 1) % 2 else 1
-    poly = SparsePoly.monomial(r, tuple(exps), sign)
+    poly = SparsePoly.constant(r, sign)
     own_negative = set()
     if i >= 1:
         if l[i - 1] == 0:
@@ -211,7 +253,7 @@ def _term_numerator(l: Index, i: int, denom_vars: frozenset[int]) -> SparsePoly:
         poly = poly * SparsePoly.suffix_form(r, i).pow(l[i] - 1)
     for v in sorted(denom_vars - frozenset(own_negative)):
         poly = poly * SparsePoly.suffix_form(r, v)
-    return poly
+    return poly._times_monomial(tuple(exps))
 
 
 @functools.lru_cache(maxsize=None)

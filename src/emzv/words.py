@@ -38,10 +38,6 @@ def weight(k: Index) -> int:
     return sum(k)
 
 
-def length(k: Index) -> int:
-    return len(k)
-
-
 def parity_is_even(k: Index) -> bool:
     """Even parity means weight + length is even."""
     return (sum(k) + len(k)) % 2 == 0

@@ -47,6 +47,13 @@ def test_reduce_parse_error(capsys):
     assert "error" in err
 
 
+def test_reduce_exponent_overflow_exit_code(capsys):
+    # Fay polynomials of weight 301 do not fit 8-bit exponent fields.
+    code, _, err = run(capsys, "reduce", "--index", "1,300")
+    assert code == 2
+    assert "error" in err and "255" in err
+
+
 def test_reduce_fuel_exit_code(capsys):
     code, _, err = run(capsys, "reduce", "--index", "1,2,2,3", "--fuel", "2")
     assert code == 3

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emzv.faypoly import (
     NonPolynomialError,
@@ -53,6 +56,10 @@ POINTS = {
         (Fraction(3), Fraction(-1), Fraction(11), Fraction(2)),
         (Fraction(1, 2), Fraction(4), Fraction(3), Fraction(9, 5)),
     ],
+    5: [
+        (Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(11)),
+        (Fraction(-1), Fraction(4), Fraction(1, 3), Fraction(2), Fraction(-5, 2)),
+    ],
 }
 
 
@@ -79,6 +86,79 @@ def test_exact_division_by_suffix_form():
     assert (q * s).divide_by_suffix_form(1) == q
     with pytest.raises(NonPolynomialError):
         (q * s + SparsePoly.monomial(3, (1, 0, 0))).divide_by_suffix_form(1)
+
+
+@st.composite
+def exponents(draw, nvars, max_degree=6):
+    """An exponent vector of total degree <= max_degree."""
+    out = []
+    for _ in range(nvars):
+        out.append(draw(st.integers(0, max_degree - sum(out))))
+    return tuple(out)
+
+
+@st.composite
+def sparse_polys(draw, nvars):
+    terms = draw(st.dictionaries(exponents(nvars), st.integers(-5, 5), max_size=6))
+    return SparsePoly(nvars, terms)
+
+
+@given(data=st.data())
+@settings(deadline=None)
+def test_sparse_poly_ring_ops_match_evaluation(data):
+    n = data.draw(st.integers(1, 5))
+    a = data.draw(sparse_polys(n))
+    b = data.draw(sparse_polys(n))
+    for us in POINTS[n]:
+        x, y = a.evaluate(us), b.evaluate(us)
+        assert (a * b).evaluate(us) == x * y
+        assert (a + b).evaluate(us) == x + y
+        assert (a - b).evaluate(us) == x - y
+
+
+@given(data=st.data())
+@settings(deadline=None)
+def test_sparse_poly_division_property(data):
+    n = data.draw(st.integers(1, 5))
+    v = data.draw(st.integers(0, n - 1))
+    q = data.draw(sparse_polys(n))
+    product = q * SparsePoly.suffix_form(n, v)
+    assert product.divide_by_suffix_form(v) == q
+    # A monomial free of u_v is never divisible by u_v + ... + u_{n-1}.
+    e = list(data.draw(exponents(n)))
+    e[v] = 0
+    c = data.draw(st.integers(1, 5))
+    with pytest.raises(NonPolynomialError):
+        (product + SparsePoly.monomial(n, tuple(e), c)).divide_by_suffix_form(v)
+
+
+@given(data=st.data())
+@settings(deadline=None)
+def test_sparse_poly_terms_roundtrip(data):
+    n = data.draw(st.integers(1, 5))
+    p = data.draw(sparse_polys(n))
+    assert SparsePoly(n, p.terms) == p
+    assert all(len(e) == n for e in p.terms)
+
+
+@given(data=st.data())
+@settings(deadline=None)
+def test_sparse_poly_degree_overflow_raises(data):
+    n = data.draw(st.integers(1, 5))
+    d1 = data.draw(st.integers(1, 255))
+    d2 = data.draw(st.integers(256 - d1, 255))
+    v1, v2 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    a = SparsePoly.monomial(n, tuple(d1 if i == v1 else 0 for i in range(n)))
+    b = SparsePoly.monomial(n, tuple(d2 if i == v2 else 0 for i in range(n)))
+    with pytest.raises(ArgumentError):
+        a * b
+    with pytest.raises(ArgumentError):
+        SparsePoly.monomial(n, (256,) + (0,) * (n - 1))
+    # At the field width the product is still exact.
+    c = SparsePoly.monomial(n, tuple(255 - d1 if i == v2 else 0 for i in range(n)))
+    assert (a * c).terms == {
+        tuple((d1 if i == v1 else 0) + (255 - d1 if i == v2 else 0) for i in range(n)): 1
+    }
 
 
 def test_p_poly_length_one():
@@ -218,3 +298,20 @@ def test_enumerate_support():
         assert max(l) <= 3
     support = dict(enumerate_support((1, 2)))
     assert support == {(0, 3): 1, (1, 2): -1, (3, 0): 1}
+
+
+# sha256 of every c<l|k> != 0 for k of length 1-4 and weight <= 7 and of
+# length 5 and weight <= 5, one line "k<TAB>l<TAB>c" each, recorded from the
+# tuple-keyed polynomial implementation: 6947 lines.
+GOLDEN_SUPPORT_SHA256 = "81079cce8080030064225f793e0c7e08b4f08e0dde9011ce5e37d10afc6331b2"
+
+
+def test_enumerate_support_golden_digest():
+    lines = []
+    for r, max_weight in [(1, 7), (2, 7), (3, 7), (4, 7), (5, 5)]:
+        for w in range(max_weight + 1):
+            for k in compositions(w, r):
+                for l, c in enumerate_support(k):
+                    lines.append(f"{','.join(map(str, k))}\t{','.join(map(str, l))}\t{c}\n")
+    assert len(lines) == 6947
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == GOLDEN_SUPPORT_SHA256

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emzv.faypoly import compositions
 from emzv.numerics import get_evaluator
@@ -12,7 +14,7 @@ from emzv.reduction import (
     simplify_zero_one,
     verify_reduction,
 )
-from emzv.relations import Expression
+from emzv.relations import Expression, monomial_weight
 from emzv.words import is_admissible, is_zero_one, weight
 
 
@@ -88,6 +90,35 @@ def test_fuel_exhausted_with_warm_cache():
     with pytest.raises(FuelExhausted):
         reduce_index(k, fuel=len(trace.steps) - 1)
     assert reduce_index(k, fuel=len(trace.steps))[0] == expr
+
+
+@st.composite
+def small_indices(draw, max_weight=7, max_length=4):
+    """An index of length <= max_length and weight <= max_weight."""
+    out = []
+    for _ in range(draw(st.integers(0, max_length))):
+        out.append(draw(st.integers(0, max_weight - sum(out))))
+    return tuple(out)
+
+
+@given(k=small_indices())
+@settings(deadline=None)
+def test_reduction_yields_terminal_atoms_of_the_same_weight(k):
+    expr, _ = reduce_index(k)
+    for mon, _ in expr.items():
+        assert all(is_terminal(a) for a in mon), (k, mon)
+        assert monomial_weight(mon) == weight(k), (k, mon)
+
+
+@given(k=small_indices())
+@settings(deadline=None)
+def test_fuel_one_suffices_exactly_for_one_step(k):
+    expr, trace = reduce_index(k)
+    if len(trace.steps) > 1:
+        with pytest.raises(FuelExhausted):
+            reduce_index(k, fuel=1)
+    else:
+        assert reduce_index(k, fuel=1)[0] == expr
 
 
 def test_reduced_atom_cache_is_transparent():

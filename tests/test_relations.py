@@ -167,6 +167,17 @@ def test_fay_matches_length_two_formula():
             assert fay.rhs == mat.rhs, (k1, k2)
 
 
+@given(data=st.data())
+@settings(deadline=None)
+def test_fay_matches_length_two_formula_beyond_weight_eight(data):
+    w = data.draw(st.integers(9, 16))
+    r = data.draw(st.integers(0, w).filter(lambda r: w - r != 1))
+    fay = fay_identity((r, w - r))
+    mat = prop_mat_identity(r, w - r)
+    assert fay.lhs == mat.lhs
+    assert fay.rhs == mat.rhs
+
+
 def test_prop_mat_precondition():
     with pytest.raises(PreconditionError):
         prop_mat_identity(1, 1)
