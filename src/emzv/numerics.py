@@ -7,13 +7,27 @@ The building blocks:
   f_n             Laurent coefficients of F in alpha (F = sum_n f_n(z) alpha^{n-1}),
                   extracted by a discrete Cauchy integral over an alpha-circle
   emzv_admissible iterated integral of the letters f_{k_i} over the ordered
-                  simplex in [0, 1], by nested composite Gauss-Legendre panels
+                  simplex in [0, 1]
   emzv_regularized constant term of the asymptotic expansion of the cut
                   integral T(eps) in powers of log(-2 pi i eps)
 
-All evaluation shares one dyadically graded panel grid per (tau, config), so
-letter values are computed once and every cut integral T(eps) with a dyadic
-eps reuses them.
+All evaluation shares one dyadically graded panel grid per (tau, config),
+symmetric under z -> 1 - z, and every integral is assembled from the lower
+half [0, 1/2].  A sweep of a word w is
+
+  B_w(x) = int_{x < z_1 < ... < z_m < 1/2} f_{w_1}(z_1) ... f_{w_m}(z_m),
+
+computed from B_{w[1:]} on the nodes by one backward pass of composite
+Gauss-Legendre panels, and cached per (split, word) at every lower-half
+breakpoint x.  Chen's identity at 1/2 and the reflection
+f_n(1 - z) = (-1)^n f_n(z) then give every cut integral at once:
+
+  T(eps) = sum_{j=0..r} B_{k[:j]}(eps) (-1)^{|k[j:]|} B_{rev(k[j:])}(eps).
+
+The backward pass integrates node to panel end as the panel integral minus
+the antiderivative collocation A.  Gauss-Legendre collocation satisfies
+W A + A^T W = w w^T (W = diag(w)), so this is the forward pass of the
+definition up to rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -235,22 +249,44 @@ def lattice_distance(x: complex, tau: Tau) -> float:
     return abs(da + db * t)
 
 
+# Rows of z per theta(z + alpha) call in _kronecker_grid: the theta series
+# keeps several temporaries of its argument's shape, so a whole grid of
+# nodes x circle samples would multiply the evaluator's peak memory.
+_GRID_ROWS = 64
+
+
+def _kronecker_grid(z, alphas, tau: Tau, cfg: NumericsConfig, theta_prime: complex) -> np.ndarray:
+    """F(alpha, z) = theta(z + alpha) theta'(0) / (theta(z) theta(alpha)) on a
+    grid: row i pairs the point z[i] with every alpha of one row of `alphas`,
+    which is shared by every z (1-D) or given per z (2-D, one row per z)."""
+    z = np.asarray(z, dtype=complex)[:, None]
+    alphas = np.asarray(alphas, dtype=complex)
+    per_row = alphas.ndim == 2
+    theta_z = theta(z, tau, cfg)
+    theta_alpha = theta(alphas, tau, cfg)
+    out = np.empty(np.broadcast_shapes(z.shape, alphas.shape), dtype=complex)
+    for start in range(0, len(out), _GRID_ROWS):
+        rows = slice(start, start + _GRID_ROWS)
+        a, ta = (alphas[rows], theta_alpha[rows]) if per_row else (alphas, theta_alpha)
+        out[rows] = theta(z[rows] + a, tau, cfg) * theta_prime / (theta_z[rows] * ta)
+    return out
+
+
 def kronecker_f(alpha, z, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
     """Eisenstein-Kronecker series F(alpha, z), scalars or arrays."""
     tau = as_tau(tau)
-    alpha_arr = np.asarray(alpha, dtype=complex)
-    z_arr = np.asarray(z, dtype=complex)
-    for x in np.atleast_1d(alpha_arr).ravel():
+    alpha_arr, z_arr = np.broadcast_arrays(
+        np.asarray(alpha, dtype=complex), np.asarray(z, dtype=complex)
+    )
+    for x in alpha_arr.ravel():
         if lattice_distance(complex(x), tau) < cfg.pole_tolerance:
             raise PoleError(f"alpha = {x} is within tolerance of a lattice point")
-    for x in np.atleast_1d(z_arr).ravel():
+    for x in z_arr.ravel():
         if lattice_distance(complex(x), tau) < cfg.pole_tolerance:
             raise PoleError(f"z = {x} is within tolerance of a lattice point")
-    value = (
-        theta(z_arr + alpha_arr, tau, cfg)
-        * theta_prime0(tau, cfg)
-        / (theta(z_arr, tau, cfg) * theta(alpha_arr, tau, cfg))
-    )
+    value = _kronecker_grid(
+        z_arr.ravel(), alpha_arr.reshape(-1, 1), tau, cfg, theta_prime0(tau, cfg)
+    ).reshape(alpha_arr.shape)
     if np.isscalar(alpha) and np.isscalar(z):
         return complex(value)
     return value
@@ -279,7 +315,11 @@ class PanelGrid:
 
     Breakpoints are 0, 2^-g (g = depth..1), 1 - 2^-g (g = 2..depth), 1, so
     that both endpoints are resolved geometrically and every dyadic cut
-    2^-a / 1 - 2^-a is a panel boundary.
+    2^-a / 1 - 2^-a is a panel boundary.  The panel list is symmetric under
+    z -> 1 - z, so nodes are kept on the lower half [0, 1/2] only; the upper
+    half enters through the reflection of the letters.  That keeps full
+    relative accuracy near z = 1, where the distance 1 - z would otherwise
+    drown in rounding.
     """
 
     def __init__(self, order: int, depth: int, split: int = 1):
@@ -294,23 +334,14 @@ class PanelGrid:
             bp = fine + [1.0]
         self.breakpoints = np.array(bp)
         self.order = order
-        xg, wg, amat = _legendre_antiderivative_matrix(order)
-        self._wg = wg
-        self._amat = amat
-        a = self.breakpoints[:-1]
-        b = self.breakpoints[1:]
-        self._half = (b - a) / 2.0
-        self._mid = (a + b) / 2.0
-        self.nodes = (self._mid[:, None] + self._half[:, None] * xg[None, :]).ravel()
+        xg, self._wg, self._amat = _legendre_antiderivative_matrix(order)
         self._index = {float(v): i for i, v in enumerate(self.breakpoints)}
-        # The panel list is symmetric under z -> 1 - z, so the ascending
-        # upper-half nodes are the reflections of the descending lower-half
-        # ones.  Letters are sampled on the lower half only and mirrored,
-        # which keeps full relative accuracy near z = 1 where the distance
-        # 1 - z would otherwise drown in rounding.
         self.n_panels = len(self.breakpoints) - 1
         assert self.n_panels % 2 == 0
-        self.lower_nodes = self.nodes[: (self.n_panels // 2) * order]
+        lower = self.breakpoints[: self.n_panels // 2 + 1]
+        self._half = (lower[1:] - lower[:-1]) / 2.0
+        mid = (lower[1:] + lower[:-1]) / 2.0
+        self.lower_nodes = (mid[:, None] + self._half[:, None] * xg[None, :]).ravel()
 
     def panel_range(self, lo: float, hi: float) -> tuple[int, int]:
         try:
@@ -318,28 +349,18 @@ class PanelGrid:
         except KeyError as exc:
             raise ArgumentError(f"[{lo}, {hi}] is not aligned with the grid") from exc
 
-    def integrate_nested(
-        self, letter_values: Sequence[np.ndarray], lo_panel: int, hi_panel: int
-    ) -> complex:
-        """Iterated integral of the given letters over lo..hi panels.
+    def sweep(self, letter: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One backward pass over the lower half: int_x^{1/2} letter * inner.
 
-        letter_values[i] holds the i-th integrand letter sampled on all grid
-        nodes; integration runs left to right, innermost letter first.
+        `letter` and `inner` hold values on the lower-half nodes.  Returns
+        the integral at every lower-half breakpoint x (0 at x = 1/2) and at
+        every lower-half node.
         """
-        order = self.order
-        npanels = hi_panel - lo_panel
-        if npanels <= 0:
-            return 0.0 + 0.0j
-        half = self._half[lo_panel:hi_panel]
-        g = np.ones(npanels * order, dtype=complex)
-        total = 0.0 + 0.0j
-        for values in letter_values:
-            h = (g * values[lo_panel * order : hi_panel * order]).reshape(npanels, order)
-            panel_ints = half * (h @ self._wg)
-            starts = np.concatenate(([0.0], np.cumsum(panel_ints)[:-1]))
-            g = (starts[:, None] + half[:, None] * (h @ self._amat.T)).ravel()
-            total = complex(panel_ints.sum())
-        return total
+        h = (letter * inner).reshape(-1, self.order)
+        panel_ints = self._half * (h @ self._wg)
+        tails = np.append(np.cumsum(panel_ints[::-1])[::-1], 0.0)
+        nodes = (tails[:-1, None] - self._half[:, None] * (h @ self._amat.T)).ravel()
+        return tails, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -358,34 +379,32 @@ class Evaluator:
         self._letters: dict[tuple[int, int], np.ndarray] = {}  # (split, n) -> values
         self._circle: dict[int, np.ndarray] = {}  # split -> F on nodes x circle, fft'd
         self._values: dict[Index, complex] = {}
-        self._cuts: dict[tuple[Index, float, int], complex] = {}
+        # (split, word) -> B_word at the lower-half breakpoints
+        self._sweeps: dict[tuple[int, Index], np.ndarray] = {}
+        # (k, split) -> T(eps) at the lower-half breakpoints eps
+        self._profiles: dict[tuple[Index, int], np.ndarray] = {}
+        # (eps0, npoints, degree, corr_degree) -> (profile rows, pinv, norms, amps)
+        self._solvers: dict[tuple, tuple] = {}
 
     def grid(self, split: int = 1) -> PanelGrid:
         if split not in self._grids:
             self._grids[split] = PanelGrid(self.cfg.panel_order, self.cfg.grading_depth, split)
         return self._grids[split]
 
-    def _fft_circle(self, split: int) -> np.ndarray:
-        if split not in self._circle:
-            cfg = self.cfg
-            grid = self.grid(split)
-            m = cfg.circle_samples
-            alphas = self.rho * np.exp(TWO_PI_I * np.arange(m) / m)
-            z = grid.lower_nodes[:, None]
-            fvals = (
-                theta(z + alphas[None, :], self.tau, cfg)
-                * self.theta_prime0
-                / (theta(z, self.tau, cfg) * theta(alphas, self.tau, cfg)[None, :])
-            )
-            self._circle[split] = np.fft.fft(fvals, axis=1) / m
-        return self._circle[split]
+    def _cauchy(self, z: np.ndarray, m: int) -> np.ndarray:
+        """F(alpha, z) sampled at m points of the alpha-circle of radius rho,
+        Fourier transformed: column j holds rho^(j+1) f_{j+1}(z), up to
+        aliasing (index taken mod m)."""
+        alphas = self.rho * np.exp(TWO_PI_I * np.arange(m) / m)
+        fvals = _kronecker_grid(z, alphas, self.tau, self.cfg, self.theta_prime0)
+        return np.fft.fft(fvals, axis=1) / m
+
+    def _coefficient(self, fft: np.ndarray, n: int) -> np.ndarray:
+        """The letter f_n from a `_cauchy` transform."""
+        return self.rho ** (1 - n) * fft[:, (n - 1) % fft.shape[1]]
 
     def letters(self, n: int, split: int = 1) -> np.ndarray:
-        """Values of the letter f_n on all grid nodes.
-
-        Computed on the lower half of the symmetric grid and extended by the
-        exact reflection f_n(1 - z) = (-1)^n f_n(z).
-        """
+        """Values of the letter f_n on the lower-half grid nodes."""
         key = (split, n)
         if key not in self._letters:
             cfg = self.cfg
@@ -393,52 +412,64 @@ class Evaluator:
                 raise ArgumentError(
                     f"circle_samples = {cfg.circle_samples} too small for letter {n}"
                 )
-            fft = self._fft_circle(split)
-            m = cfg.circle_samples
-            lower = self.rho ** (1 - n) * fft[:, (n - 1) % m]
-            sign = -1.0 if n % 2 else 1.0
-            self._letters[key] = np.concatenate([lower, sign * lower[::-1]])
+            if split not in self._circle:
+                self._circle[split] = self._cauchy(self.grid(split).lower_nodes, cfg.circle_samples)
+            self._letters[key] = self._coefficient(self._circle[split], n)
         return self._letters[key]
 
-    def f_n(self, n: int, z, split_check: bool = True):
-        """Letter f_n at arbitrary points by a one-off Cauchy extraction."""
+    def f_n(self, n: int, z):
+        """Letter f_n at arbitrary points by a one-off Cauchy extraction,
+        checked against twice the circle samples."""
         cfg = self.cfg
         if n < 0:
             raise ArgumentError("letter order must be non-negative")
         if 2 * n + 8 > cfg.circle_samples:
             raise ArgumentError("circle_samples too small for this letter")
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        for x in zz.ravel():
+        zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        for x in zz:
             if lattice_distance(complex(x), self.tau) < cfg.pole_tolerance:
                 raise PoleError(f"z = {x} is within tolerance of a lattice point")
-
-        def extraction(m: int) -> np.ndarray:
-            alphas = self.rho * np.exp(TWO_PI_I * np.arange(m) / m)
-            fvals = (
-                theta(zz[:, None] + alphas[None, :], self.tau, cfg)
-                * self.theta_prime0
-                / (theta(zz[:, None], self.tau, cfg) * theta(alphas, self.tau, cfg)[None, :])
-            )
-            fft = np.fft.fft(fvals, axis=1) / m
-            return self.rho ** (1 - n) * fft[:, (n - 1) % m]
-
-        base = extraction(cfg.circle_samples)
-        if split_check:
-            doubled = extraction(2 * cfg.circle_samples)
-            if float(np.max(np.abs(base - doubled))) > 1e-9:
-                raise AliasError("doubling the circle sample count moved f_n")
-            base = doubled
+        base = self._coefficient(self._cauchy(zz, cfg.circle_samples), n)
+        doubled = self._coefficient(self._cauchy(zz, 2 * cfg.circle_samples), n)
+        if float(np.max(np.abs(base - doubled))) > 1e-9:
+            raise AliasError("doubling the circle sample count moved f_n")
         if np.isscalar(z):
-            return complex(base[0])
-        return base
+            return complex(doubled[0])
+        return doubled
 
     # -- iterated integrals
 
-    def _nested(self, k: Index, lo: float, hi: float, split: int) -> complex:
-        grid = self.grid(split)
-        letter_values = [self.letters(n, split) for n in k]
-        lo_p, hi_p = grid.panel_range(lo, hi)
-        return grid.integrate_nested(letter_values, lo_p, hi_p)
+    def _sweep(self, word: Index, split: int, scratch: dict) -> np.ndarray:
+        """B_word on the lower-half nodes, from B_word[1:] by one backward
+        pass; caches B_word at the breakpoints.  `scratch` holds the node
+        values of one profile and is dropped with it."""
+        if word not in scratch:
+            inner = self._sweep(word[1:], split, scratch)
+            tails, scratch[word] = self.grid(split).sweep(self.letters(word[0], split), inner)
+            self._sweeps[(split, word)] = tails
+        return scratch[word]
+
+    def _profile(self, k: Index, split: int) -> np.ndarray:
+        """T(eps) at every lower-half breakpoint eps, by Chen's identity at
+        1/2 and the reflection f_n(1 - z) = (-1)^n f_n(z)."""
+        key = (k, split)
+        if key not in self._profiles:
+            grid = self.grid(split)
+            scratch = {(): np.ones(len(grid.lower_nodes), dtype=complex)}
+
+            def swept(word: Index):
+                if not word:
+                    return 1.0
+                if (split, word) not in self._sweeps:
+                    self._sweep(word, split, scratch)
+                return self._sweeps[(split, word)]
+
+            total = np.zeros(grid.n_panels // 2 + 1, dtype=complex)
+            for j in range(len(k) + 1):
+                sign = -1.0 if sum(k[j:]) % 2 else 1.0
+                total += swept(k[:j]) * (sign * swept(k[j:][::-1]))
+            self._profiles[key] = total
+        return self._profiles[key]
 
     def admissible(self, k: Index) -> complex:
         """Iterated integral over the full simplex; admissible indices only."""
@@ -449,10 +480,8 @@ class Evaluator:
             raise PreconditionError(
                 f"length {len(k)} exceeds configured limit {self.cfg.max_iint_length}"
             )
-        if len(k) == 0:
-            return 1.0 + 0.0j
-        coarse = self._nested(k, 0.0, 1.0, 1)
-        fine = self._nested(k, 0.0, 1.0, 2)
+        coarse = self.cut_integral(k, 0.0, 1)
+        fine = self.cut_integral(k, 0.0, 2)
         if abs(coarse - fine) > self.cfg.tolerance:
             raise ToleranceError(
                 f"refinement moved I{k} by {abs(coarse - fine):.3e}"
@@ -460,11 +489,13 @@ class Evaluator:
         return fine
 
     def cut_integral(self, k: Index, eps: float, split: int = 1) -> complex:
-        """T(eps): iterated integral over eps < z_1 < ... < z_r < 1 - eps."""
-        key = (k, eps, split)
-        if key not in self._cuts:
-            self._cuts[key] = self._nested(k, eps, 1.0 - eps, split)
-        return self._cuts[key]
+        """T(eps): iterated integral over eps < z_1 < ... < z_r < 1 - eps,
+        for a grid breakpoint eps in [0, 1/2]."""
+        lo, _ = self.grid(split).panel_range(eps, 1.0 - eps)
+        profile = self._profile(as_index(k), split)
+        if lo >= len(profile):
+            raise ArgumentError(f"eps = {eps} lies above 1/2")
+        return complex(profile[lo])
 
     # -- regularization
 
@@ -494,6 +525,31 @@ class Evaluator:
         # branch with log(-i) = -i pi / 2
         return complex(math.log(2 * math.pi * eps), -math.pi / 2)
 
+    def _fit_solver(
+        self, eps0: float, npoints: int, degree: int, corr_degree: int
+    ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """Profile rows of the samples eps_j = eps0 2^-j, with the fit's
+        design matrix reduced to what every solve needs: the pseudo-inverse
+        of its column-scaled form, the column norms and the noise
+        amplifications.  None of these depends on the index."""
+        key = (eps0, npoints, degree, corr_degree)
+        if key not in self._solvers:
+            blocks = self.cfg.fit_eps_blocks
+            eps = np.array([eps0 * 2.0**-j for j in range(npoints)])
+            rows = [self.grid(1).panel_range(e, 1.0 - e)[0] for e in eps]
+            lvals = np.array([self._log_eps(e) for e in eps])
+            cols = [lvals**n for n in range(degree + 1)]
+            for m in range(1, blocks + 1):
+                for n in range(corr_degree + 1):
+                    cols.append(eps**m * lvals**n)
+            design = np.stack(cols, axis=1)
+            norms = np.linalg.norm(design, axis=0)
+            norms[norms == 0] = 1.0
+            pinv = np.linalg.pinv(design / norms, rcond=1e-10)
+            amps = np.linalg.norm(pinv, axis=1) / norms
+            self._solvers[key] = (rows, pinv, norms, amps)
+        return self._solvers[key]
+
     def _fit_main_coefficients(
         self, k: Index, eps0: float, npoints: int, degree: int, corr_degree: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -503,20 +559,8 @@ class Evaluator:
         amplification factors (norms of the pseudo-inverse rows), both in the
         original column scaling.
         """
-        blocks = self.cfg.fit_eps_blocks
-        eps = np.array([eps0 * 2.0**-j for j in range(npoints)])
-        tvals = np.array([self.cut_integral(k, e) for e in eps])
-        lvals = np.array([self._log_eps(e) for e in eps])
-        cols = [lvals**n for n in range(degree + 1)]
-        for m in range(1, blocks + 1):
-            for n in range(corr_degree + 1):
-                cols.append(eps**m * lvals**n)
-        design = np.stack(cols, axis=1)
-        norms = np.linalg.norm(design, axis=0)
-        norms[norms == 0] = 1.0
-        pinv = np.linalg.pinv(design / norms, rcond=1e-10)
-        coeffs = (pinv @ tvals) / norms
-        amps = np.linalg.norm(pinv, axis=1) / norms
+        rows, pinv, norms, amps = self._fit_solver(eps0, npoints, degree, corr_degree)
+        coeffs = (pinv @ self._profile(k, 1)[rows]) / norms
         nmain = degree + 1
         return coeffs[:nmain], amps[:nmain]
 

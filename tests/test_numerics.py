@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emzv.numerics import (
     DEFAULT_CONFIG,
@@ -23,6 +25,7 @@ from emzv.numerics import (
     parse_tau,
     theta,
     theta_prime0,
+    _legendre_antiderivative_matrix,
     zeta,
 )
 from emzv.relations import Expression, parity_split, shuffle_identity
@@ -196,9 +199,86 @@ def test_admissible_preconditions():
 def test_quadrature_refinement_agreement():
     ev = get_evaluator(TAU)
     for k in [(2,), (0, 2), (2, 1, 2)]:
-        coarse = ev._nested(k, 0.0, 1.0, 1)
-        fine = ev._nested(k, 0.0, 1.0, 2)
+        coarse = ev.cut_integral(k, 0.0, 1)
+        fine = ev.cut_integral(k, 0.0, 2)
         assert abs(coarse - fine) < 1e-11, k
+
+
+def forward_cut_integral(ev, k, eps, split, magnitude=False):
+    """Reference T(eps): one forward nested Gauss-Legendre pass over the
+    panels of [eps, 1 - eps], letters on the upper half by reflection.  With
+    `magnitude`, the same pass over |f_n|, the scale of its rounding error."""
+    grid = ev.grid(split)
+    _, wg, amat = _legendre_antiderivative_matrix(grid.order)
+    lo, hi = grid.panel_range(eps, 1.0 - eps)
+    half = np.diff(grid.breakpoints)[lo:hi] / 2.0
+    g = np.ones(half.size * grid.order, dtype=complex)
+    total = 1.0 + 0.0j
+    for n in k:
+        lower = ev.letters(n, split)
+        values = np.concatenate([lower, (-1) ** n * lower[::-1]])
+        if magnitude:
+            values = np.abs(values)
+        h = (g * values[lo * grid.order : hi * grid.order]).reshape(-1, grid.order)
+        panel_ints = half * (h @ wg)
+        starts = np.concatenate(([0.0], np.cumsum(panel_ints)[:-1]))
+        g = (starts[:, None] + half[:, None] * (h @ amat.T)).ravel()
+        total = complex(panel_ints.sum())
+    return total
+
+
+def assert_matches_forward(ev, k, eps, split, scale=None):
+    """1e-12 relative to `scale` (by default the reference value), or 1e-13
+    absolute when it is below 1."""
+    ref = forward_cut_integral(ev, k, eps, split)
+    scale = abs(ref) if scale is None else scale
+    tol = 1e-12 * scale if scale >= 1 else 1e-13
+    assert abs(ev.cut_integral(k, eps, split) - ref) <= tol, (k, eps, split)
+
+
+CUT_EPS = (2.0**-10, 2.0**-30, 2.0**-44, 0.0)
+
+
+@pytest.mark.parametrize("k", [(2,), (0, 2), (1, 0, 3), (0, 1, 1, 2), (1, 2, 0, 1)])
+def test_cut_integral_matches_forward_quadrature(k):
+    ev = get_evaluator(TAU)
+    for eps in CUT_EPS:
+        for split in (1, 2):
+            assert_matches_forward(ev, k, eps, split)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple),
+    st.sampled_from(CUT_EPS),
+    st.sampled_from((1, 2)),
+)
+def test_cut_integral_matches_forward_quadrature_random(k, eps, split):
+    # Many words integrate to 0 by the reflection or the shuffle relations
+    # (I(1,1) = I(1)^2 / 2), so the error is measured against the integral
+    # of the magnitudes, not against the value.
+    ev = get_evaluator(TAU)
+    scale = abs(forward_cut_integral(ev, k, eps, split, magnitude=True))
+    assert_matches_forward(ev, k, eps, split, scale)
+
+
+def test_cut_integral_alignment_guard():
+    ev = get_evaluator(TAU)
+    with pytest.raises(ArgumentError):
+        ev.cut_integral((2,), 0.3)
+    with pytest.raises(ArgumentError):
+        ev.cut_integral((2,), 0.75)
+    assert ev.cut_integral((2,), 0.5) == 0
+    assert ev.cut_integral((), 2.0**-10) == 1
+
+
+def test_values_do_not_depend_on_cache_order():
+    indices = [k for r in range(1, 4) for k in np.ndindex(*(5,) * r) if sum(k) <= 4]
+    warm = Evaluator(TAU)
+    for k in reversed(indices):
+        warm.value(k)
+    for k in indices:
+        assert Evaluator(TAU).value(k) == warm.value(k), k
 
 
 def test_regularized_matches_admissible():
@@ -206,6 +286,15 @@ def test_regularized_matches_admissible():
         direct = emzv_admissible(k, TAU)
         reg = emzv_regularized(k, TAU)
         assert abs(direct - reg) < 1e-6, k
+
+
+def test_fit_degree_mode_length(tmp_path):
+    path = tmp_path / "numerics.cfg"
+    path.write_text("fit_degree_mode = length\n")
+    cfg = parse_config_file(str(path))
+    assert cfg.fit_degree_mode == "length"
+    for k in [(1, 2), (2, 0, 2), (1, 1, 2)]:
+        assert abs(emzv_regularized(k, TAU, cfg) - emzv_regularized(k, TAU)) < 1e-6, k
 
 
 def test_regularized_zero_values():

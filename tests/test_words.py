@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emzv.words import (
     ArgumentError,
@@ -140,6 +142,28 @@ def test_shuffle_associative():
         left = shuffle_combo(shuffle(a, b), WordCombo.word(c))
         right = shuffle_combo(WordCombo.word(a), shuffle(b, c))
         assert left == right, (a, b, c)
+
+
+WORDS = st.lists(st.integers(0, 6), max_size=3).map(tuple)
+COMBOS = st.dictionaries(
+    WORDS, st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=3
+).map(WordCombo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(WORDS, WORDS, WORDS)
+def test_shuffle_commutative_and_associative(a, b, c):
+    assert shuffle(a, b) == shuffle(b, a)
+    left = shuffle_combo(shuffle(a, b), WordCombo.word(c))
+    right = shuffle_combo(WordCombo.word(a), shuffle(b, c))
+    assert left == right
+
+
+@settings(max_examples=100, deadline=None)
+@given(COMBOS, COMBOS, COMBOS)
+def test_shuffle_combo_commutative_and_associative(a, b, c):
+    assert shuffle_combo(a, b) == shuffle_combo(b, a)
+    assert shuffle_combo(shuffle_combo(a, b), c) == shuffle_combo(a, shuffle_combo(b, c))
 
 
 def test_antipode():
