@@ -7,6 +7,7 @@ by evaluating theta-function integrals.
 """
 
 from .words import (
+    Combo,
     Index,
     WordCombo,
     antipode,

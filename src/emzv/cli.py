@@ -20,7 +20,6 @@ from .faypoly import compositions
 from .numerics import (
     DEFAULT_CONFIG,
     NumericsConfig,
-    PreconditionError,
     get_evaluator,
     kronecker_f,
     parse_config_file,
@@ -36,13 +35,29 @@ from .relations import (
     shuffle_identity,
     trailing_ones,
 )
-from .words import ArgumentError, format_index, parse_index, parity_is_even, weight
+from .words import (
+    ArgumentError,
+    PreconditionError,
+    format_index,
+    parse_index,
+    parity_is_even,
+    weight,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_FUEL = 3
 EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
+
+# Exit code of each expected failure; any other exception is a bug and keeps
+# its traceback.
+EXIT_CODES = {
+    ArgumentError: EXIT_PARSE,
+    FuelExhausted: EXIT_FUEL,
+    ArithmeticError: EXIT_NUMERIC,
+    PreconditionError: EXIT_NUMERIC,
+}
 
 FAMILIES = (
     "shuffle",
@@ -74,27 +89,15 @@ def _indices_within(max_weight: int, max_length: int, min_length: int = 1):
 
 
 def cmd_reduce(args) -> int:
-    try:
-        index = parse_index(args.index)
-    except ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        expr, trace = reduce_index(index, fuel=args.fuel)
-    except FuelExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FUEL
+    index = parse_index(args.index)
+    expr, trace = reduce_index(index, fuel=args.fuel)
     verify_report = None
     if args.verify:
         cfg = _load_config(args)
         tau = parse_tau(args.tau)
-        try:
-            ev = get_evaluator(tau, cfg)
-            lhs = ev.value(index)
-            rhs = ev.eval_expression(expr)
-        except (ArithmeticError, PreconditionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        ev = get_evaluator(tau, cfg)
+        lhs = ev.value(index)
+        rhs = ev.eval_expression(expr)
         residual = abs(lhs - rhs)
         verify_report = {
             "tau": str(tau.tau),
@@ -137,22 +140,14 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        index = parse_index(args.index)
-        tau = parse_tau(args.tau)
-    except ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    index = parse_index(args.index)
+    tau = parse_tau(args.tau)
     cfg = _load_config(args)
-    try:
-        ev = get_evaluator(tau, cfg)
-        if len(index) == 0:
-            value, estimate = 1.0 + 0j, 0.0
-        else:
-            value, estimate = ev.regularized(index)
-    except (ArithmeticError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    ev = get_evaluator(tau, cfg)
+    if len(index) == 0:
+        value, estimate = 1.0 + 0j, 0.0
+    else:
+        value, estimate = ev.regularized(index)
     if args.format == "json":
         print(json.dumps({"index": list(index), "re": value.real, "im": value.imag, "err": estimate}))
     else:
@@ -253,11 +248,7 @@ def _family_instances(family: str, args, cfg: NumericsConfig):
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    try:
-        instances = list(_family_instances(args.family, args, cfg))
-    except ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    instances = list(_family_instances(args.family, args, cfg))
 
     def evaluate(item):
         descriptor, run = item
@@ -276,14 +267,7 @@ def cmd_verify(args) -> int:
             "wall_time": elapsed,
         }
 
-    try:
-        reports = [evaluate(item) for item in instances]
-    except FuelExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FUEL
-    except (ArithmeticError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    reports = [evaluate(item) for item in instances]
 
     if args.format == "text":
         lines = [
@@ -309,24 +293,20 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     lines = []
-    try:
-        for k in _indices_within(args.max_weight, args.max_length, min_length=0):
-            expr, trace = reduce_index(k, fuel=args.fuel)
-            lines.append(
-                json.dumps(
-                    {
-                        "index": list(k),
-                        "expression": expr.to_json_dict(),
-                        "trace_len": len(trace.steps),
-                        "terminal": len(trace.steps) == 0,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
+    for k in _indices_within(args.max_weight, args.max_length, min_length=0):
+        expr, trace = reduce_index(k, fuel=args.fuel)
+        lines.append(
+            json.dumps(
+                {
+                    "index": list(k),
+                    "expression": expr.to_json_dict(),
+                    "trace_len": len(trace.steps),
+                    "terminal": len(trace.steps) == 0,
+                },
+                sort_keys=True,
             )
-    except FuelExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FUEL
+            + "\n"
+        )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
@@ -444,9 +424,9 @@ def main(argv: Iterable[str] | None = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         return args.func(args)
-    except ArgumentError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ definition up to rounding.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -41,9 +42,12 @@ from typing import Iterable
 import numpy as np
 
 from .relations import Expression
-from .words import ArgumentError, Index, as_index, is_admissible
+from .words import ArgumentError, Index, PreconditionError, as_index, is_admissible
 
 TWO_PI_I = 2j * math.pi
+
+#: Longest index whose iterated integral is evaluated.
+MAX_IINT_LENGTH = 6
 
 
 class NonConvergence(ArithmeticError):
@@ -64,10 +68,6 @@ class ToleranceError(ArithmeticError):
 
 class FitError(ArithmeticError):
     """The two regularization fits disagree beyond the allowed margin."""
-
-
-class PreconditionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,6 @@ class NumericsConfig:
     refine_factor: int = 2
     tolerance: float = 1e-6
     pole_tolerance: float = 1e-8
-    max_iint_length: int = 6
 
     def __post_init__(self):
         if self.theta_max_terms < 1:
@@ -154,24 +153,27 @@ _CONFIG_FIELDS = {f: t for f, t in NumericsConfig.__annotations__.items()}
 
 def parse_config_file(path: str) -> NumericsConfig:
     """Flat `key = value` text file, keys matching NumericsConfig fields."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ArgumentError(f"cannot read config file {path}: {reason}") from exc
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ArgumentError(f"{path}:{line_no}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_FIELDS:
-                raise ArgumentError(f"{path}:{line_no}: unknown key {key!r}")
-            kind = _CONFIG_FIELDS[key]
-            if kind == "int":
-                overrides[key] = int(value)
-            elif kind == "float":
-                overrides[key] = float(value)
-            else:
-                overrides[key] = value
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ArgumentError(f"{path}:{line_no}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_FIELDS:
+            raise ArgumentError(f"{path}:{line_no}: unknown key {key!r}")
+        convert = {"int": int, "float": float}.get(_CONFIG_FIELDS[key], str)
+        try:
+            overrides[key] = convert(value)
+        except ValueError as exc:
+            raise ArgumentError(f"{path}:{line_no}: bad value {value!r} for {key}") from exc
     return replace(DEFAULT_CONFIG, **overrides)
 
 
@@ -179,61 +181,50 @@ def parse_config_file(path: str) -> NumericsConfig:
 # theta and the Kronecker function
 
 
-def theta(z, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
-    """Odd Jacobi theta series at z (scalar or array), truncated adaptively."""
-    tau = as_tau(tau)
-    zz = np.asarray(z, dtype=complex)
+def _odd_series(tau: Tau, cfg: NumericsConfig, factors: Iterable):
+    """sum_n (-1)^n q^{(2n+1)^2/8} factors[n], truncated once two consecutive
+    terms fall below 1e-17 of the running sum (elementwise maximum for
+    arrays)."""
     q = tau.q
-    w_half = np.exp(1j * math.pi * zz)
-    w_half_inv = np.exp(-1j * math.pi * zz)
-    total = np.zeros_like(zz)
-    # pair terms n and -n-1: (-1)^n q^{(2n+1)^2/8} (w^{n+1/2} - w^{-n-1/2})
-    u = w_half.copy()
-    v = w_half_inv.copy()
-    u_step = w_half**2
-    v_step = w_half_inv**2
+    total = 0
     sign = 1.0
     small = 0
-    for n in range(cfg.theta_max_terms):
-        qpow = q ** ((2 * n + 1) ** 2 / 8.0)
-        term = sign * qpow * (u - v)
+    for n, factor in zip(range(cfg.theta_max_terms), factors):
+        term = sign * q ** ((2 * n + 1) ** 2 / 8.0) * factor
         total = total + term
         scale = float(np.max(np.abs(total))) or 1.0
         if float(np.max(np.abs(term))) < 1e-17 * scale:
             small += 1
             if small >= 2:
-                break
+                return total
         else:
             small = 0
-        u = u * u_step
-        v = v * v_step
         sign = -sign
-    else:
-        raise NonConvergence("theta series did not reach its truncation target")
-    out = total if zz.shape else complex(total)
-    return out
+    raise NonConvergence("theta series did not reach its truncation target")
+
+
+def theta(z, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
+    """Odd Jacobi theta series at z (scalar or array), truncated adaptively."""
+    zz = np.asarray(z, dtype=complex)
+    w_half = np.exp(1j * math.pi * zz)
+    w_half_inv = np.exp(-1j * math.pi * zz)
+
+    def factors():
+        # pair terms n and -n-1: w^{n+1/2} - w^{-n-1/2}
+        u, v = w_half, w_half_inv
+        u_step, v_step = w_half**2, w_half_inv**2
+        while True:
+            yield u - v
+            u = u * u_step
+            v = v * v_step
+
+    total = _odd_series(as_tau(tau), cfg, factors())
+    return total if zz.shape else complex(total)
 
 
 def theta_prime0(tau, cfg: NumericsConfig = DEFAULT_CONFIG) -> complex:
     """z-derivative of the theta series at z = 0."""
-    tau = as_tau(tau)
-    q = tau.q
-    total = 0.0 + 0.0j
-    sign = 1.0
-    small = 0
-    for n in range(cfg.theta_max_terms):
-        term = sign * (2 * n + 1) * q ** ((2 * n + 1) ** 2 / 8.0)
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-        sign = -sign
-    else:
-        raise NonConvergence("theta' series did not reach its truncation target")
-    value = TWO_PI_I * total
+    value = TWO_PI_I * complex(_odd_series(as_tau(tau), cfg, itertools.count(1, 2)))
     if value == 0:
         raise NonConvergence("theta'(0) evaluated to zero")
     return value
@@ -476,10 +467,8 @@ class Evaluator:
         k = as_index(k)
         if not is_admissible(k):
             raise PreconditionError(f"{k} is not admissible")
-        if len(k) > self.cfg.max_iint_length:
-            raise PreconditionError(
-                f"length {len(k)} exceeds configured limit {self.cfg.max_iint_length}"
-            )
+        if len(k) > MAX_IINT_LENGTH:
+            raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
         coarse = self.cut_integral(k, 0.0, 1)
         fine = self.cut_integral(k, 0.0, 2)
         if abs(coarse - fine) > self.cfg.tolerance:
@@ -600,10 +589,8 @@ class Evaluator:
         k = as_index(k)
         if len(k) == 0:
             return 1.0 + 0.0j, 0.0
-        if len(k) > self.cfg.max_iint_length:
-            raise PreconditionError(
-                f"length {len(k)} exceeds configured limit {self.cfg.max_iint_length}"
-            )
+        if len(k) > MAX_IINT_LENGTH:
+            raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
         degree, corr_degree = self._fit_degree(k)
         blocks = self.cfg.fit_eps_blocks
         npoints = (degree + 1) + blocks * (corr_degree + 1) + self.cfg.fit_extra_points

@@ -24,18 +24,26 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .faypoly import enumerate_support
 from .relations import (
     Expression,
     Identity,
+    monomial,
     parity_split,
     reflection_identity,
     split_sign,
     trailing_ones,
 )
-from .words import Index, as_index, is_admissible, is_zero_one, parity_is_even, word_sort_key
+from .words import (
+    ArgumentError,
+    Index,
+    as_index,
+    is_admissible,
+    is_zero_one,
+    parity_is_even,
+    word_sort_key,
+)
 
 DEFAULT_FUEL = 10_000
 
@@ -98,15 +106,11 @@ def _odd_fay_split(k: Index) -> Identity:
     """
     r = len(k)
     kp = k[:-1] + (0, k[-1])
-    rhs = Expression.zero()
-    for i in range(1, r + 1):
-        coeff = Fraction(-split_sign(kp, i))
-        rhs = rhs + (Expression.atom(kp[:i]) * Expression.atom(kp[i:])).scale(coeff)
+    pairs = [(monomial((kp[:i], kp[i:])), -split_sign(kp, i)) for i in range(1, r + 1)]
     for s, c in enumerate_support(k):
         s0 = s + (0,)
-        for i in range(1, r):
-            coeff = Fraction(-c * split_sign(s0, i))
-            rhs = rhs + (Expression.atom(s[:i]) * Expression.atom(s[i:] + (0,))).scale(coeff)
+        pairs += [(monomial((s[:i], s0[i:])), -c * split_sign(s0, i)) for i in range(1, r)]
+    rhs = Expression.collect(pairs)
     return Identity(Expression.atom(k), rhs.drop_odd_singletons(), "reduction_step")
 
 
@@ -121,12 +125,10 @@ def _zero_rotation(k: Index) -> Identity:
     The atom I(0, k) is admissible, and the only child of full length has
     its rightmost entry >= 2 one position further right than in k.
     """
-    r = len(k)
     ext = (0,) + k
-    rhs = Expression.atom(ext, 2)
-    for i in range(2, r + 1):
-        coeff = Fraction(split_sign(ext, i))
-        rhs = rhs + (Expression.atom(ext[:i]) * Expression.atom(ext[i:])).scale(coeff)
+    pairs = [(monomial([ext]), 2)]
+    pairs += [(monomial((ext[:i], ext[i:])), split_sign(ext, i)) for i in range(2, len(k) + 1)]
+    rhs = Expression.collect(pairs)
     return Identity(Expression.atom(k), rhs.drop_odd_singletons(), "reduction_step")
 
 
@@ -169,7 +171,7 @@ def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, Reduct
     loop.
     """
     if fuel <= 0:
-        raise ValueError("fuel must be positive")
+        raise ArgumentError(f"fuel must be positive, got {fuel}")
     k = as_index(k)
     immediate: dict[Index, ReductionStep] = {}
 

@@ -11,27 +11,27 @@ each identity can be audited against its source and validated numerically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .faypoly import enumerate_support
 from .words import (
+    Combo,
     Index,
+    PreconditionError,
     WordCombo,
     as_index,
     parity_is_even,
     reflection_sign,
     shuffle,
+    shuffle_combo,
     weight,
     word_sort_key,
 )
 
 Monomial = tuple[Index, ...]
-
-
-class PreconditionError(ValueError):
-    """An identity constructor was called outside its domain of validity."""
 
 
 class DegenerateError(ValueError):
@@ -51,17 +51,11 @@ def monomial_sort_key(mon: Monomial):
     return (len(mon), tuple(word_sort_key(a) for a in mon))
 
 
-class Expression:
+class Expression(Combo):
     """Exact Q-linear combination of monomials of index atoms."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "Expression":
-        return cls()
+    __slots__ = ()
+    _sort_key = staticmethod(monomial_sort_key)
 
     @classmethod
     def unit(cls, coeff: Fraction | int = 1) -> "Expression":
@@ -72,62 +66,32 @@ class Expression:
         """Single formal value as an expression; the empty index is the unit."""
         return cls({monomial([tuple(k)]): Fraction(coeff)})
 
-    def items(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: monomial_sort_key(t[0]))
-
-    def coeff(self, mon: Monomial) -> Fraction:
-        return self._terms.get(mon, Fraction(0))
-
     def atoms(self) -> set[Index]:
         return {a for mon in self._terms for a in mon}
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Expression):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "Expression") -> "Expression":
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Expression(terms)
-
-    def __sub__(self, other: "Expression") -> "Expression":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "Expression":
-        c = Fraction(c)
-        return Expression({m: c * v for m, v in self._terms.items()})
-
     def __mul__(self, other: "Expression") -> "Expression":
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = monomial(m1 + m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Expression(terms)
+        if type(other) is not type(self):
+            return NotImplemented
+        return Expression.collect(
+            (monomial(m1 + m2), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+        )
 
     def substitute(self, mapping: dict[Index, "Expression"]) -> "Expression":
         """Replace every occurrence (each power) of every atom in `mapping` by
         its expression, all atoms in one pass."""
-        terms: dict[Monomial, Fraction] = {}
-        for mon, c in self._terms.items():
+
+        def expand(mon: Monomial, c: Fraction):
             product = Expression({tuple(a for a in mon if a not in mapping): c})
             for a in mon:
                 if a in mapping:
                     product = product * mapping[a]
-            for m, v in product._terms.items():
-                terms[m] = terms.get(m, Fraction(0)) + v
-        return Expression(terms)
+            return product._terms.items()
+
+        return Expression.collect(
+            pair for mon, c in self._terms.items() for pair in expand(mon, c)
+        )
 
     def drop_odd_singletons(self) -> "Expression":
         """Remove monomials with a length-1 odd-weight factor (those values vanish)."""
@@ -158,11 +122,10 @@ class Expression:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Expression":
-        terms: dict[Monomial, Fraction] = {}
-        for t in data["terms"]:
-            m = monomial(as_index(a) for a in t["atoms"])
-            terms[m] = terms.get(m, Fraction(0)) + Fraction(t["coef"])
-        return cls(terms)
+        return cls.collect(
+            (monomial(as_index(a) for a in t["atoms"]), Fraction(t["coef"]))
+            for t in data["terms"]
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
@@ -202,9 +165,7 @@ def shuffle_identity(v: Index, w: Index) -> Identity:
     """Product of two values equals the sum over their shuffles."""
     v, w = as_index(v), as_index(w)
     lhs = Expression.atom(v) * Expression.atom(w)
-    rhs = Expression.zero()
-    for word, c in shuffle(v, w).items():
-        rhs = rhs + Expression.atom(word, c)
+    rhs = Expression.collect((monomial([word]), c) for word, c in shuffle(v, w).items())
     return Identity(lhs, rhs, "shuffle")
 
 
@@ -238,9 +199,7 @@ def fay_identity(k: Index) -> Identity:
         if guard:
             surviving.append(i)
     assert not surviving, "zeta boundary terms must vanish under the precondition"
-    rhs = Expression.zero()
-    for l, c in enumerate_support(k):
-        rhs = rhs + Expression.atom(l, -c)
+    rhs = Expression.collect((monomial([l]), -c) for l, c in enumerate_support(k))
     return Identity(Expression.atom(k), rhs, "fay")
 
 
@@ -267,13 +226,10 @@ def prop_mat_identity(r: int, s: int) -> Identity:
     if (r, s) == (1, 1):
         raise PreconditionError("the length-2 formula excludes (1, 1)")
     lhs = Expression.atom((r, s))
-    rhs = Expression.atom((0, r + s), -((-1) ** s))
-    for n in range(s + 1):
-        coef = Fraction((-1) ** (s - n) * _binomial(r - 1 + n, r - 1))
-        rhs = rhs + Expression.atom((r + n, s - n), coef)
-    for n in range(r + 1):
-        coef = Fraction((-1) ** (s + n) * _binomial(s - 1 + n, s - 1))
-        rhs = rhs + Expression.atom((s + n, r - n), coef)
+    pairs = [((0, r + s), -((-1) ** s))]
+    pairs += [((r + n, s - n), (-1) ** (s - n) * _binomial(r - 1 + n, r - 1)) for n in range(s + 1)]
+    pairs += [((s + n, r - n), (-1) ** (s + n) * _binomial(s - 1 + n, s - 1)) for n in range(r + 1)]
+    rhs = Expression.collect((monomial([l]), c) for l, c in pairs)
     return Identity(lhs, rhs, "prop_mat")
 
 
@@ -300,10 +256,9 @@ def parity_split(k: Index) -> Identity:
         raise PreconditionError("parity split needs a non-empty index")
     if len(k) == 1:
         raise DegenerateError("length-1 indices have no non-trivial split")
-    rhs = Expression.zero()
-    for i in range(1, len(k)):
-        term = Expression.atom(k[:i]) * Expression.atom(k[i:])
-        rhs = rhs + term.scale(Fraction(-split_sign(k, i), 2))
+    rhs = Expression.collect(
+        (monomial((k[:i], k[i:])), Fraction(-split_sign(k, i), 2)) for i in range(1, len(k))
+    )
     return Identity(Expression.atom(k), rhs, "parity_split")
 
 
@@ -326,16 +281,7 @@ def trailing_ones(k: Index) -> Identity:
     prefix, last = k[: n - 1], k[n - 1]
     combo = WordCombo.word(prefix)
     for _ in range(m):
-        acc: dict[Index, Fraction] = {}
-        for word, c in combo.items():
-            for word2, c2 in shuffle((1,), word).items():
-                acc[word2] = acc.get(word2, Fraction(0)) + c * c2
-        combo = WordCombo(acc)
-    factorial = 1
-    for j in range(2, m + 1):
-        factorial *= j
-    scale = Fraction((-1) ** m, factorial)
-    rhs = Expression.zero()
-    for word, c in combo.items():
-        rhs = rhs + Expression.atom(word + (last,), c * scale)
+        combo = shuffle_combo(WordCombo.word((1,)), combo)
+    scale = Fraction((-1) ** m, math.factorial(m))
+    rhs = Expression.collect((monomial([word + (last,)]), c * scale) for word, c in combo.items())
     return Identity(Expression.atom(k), rhs, "trailing_ones")

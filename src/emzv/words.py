@@ -10,8 +10,9 @@ all with exact rational coefficients.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable
 
 Index = tuple[int, ...]
 
@@ -19,8 +20,15 @@ Index = tuple[int, ...]
 MAX_ENTRY = 2**31
 
 
+_ZERO = Fraction(0)
+
+
 class ArgumentError(ValueError):
     """Invalid argument to an exact-algebra operation."""
+
+
+class PreconditionError(ValueError):
+    """An operation was called outside its domain of validity."""
 
 
 def as_index(entries: Iterable[int]) -> Index:
@@ -76,31 +84,36 @@ def format_index(k: Index) -> str:
     return ",".join(str(e) for e in k) if k else "-"
 
 
-class WordCombo:
-    """Exact Q-linear combination of words, stored as word -> coefficient.
+class Combo:
+    """Exact Q-linear combination of hashable keys, stored as key -> coefficient.
 
-    Zero coefficients are never stored; equality is map equality.  Instances
-    are treated as immutable values.
+    Zero coefficients are never stored; two combinations are equal when they
+    have the same class and the same map.  Instances are treated as
+    immutable values.  Subclasses fix the key type and its `_sort_key`.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Index, Fraction] | None = None):
-        self._terms = {w: c for w, c in (terms or {}).items() if c != 0}
+    def __init__(self, terms: dict | None = None):
+        self._terms = {k: c for k, c in (terms or {}).items() if c != 0}
 
     @classmethod
-    def zero(cls) -> "WordCombo":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def word(cls, w: Index, coeff: Fraction | int = 1) -> "WordCombo":
-        return cls({tuple(w): Fraction(coeff)})
+    def collect(cls, pairs: Iterable[tuple[Hashable, Fraction | int]]):
+        """Sum (key, coefficient) pairs into one combination in a single pass."""
+        terms: dict = {}
+        for key, c in pairs:
+            terms[key] = terms.get(key, _ZERO) + c
+        return cls(terms)
 
-    def items(self) -> Iterator[tuple[Index, Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda t: word_sort_key(t[0])))
+    def items(self) -> list[tuple[Hashable, Fraction]]:
+        return sorted(self._terms.items(), key=lambda t: self._sort_key(t[0]))
 
-    def coeff(self, w: Index) -> Fraction:
-        return self._terms.get(tuple(w), Fraction(0))
+    def coeff(self, key: Hashable) -> Fraction:
+        return self._terms.get(key, _ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -109,35 +122,45 @@ class WordCombo:
         return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WordCombo):
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((type(self), frozenset(self._terms.items())))
 
-    def __add__(self, other: "WordCombo") -> "WordCombo":
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return WordCombo(terms)
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.collect(itertools.chain(self._terms.items(), other._terms.items()))
 
-    def __sub__(self, other: "WordCombo") -> "WordCombo":
-        return self + (-1) * other
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + other.scale(-1)
 
-    def __rmul__(self, scalar: Fraction | int) -> "WordCombo":
+    def scale(self, scalar: Fraction | int):
         s = Fraction(scalar)
-        return WordCombo({w: s * c for w, c in self._terms.items()})
+        return type(self)({k: s * c for k, c in self._terms.items()})
+
+    def __repr__(self) -> str:
+        parts = [f"{c}*{k}" for k, c in self.items()] or ["0"]
+        return f"{type(self).__name__}(" + " + ".join(parts) + ")"
+
+
+class WordCombo(Combo):
+    """Exact Q-linear combination of words."""
+
+    __slots__ = ()
+    _sort_key = staticmethod(word_sort_key)
+
+    @classmethod
+    def word(cls, w: Index, coeff: Fraction | int = 1) -> "WordCombo":
+        return cls({tuple(w): Fraction(coeff)})
 
     def mass(self) -> Fraction:
         """Sum of all coefficients."""
-        return sum(self._terms.values(), Fraction(0))
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "WordCombo(0)"
-        parts = [f"{c}*{w}" for w, c in self.items()]
-        return "WordCombo(" + " + ".join(parts) + ")"
+        return sum(self._terms.values(), _ZERO)
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,25 +176,22 @@ def shuffle(v: Index, w: Index) -> WordCombo:
         return WordCombo.word(w)
     if not w:
         return WordCombo.word(v)
-    left = shuffle(v[1:], w)
-    right = shuffle(v, w[1:])
-    terms: dict[Index, Fraction] = {}
-    for u, c in left._terms.items():
-        key = (v[0],) + u
-        terms[key] = terms.get(key, Fraction(0)) + c
-    for u, c in right._terms.items():
-        key = (w[0],) + u
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return WordCombo(terms)
+    return WordCombo.collect(
+        itertools.chain(
+            (((v[0],) + u, c) for u, c in shuffle(v[1:], w)._terms.items()),
+            (((w[0],) + u, c) for u, c in shuffle(v, w[1:])._terms.items()),
+        )
+    )
 
 
 def shuffle_combo(a: WordCombo, b: WordCombo) -> WordCombo:
     """Bilinear extension of the shuffle product to combinations."""
-    out = WordCombo.zero()
-    for v, cv in a._terms.items():
-        for w, cw in b._terms.items():
-            out = out + (cv * cw) * shuffle(v, w)
-    return out
+    return WordCombo.collect(
+        (u, cv * cw * c)
+        for v, cv in a._terms.items()
+        for w, cw in b._terms.items()
+        for u, c in shuffle(v, w)._terms.items()
+    )
 
 
 def antipode(w: Index) -> tuple[int, Index]:
@@ -197,8 +217,9 @@ def antipode_convolution(w: Index) -> WordCombo:
     Vanishes identically for every non-empty word; this is the Hopf-algebra
     identity behind the parity splitting of values.
     """
-    out = WordCombo.zero()
-    for pre, suf in coproduct(w):
-        sign, rev = antipode(suf)
-        out = out + sign * shuffle(pre, rev)
-    return out
+    return WordCombo.collect(
+        (u, sign * c)
+        for pre, suf in coproduct(w)
+        for sign, rev in [antipode(suf)]
+        for u, c in shuffle(pre, rev)._terms.items()
+    )

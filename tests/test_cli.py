@@ -60,6 +60,32 @@ def test_reduce_fuel_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "command", [("reduce", "--index", "2,1"), ("table", "--max-weight", "2", "--max-length", "2")]
+)
+def test_nonpositive_fuel_exit_code(capsys, command):
+    code, out, err = run(capsys, *command, "--fuel", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "fuel must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config file"),
+        ("theta_max_terms = abc\n", ":1: bad value 'abc'"),
+        ("tolerance = 1e-8\nmax_iint_length = 7\n", ":2: unknown key 'max_iint_length'"),
+    ],
+)
+def test_config_file_errors_exit_code(tmp_path, capsys, text, message):
+    path = tmp_path / "numerics.cfg"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "eval", "--index", "2", "--tau", "0+1i", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err and message in err
+
+
 def test_eval(capsys):
     code, out, _ = run(capsys, "eval", "--index", "0,0", "--tau", "0+1i", "--format", "json")
     assert code == 0

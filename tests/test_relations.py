@@ -135,6 +135,12 @@ def test_fay_identity_length_one():
     assert ident.lhs == A(0) and ident.rhs == A(0)
 
 
+def test_one_precondition_error_class():
+    from emzv import numerics, words
+
+    assert PreconditionError is numerics.PreconditionError is words.PreconditionError
+
+
 def test_fay_identity_precondition():
     with pytest.raises(PreconditionError):
         fay_identity((2, 1))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emzv.relations import Expression, monomial
 from emzv.words import (
     ArgumentError,
     WordCombo,
@@ -164,6 +165,36 @@ def test_shuffle_commutative_and_associative(a, b, c):
 def test_shuffle_combo_commutative_and_associative(a, b, c):
     assert shuffle_combo(a, b) == shuffle_combo(b, a)
     assert shuffle_combo(shuffle_combo(a, b), c) == shuffle_combo(a, shuffle_combo(b, c))
+
+
+KEYS = {
+    WordCombo: st.sampled_from([(), (0,), (1,), (2, 1), (1, 2), (0, 0, 3)]),
+    Expression: st.sampled_from(
+        [(), ((0,),), ((2,),), ((1,), (2,)), ((2,), (2,)), ((1, 0), (3,))]
+    ).map(monomial),
+}
+COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([WordCombo, Expression]), st.data())
+def test_collect_matches_dict_reference(cls, data):
+    pairs = data.draw(st.lists(st.tuples(KEYS[cls], COEFFS), max_size=12))
+    # exact cancellations: repeat a prefix of the pairs negated
+    pairs += [(k, -c) for k, c in pairs[: data.draw(st.integers(0, len(pairs)))]]
+    sums = {k: sum(c for key, c in pairs if key == k) for k, _ in pairs}
+    reference = {k: c for k, c in sums.items() if c != 0}
+    combo = cls.collect(pairs)
+    assert dict(combo.items()) == reference
+    assert len(combo) == len(reference) and combo.is_zero() == (not reference)
+    assert all(type(c) is Fraction for _, c in combo.items())
+    other = cls.collect(data.draw(st.lists(st.tuples(KEYS[cls], COEFFS), max_size=6)))
+    assert combo + other - other == combo
+
+
+def test_combo_equality_is_type_strict():
+    assert WordCombo.zero() != Expression.zero()
+    assert WordCombo.word(()) != Expression.unit()
 
 
 def test_antipode():
