@@ -142,12 +142,7 @@ def cmd_reduce(args) -> int:
 def cmd_eval(args) -> int:
     index = parse_index(args.index)
     tau = parse_tau(args.tau)
-    cfg = _load_config(args)
-    ev = get_evaluator(tau, cfg)
-    if len(index) == 0:
-        value, estimate = 1.0 + 0j, 0.0
-    else:
-        value, estimate = ev.regularized(index)
+    value, estimate = get_evaluator(tau, _load_config(args)).regularized(index)
     if args.format == "json":
         print(json.dumps({"index": list(index), "re": value.real, "im": value.imag, "err": estimate}))
     else:
@@ -224,18 +219,15 @@ def _family_instances(family: str, args, cfg: NumericsConfig):
             z2 = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
 
             def run(a=a, z=z, a2=a2, z2=z2):
-                f = kronecker_f(a, z, tau_k, cfg)
+                f = kronecker_f(a, z, tau_k)
                 checks = [
-                    (f, -kronecker_f(-a, -z, tau_k, cfg)),
-                    (kronecker_f(a, z + 1, tau_k, cfg), f),
+                    (f, -kronecker_f(-a, -z, tau_k)),
+                    (kronecker_f(a, z + 1, tau_k), f),
+                    (kronecker_f(a, z + tau_k.tau, tau_k), np.exp(-2j * np.pi * a) * f),
                     (
-                        kronecker_f(a, z + tau_k.tau, tau_k, cfg),
-                        np.exp(-2j * np.pi * a) * f,
-                    ),
-                    (
-                        f * kronecker_f(a2, z2, tau_k, cfg),
-                        kronecker_f(a + a2, z, tau_k, cfg) * kronecker_f(a2, z2 - z, tau_k, cfg)
-                        + kronecker_f(a + a2, z2, tau_k, cfg) * kronecker_f(a, z - z2, tau_k, cfg),
+                        f * kronecker_f(a2, z2, tau_k),
+                        kronecker_f(a + a2, z, tau_k) * kronecker_f(a2, z2 - z, tau_k)
+                        + kronecker_f(a + a2, z2, tau_k) * kronecker_f(a, z - z2, tau_k),
                     ),
                 ]
                 worst = max(checks, key=lambda pair: abs(pair[0] - pair[1]))

@@ -48,6 +48,26 @@ TWO_PI_I = 2j * math.pi
 
 #: Longest index whose iterated integral is evaluated.
 MAX_IINT_LENGTH = 6
+#: Theta series terms summed before NonConvergence is raised.
+THETA_MAX_TERMS = 256
+#: The panel grid's finest breakpoints are 2^-GRADING_DEPTH and its mirror.
+GRADING_DEPTH = 45
+#: A fit has FIT_EPS_BLOCKS blocks of eps^m corrections, m = 1, 2, ...
+FIT_EPS_BLOCKS = 2
+#: Fit samples beyond the number of fitted coefficients.
+FIT_EXTRA_POINTS = 6
+#: Points closer than this to a lattice point are refused as poles.
+POLE_TOLERANCE = 1e-8
+
+
+def _fit_points(degree: int, corr_degree: int) -> int:
+    """Sample count n of one regularization fit, at eps0 2^-j for j < n."""
+    return (degree + 1) + FIT_EPS_BLOCKS * (corr_degree + 1) + FIT_EXTRA_POINTS
+
+
+# The second fit of a longest index reaches eps0 2^-_FIT_DEPTH, a breakpoint.
+_FIT_DEPTH = _fit_points(MAX_IINT_LENGTH, MAX_IINT_LENGTH)
+EPS0_MIN = 2.0 ** (_FIT_DEPTH - GRADING_DEPTH)
 
 
 class NonConvergence(ArithmeticError):
@@ -111,39 +131,33 @@ def parse_tau(text: str) -> Tau:
 class NumericsConfig:
     """Tunable parameters for all numerical evaluation.
 
-    eps0 must be a (negative) power of two so that every sample of the
-    regularization fit lands on a grid breakpoint and shares letter values.
+    rho_factor (in (0, 1)) and circle_samples (>= 8; letter f_n needs
+    2 n + 8) shape the Cauchy alpha-circle, panel_order (1..100) the
+    Gauss-Legendre panels.  eps0 is a power of two in [EPS0_MIN, 0.1), so
+    every regularization fit sample is a grid breakpoint.  tolerance (finite,
+    > 0) bounds grid refinement and, times ten, the fit disagreement.
     """
 
-    theta_max_terms: int = 256
     rho_factor: float = 0.45
     circle_samples: int = 64
     panel_order: int = 12
-    grading_depth: int = 45
     eps0: float = 2.0**-10
-    fit_degree_mode: str = "divergent-runs"  # or "length"
-    fit_extra_points: int = 6
-    fit_eps_blocks: int = 2
-    refine_factor: int = 2
     tolerance: float = 1e-6
-    pole_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.theta_max_terms < 1:
-            raise ArgumentError("theta_max_terms must be >= 1")
         if not (0 < self.rho_factor < 1):
-            raise ArgumentError("rho_factor must lie in (0, 1)")
+            raise ArgumentError(f"rho_factor must lie in (0, 1), got {self.rho_factor}")
         if self.circle_samples < 8:
-            raise ArgumentError("circle_samples too small")
-        if not (0 < self.eps0 < 0.1):
-            raise ArgumentError("eps0 must lie in (0, 0.1)")
-        frac, exp = math.frexp(self.eps0)
-        if frac != 0.5:
-            raise ArgumentError("eps0 must be a power of two")
-        if self.fit_degree_mode not in ("divergent-runs", "length"):
-            raise ArgumentError(f"unknown fit_degree_mode {self.fit_degree_mode!r}")
-        if self.grading_depth < -math.frexp(self.eps0)[1] + 8:
-            raise ArgumentError("grading_depth too shallow for eps0")
+            raise ArgumentError(f"circle_samples must be >= 8, got {self.circle_samples}")
+        if not (1 <= self.panel_order <= 100):  # numpy's Gauss nodes are tested to 100
+            raise ArgumentError(f"panel_order must lie in 1..100, got {self.panel_order}")
+        if not (EPS0_MIN <= self.eps0 < 0.1) or math.frexp(self.eps0)[0] != 0.5:
+            raise ArgumentError(
+                f"eps0 must be a power of two in [2**{_FIT_DEPTH - GRADING_DEPTH}, 0.1) so that "
+                f"the deepest fit sample eps0 * 2**-{_FIT_DEPTH} is on the grid, got {self.eps0}"
+            )
+        if not (0 < self.tolerance < math.inf):
+            raise ArgumentError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 DEFAULT_CONFIG = NumericsConfig()
@@ -174,14 +188,17 @@ def parse_config_file(path: str) -> NumericsConfig:
             overrides[key] = convert(value)
         except ValueError as exc:
             raise ArgumentError(f"{path}:{line_no}: bad value {value!r} for {key}") from exc
-    return replace(DEFAULT_CONFIG, **overrides)
+    try:
+        return replace(DEFAULT_CONFIG, **overrides)
+    except ArgumentError as exc:
+        raise ArgumentError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # theta and the Kronecker function
 
 
-def _odd_series(tau: Tau, cfg: NumericsConfig, factors: Iterable):
+def _odd_series(tau: Tau, factors: Iterable):
     """sum_n (-1)^n q^{(2n+1)^2/8} factors[n], truncated once two consecutive
     terms fall below 1e-17 of the running sum (elementwise maximum for
     arrays)."""
@@ -189,7 +206,7 @@ def _odd_series(tau: Tau, cfg: NumericsConfig, factors: Iterable):
     total = 0
     sign = 1.0
     small = 0
-    for n, factor in zip(range(cfg.theta_max_terms), factors):
+    for n, factor in zip(range(THETA_MAX_TERMS), factors):
         term = sign * q ** ((2 * n + 1) ** 2 / 8.0) * factor
         total = total + term
         scale = float(np.max(np.abs(total))) or 1.0
@@ -203,7 +220,7 @@ def _odd_series(tau: Tau, cfg: NumericsConfig, factors: Iterable):
     raise NonConvergence("theta series did not reach its truncation target")
 
 
-def theta(z, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
+def theta(z, tau):
     """Odd Jacobi theta series at z (scalar or array), truncated adaptively."""
     zz = np.asarray(z, dtype=complex)
     w_half = np.exp(1j * math.pi * zz)
@@ -218,13 +235,13 @@ def theta(z, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
             u = u * u_step
             v = v * v_step
 
-    total = _odd_series(as_tau(tau), cfg, factors())
+    total = _odd_series(as_tau(tau), factors())
     return total if zz.shape else complex(total)
 
 
-def theta_prime0(tau, cfg: NumericsConfig = DEFAULT_CONFIG) -> complex:
+def theta_prime0(tau) -> complex:
     """z-derivative of the theta series at z = 0."""
-    value = TWO_PI_I * complex(_odd_series(as_tau(tau), cfg, itertools.count(1, 2)))
+    value = TWO_PI_I * complex(_odd_series(as_tau(tau), itertools.count(1, 2)))
     if value == 0:
         raise NonConvergence("theta'(0) evaluated to zero")
     return value
@@ -246,37 +263,37 @@ def lattice_distance(x: complex, tau: Tau) -> float:
 _GRID_ROWS = 64
 
 
-def _kronecker_grid(z, alphas, tau: Tau, cfg: NumericsConfig, theta_prime: complex) -> np.ndarray:
+def _kronecker_grid(z, alphas, tau: Tau, theta_prime: complex) -> np.ndarray:
     """F(alpha, z) = theta(z + alpha) theta'(0) / (theta(z) theta(alpha)) on a
     grid: row i pairs the point z[i] with every alpha of one row of `alphas`,
     which is shared by every z (1-D) or given per z (2-D, one row per z)."""
     z = np.asarray(z, dtype=complex)[:, None]
     alphas = np.asarray(alphas, dtype=complex)
     per_row = alphas.ndim == 2
-    theta_z = theta(z, tau, cfg)
-    theta_alpha = theta(alphas, tau, cfg)
+    theta_z = theta(z, tau)
+    theta_alpha = theta(alphas, tau)
     out = np.empty(np.broadcast_shapes(z.shape, alphas.shape), dtype=complex)
     for start in range(0, len(out), _GRID_ROWS):
         rows = slice(start, start + _GRID_ROWS)
         a, ta = (alphas[rows], theta_alpha[rows]) if per_row else (alphas, theta_alpha)
-        out[rows] = theta(z[rows] + a, tau, cfg) * theta_prime / (theta_z[rows] * ta)
+        out[rows] = theta(z[rows] + a, tau) * theta_prime / (theta_z[rows] * ta)
     return out
 
 
-def kronecker_f(alpha, z, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
+def kronecker_f(alpha, z, tau):
     """Eisenstein-Kronecker series F(alpha, z), scalars or arrays."""
     tau = as_tau(tau)
     alpha_arr, z_arr = np.broadcast_arrays(
         np.asarray(alpha, dtype=complex), np.asarray(z, dtype=complex)
     )
     for x in alpha_arr.ravel():
-        if lattice_distance(complex(x), tau) < cfg.pole_tolerance:
+        if lattice_distance(complex(x), tau) < POLE_TOLERANCE:
             raise PoleError(f"alpha = {x} is within tolerance of a lattice point")
     for x in z_arr.ravel():
-        if lattice_distance(complex(x), tau) < cfg.pole_tolerance:
+        if lattice_distance(complex(x), tau) < POLE_TOLERANCE:
             raise PoleError(f"z = {x} is within tolerance of a lattice point")
     value = _kronecker_grid(
-        z_arr.ravel(), alpha_arr.reshape(-1, 1), tau, cfg, theta_prime0(tau, cfg)
+        z_arr.ravel(), alpha_arr.reshape(-1, 1), tau, theta_prime0(tau)
     ).reshape(alpha_arr.shape)
     if np.isscalar(alpha) and np.isscalar(z):
         return complex(value)
@@ -365,7 +382,7 @@ class Evaluator:
         self.tau = as_tau(tau)
         self.cfg = cfg
         self.rho = cfg.rho_factor * min(1.0, self.tau.tau.imag)
-        self.theta_prime0 = theta_prime0(self.tau, cfg)
+        self.theta_prime0 = theta_prime0(self.tau)
         self._grids: dict[int, PanelGrid] = {}
         self._letters: dict[tuple[int, int], np.ndarray] = {}  # (split, n) -> values
         self._circle: dict[int, np.ndarray] = {}  # split -> F on nodes x circle, fft'd
@@ -379,7 +396,7 @@ class Evaluator:
 
     def grid(self, split: int = 1) -> PanelGrid:
         if split not in self._grids:
-            self._grids[split] = PanelGrid(self.cfg.panel_order, self.cfg.grading_depth, split)
+            self._grids[split] = PanelGrid(self.cfg.panel_order, GRADING_DEPTH, split)
         return self._grids[split]
 
     def _cauchy(self, z: np.ndarray, m: int) -> np.ndarray:
@@ -387,24 +404,27 @@ class Evaluator:
         Fourier transformed: column j holds rho^(j+1) f_{j+1}(z), up to
         aliasing (index taken mod m)."""
         alphas = self.rho * np.exp(TWO_PI_I * np.arange(m) / m)
-        fvals = _kronecker_grid(z, alphas, self.tau, self.cfg, self.theta_prime0)
+        fvals = _kronecker_grid(z, alphas, self.tau, self.theta_prime0)
         return np.fft.fft(fvals, axis=1) / m
 
     def _coefficient(self, fft: np.ndarray, n: int) -> np.ndarray:
         """The letter f_n from a `_cauchy` transform."""
         return self.rho ** (1 - n) * fft[:, (n - 1) % fft.shape[1]]
 
+    def _check_letter(self, n: int) -> None:
+        """Letter orders the Cauchy extraction resolves: n >= 0, 2 n + 8 <= circle_samples."""
+        top = (self.cfg.circle_samples - 8) // 2
+        if not 0 <= n <= top:
+            raise ArgumentError(f"letter order {n} outside 0..{top} (circle_samples too small)")
+
     def letters(self, n: int, split: int = 1) -> np.ndarray:
         """Values of the letter f_n on the lower-half grid nodes."""
         key = (split, n)
         if key not in self._letters:
-            cfg = self.cfg
-            if 2 * n + 8 > cfg.circle_samples:
-                raise ArgumentError(
-                    f"circle_samples = {cfg.circle_samples} too small for letter {n}"
-                )
+            self._check_letter(n)
             if split not in self._circle:
-                self._circle[split] = self._cauchy(self.grid(split).lower_nodes, cfg.circle_samples)
+                grid = self.grid(split)
+                self._circle[split] = self._cauchy(grid.lower_nodes, self.cfg.circle_samples)
             self._letters[key] = self._coefficient(self._circle[split], n)
         return self._letters[key]
 
@@ -412,13 +432,10 @@ class Evaluator:
         """Letter f_n at arbitrary points by a one-off Cauchy extraction,
         checked against twice the circle samples."""
         cfg = self.cfg
-        if n < 0:
-            raise ArgumentError("letter order must be non-negative")
-        if 2 * n + 8 > cfg.circle_samples:
-            raise ArgumentError("circle_samples too small for this letter")
+        self._check_letter(n)
         zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         for x in zz:
-            if lattice_distance(complex(x), self.tau) < cfg.pole_tolerance:
+            if lattice_distance(complex(x), self.tau) < POLE_TOLERANCE:
                 raise PoleError(f"z = {x} is within tolerance of a lattice point")
         base = self._coefficient(self._cauchy(zz, cfg.circle_samples), n)
         doubled = self._coefficient(self._cauchy(zz, 2 * cfg.circle_samples), n)
@@ -498,8 +515,6 @@ class Evaluator:
         """
         r = len(k)
         ones = sum(1 for e in k if e == 1)
-        if self.cfg.fit_degree_mode == "length":
-            return r, r
         lead = 0
         while lead < r and k[lead] == 1:
             lead += 1
@@ -523,12 +538,11 @@ class Evaluator:
         amplifications.  None of these depends on the index."""
         key = (eps0, npoints, degree, corr_degree)
         if key not in self._solvers:
-            blocks = self.cfg.fit_eps_blocks
             eps = np.array([eps0 * 2.0**-j for j in range(npoints)])
             rows = [self.grid(1).panel_range(e, 1.0 - e)[0] for e in eps]
             lvals = np.array([self._log_eps(e) for e in eps])
             cols = [lvals**n for n in range(degree + 1)]
-            for m in range(1, blocks + 1):
+            for m in range(1, FIT_EPS_BLOCKS + 1):
                 for n in range(corr_degree + 1):
                     cols.append(eps**m * lvals**n)
             design = np.stack(cols, axis=1)
@@ -538,20 +552,6 @@ class Evaluator:
             amps = np.linalg.norm(pinv, axis=1) / norms
             self._solvers[key] = (rows, pinv, norms, amps)
         return self._solvers[key]
-
-    def _fit_main_coefficients(
-        self, k: Index, eps0: float, npoints: int, degree: int, corr_degree: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Least-squares solve of T(eps_j) = sum_n c_n L^n + corrections.
-
-        Returns the main coefficients c_0..c_degree together with their noise
-        amplification factors (norms of the pseudo-inverse rows), both in the
-        original column scaling.
-        """
-        rows, pinv, norms, amps = self._fit_solver(eps0, npoints, degree, corr_degree)
-        coeffs = (pinv @ self._profile(k, 1)[rows]) / norms
-        nmain = degree + 1
-        return coeffs[:nmain], amps[:nmain]
 
     def _sample_noise(self, k: Index, eps0: float, npoints: int) -> float:
         """Quadrature noise estimate: split-grid disagreement of T(eps),
@@ -564,49 +564,46 @@ class Evaluator:
         return worst
 
     def _fit_constant_term(
-        self, k: Index, eps0: float, degree: int, corr_degree: int, noise: float
+        self, k: Index, eps0: float, npoints: int, degree: int, corr_degree: int, noise: float
     ) -> complex:
-        """Constant term of the log-asymptotics, with insignificant leading
-        log powers pruned against the noise estimate.
+        """Constant term c_0 of the least-squares fit T(eps_j) = sum_n c_n L^n
+        + corrections, with insignificant leading log powers pruned against
+        the noise estimate.
 
-        Over-parameterized degrees (the length bound is only an upper bound
+        Over-parameterized degrees (the degree rule is only an upper bound
         on the true log power) turn into pure noise amplification, so leading
         coefficients that are indistinguishable from zero at ten times their
-        propagated noise are removed and the system re-solved.
+        propagated noise (the norm of their pseudo-inverse row) are removed
+        and the system re-solved.
         """
-        blocks = self.cfg.fit_eps_blocks
-        npoints = (degree + 1) + blocks * (corr_degree + 1) + self.cfg.fit_extra_points
+        profile = self._profile(k, 1)
         while True:
-            coeffs, amps = self._fit_main_coefficients(
-                k, eps0, npoints, degree, corr_degree
-            )
+            rows, pinv, norms, amps = self._fit_solver(eps0, npoints, degree, corr_degree)
+            coeffs = (pinv @ profile[rows]) / norms
             if degree == 0 or abs(coeffs[degree]) >= 10 * noise * amps[degree]:
                 return complex(coeffs[0])
             degree -= 1
 
     def regularized(self, k: Index) -> tuple[complex, float]:
-        """Regularized value and an error estimate from the repeated fit."""
+        """Regularized value and an error estimate: the fits at eps0 and
+        eps0 / 2 are Richardson-combined, their difference is the estimate."""
         k = as_index(k)
         if len(k) == 0:
             return 1.0 + 0.0j, 0.0
         if len(k) > MAX_IINT_LENGTH:
             raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
         degree, corr_degree = self._fit_degree(k)
-        blocks = self.cfg.fit_eps_blocks
-        npoints = (degree + 1) + blocks * (corr_degree + 1) + self.cfg.fit_extra_points
-        noise = self._sample_noise(k, self.cfg.eps0, npoints + 1)
-        first = self._fit_constant_term(k, self.cfg.eps0, degree, corr_degree, noise)
-        second = self._fit_constant_term(
-            k, self.cfg.eps0 / self.cfg.refine_factor, degree, corr_degree, noise
-        )
+        npoints = _fit_points(degree, corr_degree)
+        eps0 = self.cfg.eps0
+        noise = self._sample_noise(k, eps0, npoints + 1)
+        first = self._fit_constant_term(k, eps0, npoints, degree, corr_degree, noise)
+        second = self._fit_constant_term(k, eps0 / 2, npoints, degree, corr_degree, noise)
         estimate = abs(second - first)
         if estimate > 10 * self.cfg.tolerance:
             raise FitError(
                 f"regularization fits for I{k} differ by {estimate:.3e}"
             )
-        ratio = self.cfg.refine_factor
-        combined = (ratio * second - first) / (ratio - 1)
-        return combined, estimate
+        return 2 * second - first, estimate
 
     # -- values and expressions
 

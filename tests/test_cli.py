@@ -69,12 +69,34 @@ def test_nonpositive_fuel_exit_code(capsys, command):
     assert err.startswith("error: ") and "fuel must be positive" in err
 
 
+REMOVED_CONFIG_KEYS = (
+    "max_iint_length",
+    "theta_max_terms",
+    "grading_depth",
+    "fit_degree_mode",
+    "fit_extra_points",
+    "fit_eps_blocks",
+    "refine_factor",
+    "pole_tolerance",
+)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         (None, "cannot read config file"),
-        ("theta_max_terms = abc\n", ":1: bad value 'abc'"),
-        ("tolerance = 1e-8\nmax_iint_length = 7\n", ":2: unknown key 'max_iint_length'"),
+        ("panel_order = abc\n", ":1: bad value 'abc'"),
+        *[
+            (f"tolerance = 1e-8\n{key} = 7\n", f":2: unknown key '{key}'")
+            for key in REMOVED_CONFIG_KEYS
+        ],
+        ("tolerance = nan\n", "tolerance must be finite and > 0, got nan"),
+        ("tolerance = -1\n", "tolerance must be finite and > 0, got -1.0"),
+        ("panel_order = 0\n", "panel_order must lie in 1..100, got 0"),
+        ("eps0 = 9.313225746154785e-10\n", "eps0 must be a power of two in [2**-18, 0.1)"),
+        ("eps0 = 0.001\n", "eps0 must be a power of two"),
+        ("rho_factor = 1\n", "rho_factor must lie in (0, 1)"),
+        ("circle_samples = 4\n", "circle_samples must be >= 8"),
     ],
 )
 def test_config_file_errors_exit_code(tmp_path, capsys, text, message):
@@ -100,6 +122,18 @@ def test_eval(capsys):
     code, out, _ = run(capsys, "eval", "--index", "3", "--tau", "0+2i", "--format", "json")
     payload = json.loads(out)
     assert abs(complex(payload["re"], payload["im"])) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", "1.0 + 0.0i  (err <= 0.000e+00)\n"),
+        ("json", '{"index": [], "re": 1.0, "im": 0.0, "err": 0.0}\n'),
+    ],
+)
+def test_eval_empty_index(capsys, fmt, expected):
+    code, out, err = run(capsys, "eval", "--index", "-", "--tau", "0+1i", "--format", fmt)
+    assert (code, out, err) == (0, expected, "")
 
 
 def test_eval_numeric_failure_exit_code(capsys):

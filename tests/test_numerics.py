@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from emzv.numerics import (
     DEFAULT_CONFIG,
+    EPS0_MIN,
     AliasError,
     Evaluator,
     FitError,
@@ -25,6 +29,7 @@ from emzv.numerics import (
     parse_tau,
     theta,
     theta_prime0,
+    _fit_points,
     _legendre_antiderivative_matrix,
     zeta,
 )
@@ -72,6 +77,27 @@ def test_config_validation():
         NumericsConfig(eps0=0.25)
     with pytest.raises(ArgumentError):
         NumericsConfig(rho_factor=1.5)
+    assert NumericsConfig(eps0=EPS0_MIN).eps0 == EPS0_MIN
+    floor = f"power of two in [2**{round(math.log2(EPS0_MIN))}, 0.1)"
+    with pytest.raises(ArgumentError, match=re.escape(floor)):
+        NumericsConfig(eps0=EPS0_MIN / 2)
+
+
+def test_eps0_floor_reaches_the_deepest_fit_sample():
+    # All ones has the largest fit at the longest length, so its deepest
+    # sample sits on the grid's finest breakpoint; I(1, ..., 1) = I(1)^6 / 720.
+    value, _ = Evaluator(TAU, NumericsConfig(eps0=EPS0_MIN)).regularized((1,) * 6)
+    assert abs(value) < 1e-6
+
+
+def test_readme_config_example_lists_every_field_at_its_default(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"--config FILE.*?```\n(.*?)```", readme, re.S).group(1)
+    keys = [line.split("=")[0].strip() for line in block.splitlines() if line.split("#")[0].strip()]
+    assert keys == [f.name for f in fields(NumericsConfig)]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    assert parse_config_file(str(path)) == DEFAULT_CONFIG
 
 
 def test_theta_basic_symmetries():
@@ -88,7 +114,7 @@ def test_theta_nonconvergence_guard():
     from emzv.numerics import NonConvergence
 
     with pytest.raises(NonConvergence):
-        theta(0.3, 0.02j, NumericsConfig(theta_max_terms=2))
+        theta(0.3, 1e-4j)
 
 
 def test_grid_alignment_guard():
@@ -97,6 +123,8 @@ def test_grid_alignment_guard():
         ev.grid(1).panel_range(0.3, 0.7)
     with pytest.raises(ArgumentError):
         ev.letters(40)  # beyond the circle sample capacity
+    with pytest.raises(ArgumentError):
+        ev.letters(-1)
 
 
 def test_theta_prime0():
@@ -288,13 +316,17 @@ def test_regularized_matches_admissible():
         assert abs(direct - reg) < 1e-6, k
 
 
-def test_fit_degree_mode_length(tmp_path):
-    path = tmp_path / "numerics.cfg"
-    path.write_text("fit_degree_mode = length\n")
-    cfg = parse_config_file(str(path))
-    assert cfg.fit_degree_mode == "length"
+def test_fit_degree_mode_length():
+    # Fitting every log power up to the length over-parameterizes the fit;
+    # with pruning against the noise estimate it must still recover the value.
+    ev = get_evaluator(TAU)
+    eps0 = DEFAULT_CONFIG.eps0
     for k in [(1, 2), (2, 0, 2), (1, 1, 2)]:
-        assert abs(emzv_regularized(k, TAU, cfg) - emzv_regularized(k, TAU)) < 1e-6, k
+        r = len(k)
+        npoints = _fit_points(r, r)
+        noise = ev._sample_noise(k, eps0, npoints)
+        value = ev._fit_constant_term(k, eps0, npoints, r, r, noise)
+        assert abs(value - emzv_regularized(k, TAU)) < 1e-6, k
 
 
 def test_regularized_zero_values():
