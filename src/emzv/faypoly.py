@@ -10,15 +10,32 @@ For an index l = (l_1, ..., l_r) the generating rational function is
 where the (u_i + ... + u_r) factor is absent from the i = 0 term.
 Multiplying by u_1 ... u_r yields a homogeneous integer polynomial of degree
 weight(l); its coefficients c<l|k> (the coefficient of u^k) drive the Fay
-relation between values.  Individual summands are honest rational functions
-whenever some l_i = 0, so the sum is assembled over a common denominator of
-suffix linear forms and divided out exactly, with the zero remainder checked.
+relation between values.
+
+`c_coeff` and `enumerate_support` read one coefficient without building any
+polynomial.  With 0-based variables and suffix forms T_v = u_v + ... +
+u_{r-1}, summand i of u_1 ... u_r P_l is (-1)^{l_i-1} u^e T_{i-1}^{l_{i-1}-1}
+T_i^{l_i-1} (see `_term_numerator`); every exponent is at least -1.  Expand
+it in iterated Laurent series, u_0 >> u_1 >> ... >> u_{r-1}, with
+
+    T_{i-1}^p = sum_j C(p, j) u_{i-1}^{p-j} T_i^j,     C(-1, j) = (-1)^j,
+    1/T_v     = sum_t (-1)^t u_v^{-1-t} T_{v+1}^t.
+
+The exponent of u_{i-1} in k fixes j and that of u_v fixes t, so the
+summand's u^k coefficient is one binomial times one multinomial.  Laurent
+expansion is an injective ring map and the sum of the summands is a
+polynomial, so these coefficients add up to c<l|k> with no division.
+
+`p_poly` is the exact reference: it assembles the summands over a common
+denominator of suffix forms in `SparsePoly` and divides it out, checking
+that no remainder survives.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import comb, factorial
 from typing import Iterator
 
 from .words import ArgumentError, Index, weight
@@ -260,8 +277,10 @@ def _term_numerator(l: Index, i: int, denom_vars: frozenset[int]) -> SparsePoly:
 def p_poly(l: Index) -> SparsePoly:
     """The polynomial u_1 ... u_r P_l, homogeneous of degree weight(l).
 
-    Summands are combined over the common denominator (the product of suffix
-    forms T_v for each l_v = 0) and the denominator is divided out exactly.
+    The exact reference for `c_coeff` and `enumerate_support`, which read
+    single coefficients without it.  Summands are combined over the common
+    denominator (the product of suffix forms T_v for each l_v = 0) and the
+    denominator is divided out exactly.
     Raises NonPolynomialError if a remainder survives, which would signal a
     convention bug rather than valid input.
     """
@@ -278,15 +297,74 @@ def p_poly(l: Index) -> SparsePoly:
     return total
 
 
+def _power_coeff(n: int, t: list[int]) -> int:
+    """Coefficient of u^t in T^n, T the sum of the variables of t, n >= -1.
+
+    The caller guarantees sum(t) == n.  For n = -1 the first variable
+    carries the series 1/T = sum_s (-1)^s u^{-1-s} T'^s, T' the sum of the
+    other variables; the term s is the only one with exponent t[0].
+    """
+    sign = 1
+    if n < 0:
+        n = -1 - t[0]
+        if n < 0:
+            return 0
+        sign = -1 if n % 2 else 1
+        t = t[1:]  # T' lacks the first variable
+    out = factorial(n)
+    for x in t:
+        if x < 0:
+            return 0
+        out //= factorial(x)
+    return sign * out
+
+
+def _column_coeff(l: Index, k: Index) -> int:
+    """c<l|k> summed over the Laurent expansions of the summands of P_l.
+
+    Requires len(l) == len(k) and weight(l) == weight(k).  Summand i has
+    monomial u_0^{l_0} ... u_{i-2}^{l_{i-2}} u_{i-1} u_i^{l_{i+1}} ...
+    u_{r-2}^{l_{r-1}} u_{r-1}, so it contributes only if l and k agree
+    before position i - 1; the later summands then fail too.
+    """
+    r = len(l)
+    total = 0
+    for i in range(r):
+        if i >= 2 and l[i - 2] != k[i - 2]:
+            break
+        if i == 0:
+            c, n = 1, l[0] - 1
+        else:
+            j = l[i - 1] - k[i - 1]
+            if j < 0:
+                continue
+            # l_{i-1} = 0 forces k_{i-1} = 0 and j = 0, where C(-1, 0) = 1.
+            c, n = comb(l[i - 1] - 1, j) if l[i - 1] else 1, j + l[i] - 1
+            if c == 0:
+                continue
+        t = [k[v] - l[v + 1] for v in range(i, r - 1)]
+        t.append(k[r - 1] - 1)
+        c *= _power_coeff(n, t)
+        total += -c if (l[i] - 1) % 2 else c
+    return total
+
+
+def _check_weight(k: Index) -> None:
+    """Columns stop at weight 255, the width of `SparsePoly`'s exponent fields."""
+    if weight(k) > _MAX_DEGREE:
+        raise ArgumentError(f"weight {weight(k)} exceeds {_MAX_DEGREE}")
+
+
 def c_coeff(l: Index, k: Index) -> int:
     """Coefficient of u_1^{k_1} ... u_r^{k_r} in u_1 ... u_r P_l."""
     if len(l) != len(k):
         raise ArgumentError(f"index length mismatch: {len(l)} vs {len(k)}")
     if len(l) == 0:
         raise ArgumentError("c_coeff requires non-empty indices")
+    _check_weight(k)
     if weight(l) != weight(k):
         return 0
-    return p_poly(tuple(l)).coeff(tuple(k))
+    return _column_coeff(tuple(l), tuple(k))
 
 
 def compositions(total: int, parts: int) -> Iterator[Index]:
@@ -312,9 +390,10 @@ def enumerate_support(k: Index) -> list[tuple[Index, int]]:
     k = tuple(k)
     if len(k) == 0:
         raise ArgumentError("enumerate_support requires a non-empty index")
+    _check_weight(k)
     out = []
     for l in compositions(weight(k), len(k)):
-        c = c_coeff(l, k)
+        c = _column_coeff(l, k)
         if c != 0:
             out.append((l, c))
     return out

@@ -15,6 +15,8 @@ from emzv.faypoly import (
     enumerate_support,
     p_poly,
 )
+from emzv.reduction import reduce_index, reduced_atom, rewrite_step
+from emzv.relations import fay_identity
 from emzv.words import ArgumentError, weight
 
 
@@ -315,3 +317,59 @@ def test_enumerate_support_golden_digest():
                     lines.append(f"{','.join(map(str, k))}\t{','.join(map(str, l))}\t{c}\n")
     assert len(lines) == 6947
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == GOLDEN_SUPPORT_SHA256
+
+
+# sha256 of every c<l|k> != 0 for k of length 6 and weight <= 6, same line
+# format, recorded from the p_poly path: 12930 lines.
+GOLDEN_SUPPORT_LENGTH6_SHA256 = "1ebfe2ae832155f7c5d3a314ab498efc5b3844d3e1705e81b5b0ac5c1a31099e"
+
+
+def test_enumerate_support_golden_digest_length_six():
+    lines = []
+    for w in range(7):
+        for k in compositions(w, 6):
+            for l, c in enumerate_support(k):
+                lines.append(f"{','.join(map(str, k))}\t{','.join(map(str, l))}\t{c}\n")
+    assert len(lines) == 12930
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == GOLDEN_SUPPORT_LENGTH6_SHA256
+
+
+@st.composite
+def zero_rich_composition(draw, total, parts):
+    """A composition of `total` into `parts` entries, about half of them 0."""
+    out = []
+    for _ in range(parts - 1):
+        rest = total - sum(out)
+        out.append(draw(st.one_of(st.just(0), st.integers(0, rest))))
+    out.append(total - sum(out))
+    order = draw(st.permutations(range(parts)))
+    return tuple(out[v] for v in order)
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_c_coeff_matches_p_poly(data):
+    # Zero entries of l put 1/T_v series into the expansion; zero entries of
+    # k select their negative-power terms.
+    r = data.draw(st.integers(1, 6))
+    w = data.draw(st.integers(0, 10))
+    k = data.draw(zero_rich_composition(w, r))
+    l = data.draw(zero_rich_composition(w, r))
+    assert c_coeff(l, k) == p_poly(l).coeff(k)
+
+
+def test_production_path_builds_no_polynomial():
+    p_poly.cache_clear()
+    rewrite_step.cache_clear()
+    reduced_atom.cache_clear()
+    reduce_index((1, 2, 0, 3))
+    fay_identity((1, 0, 2))
+    assert p_poly.cache_info().misses == 0
+
+
+def test_weight_limit_is_255():
+    with pytest.raises(ArgumentError, match="255"):
+        enumerate_support((1, 300))
+    with pytest.raises(ArgumentError, match="255"):
+        c_coeff((1, 300), (1, 300))
+    assert len(enumerate_support((0, 255))) > 0
