@@ -244,29 +244,31 @@ def cmd_verify(args) -> int:
 
     def evaluate(item):
         descriptor, run = item
+        report = {"family": args.family, "instance": descriptor, "tau": args.tau}
         start = time.perf_counter()
-        lhs, rhs = run()
-        elapsed = time.perf_counter() - start
-        residual = float(abs(complex(lhs) - complex(rhs)))
-        return {
-            "family": args.family,
-            "instance": descriptor,
-            "tau": args.tau,
-            "lhs": _complex_json(lhs),
-            "rhs": _complex_json(rhs),
-            "residual": residual,
-            "passed": bool(residual <= args.tol),
-            "wall_time": elapsed,
-        }
+        try:
+            lhs, rhs = run()
+        except (ArithmeticError, PreconditionError) as exc:
+            # A typed numeric failure fails this instance only; the sweep goes on.
+            report.update(lhs=None, rhs=None, residual=None, passed=False)
+            report["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            residual = float(abs(complex(lhs) - complex(rhs)))
+            report.update(lhs=_complex_json(lhs), rhs=_complex_json(rhs), residual=residual)
+            report["passed"] = bool(residual <= args.tol)
+        report["wall_time"] = time.perf_counter() - start
+        return report
 
     reports = [evaluate(item) for item in instances]
 
+    def text_line(rep) -> str:
+        if "error" in rep:
+            return f"{rep['family']} {rep['instance']}: error {rep['error']} FAIL"
+        verdict = "PASS" if rep["passed"] else "FAIL"
+        return f"{rep['family']} {rep['instance']}: residual {rep['residual']:.3e} {verdict}"
+
     if args.format == "text":
-        lines = [
-            f"{rep['family']} {rep['instance']}: residual {rep['residual']:.3e} "
-            + ("PASS" if rep["passed"] else "FAIL")
-            for rep in reports
-        ]
+        lines = [text_line(rep) for rep in reports]
     else:
         lines = [json.dumps(rep, sort_keys=True) for rep in reports]
     if args.out:
@@ -275,11 +277,15 @@ def cmd_verify(args) -> int:
     else:
         for line in lines:
             print(line)
-    failed = [rep for rep in reports if not rep["passed"]]
+    failed = sum(not rep["passed"] for rep in reports)
+    raised = sum("error" in rep for rep in reports)
     print(
-        f"# family={args.family}: {len(reports) - len(failed)}/{len(reports)} passed",
+        f"# family={args.family}: {len(reports) - failed}/{len(reports)} passed"
+        + (f", {raised} raised" if raised else ""),
         file=sys.stderr,
     )
+    if raised:
+        return EXIT_NUMERIC
     return EXIT_VERIFY if failed else EXIT_OK
 
 

@@ -619,8 +619,10 @@ class Evaluator:
 
     def eval_expression(self, expr: Expression) -> complex:
         total = 0.0 + 0.0j
-        for mon, coeff in expr.items():
-            prod = complex(coeff)
+        den = expr.den
+        # int / int is correctly rounded, so this equals complex(Fraction).
+        for mon, n in expr.numerators():
+            prod = complex(n / den)
             for atom in mon:
                 prod *= self.value(atom)
             total += prod

@@ -72,35 +72,41 @@ class Expression(Combo):
     def __mul__(self, other: "Expression") -> "Expression":
         if type(other) is not type(self):
             return NotImplemented
-        return Expression.collect(
-            (monomial(m1 + m2), c1 * c2)
-            for m1, c1 in self._terms.items()
-            for m2, c2 in other._terms.items()
+        return Expression._sum(
+            (
+                (monomial(m1 + m2), n1 * n2)
+                for m1, n1 in self._terms.items()
+                for m2, n2 in other._terms.items()
+            ),
+            self._den * other._den,
         )
 
     def substitute(self, mapping: dict[Index, "Expression"]) -> "Expression":
         """Replace every occurrence (each power) of every atom in `mapping` by
         its expression, all atoms in one pass."""
-
-        def expand(mon: Monomial, c: Fraction):
-            product = Expression({tuple(a for a in mon if a not in mapping): c})
+        products = []
+        for mon, n in self._terms.items():
+            product = Expression._sum([(tuple(a for a in mon if a not in mapping), n)], self._den)
             for a in mon:
                 if a in mapping:
                     product = product * mapping[a]
-            return product._terms.items()
-
-        return Expression.collect(
-            pair for mon, c in self._terms.items() for pair in expand(mon, c)
+            products.append(product)
+        # Bring every expanded monomial to the common denominator once.
+        den = math.lcm(*(p._den for p in products))
+        return Expression._sum(
+            ((m, n * (den // p._den)) for p in products for m, n in p._terms.items()), den
         )
 
     def drop_odd_singletons(self) -> "Expression":
         """Remove monomials with a length-1 odd-weight factor (those values vanish)."""
-        terms = {
-            m: c
-            for m, c in self._terms.items()
-            if not any(len(a) == 1 and a[0] % 2 == 1 for a in m)
-        }
-        return Expression(terms)
+        return Expression._sum(
+            (
+                (m, n)
+                for m, n in self._terms.items()
+                if not any(len(a) == 1 and a[0] % 2 == 1 for a in m)
+            ),
+            self._den,
+        )
 
     def is_weight_homogeneous(self) -> bool:
         weights = {monomial_weight(m) for m in self._terms}

@@ -4,13 +4,16 @@ An index (k_1, ..., k_r) of non-negative integers doubles as the word
 e_{k_1} ... e_{k_r}.  This module provides the index bookkeeping (weight,
 length, parity, admissibility) together with the shuffle product, the
 deconcatenation coproduct and the antipode of the shuffle Hopf algebra,
-all with exact rational coefficients.
+all with exact rational coefficients.  `Combo`, the one exact Q-linear
+combination class, keeps those coefficients as integer numerators over one
+common denominator, so sums and products are plain integer arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Hashable, Iterable
 
@@ -18,9 +21,6 @@ Index = tuple[int, ...]
 
 #: Entries beyond this are a representation error, not meaningful input.
 MAX_ENTRY = 2**31
-
-
-_ZERO = Fraction(0)
 
 
 class ArgumentError(ValueError):
@@ -85,35 +85,65 @@ def format_index(k: Index) -> str:
 
 
 class Combo:
-    """Exact Q-linear combination of hashable keys, stored as key -> coefficient.
+    """Exact Q-linear combination of hashable keys.
 
-    Zero coefficients are never stored; two combinations are equal when they
-    have the same class and the same map.  Instances are treated as
+    Coefficients are stored as integer numerators (`_terms`, key -> nonzero
+    int) over one common denominator `_den > 0`, in lowest terms:
+    gcd(_den, *numerators) == 1.  That form is unique, so two combinations
+    are equal when they have the same class, numerators and denominator.
+    Every arithmetic path ends in `_sum`, which restores the form; `items`,
+    `coeff` and `mass` return `Fraction`s.  Instances are treated as
     immutable values.  Subclasses fix the key type and its `_sort_key`.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: dict | None = None):
-        self._terms = {k: c for k, c in (terms or {}).items() if c != 0}
+        combo = self.collect((terms or {}).items())
+        self._terms, self._den = combo._terms, combo._den
 
     @classmethod
     def zero(cls):
         return cls()
 
     @classmethod
-    def collect(cls, pairs: Iterable[tuple[Hashable, Fraction | int]]):
-        """Sum (key, coefficient) pairs into one combination in a single pass."""
-        terms: dict = {}
-        for key, c in pairs:
-            terms[key] = terms.get(key, _ZERO) + c
-        return cls(terms)
+    def _sum(cls, pairs: Iterable[tuple[Hashable, int]], den: int):
+        """Sum (key, integer numerator) pairs over the denominator `den` into
+        canonical form: zero numerators dropped, common factors divided out."""
+        nums: dict = {}
+        for key, n in pairs:
+            nums[key] = nums.get(key, 0) + n
+        nums = {k: n for k, n in nums.items() if n}
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: n // g for k, n in nums.items()}
+                den //= g
+        out = cls.__new__(cls)
+        out._terms, out._den = nums, den
+        return out
 
-    def items(self) -> list[tuple[Hashable, Fraction]]:
+    @classmethod
+    def collect(cls, pairs: Iterable[tuple[Hashable, Fraction | int]]):
+        """Sum (key, int or Fraction coefficient) pairs into one combination."""
+        pairs = list(pairs)
+        den = math.lcm(*(c.denominator for _, c in pairs))
+        return cls._sum(((k, c.numerator * (den // c.denominator)) for k, c in pairs), den)
+
+    @property
+    def den(self) -> int:
+        """Common denominator of the coefficients (1 for the zero combination)."""
+        return self._den
+
+    def numerators(self) -> list[tuple[Hashable, int]]:
+        """(key, numerator over `den`) pairs in the order of `items`."""
         return sorted(self._terms.items(), key=lambda t: self._sort_key(t[0]))
 
+    def items(self) -> list[tuple[Hashable, Fraction]]:
+        return [(k, Fraction(n, self._den)) for k, n in self.numerators()]
+
     def coeff(self, key: Hashable) -> Fraction:
-        return self._terms.get(key, _ZERO)
+        return Fraction(self._terms.get(key, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -124,15 +154,23 @@ class Combo:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((type(self), frozenset(self._terms.items())))
+        return hash((type(self), self._den, frozenset(self._terms.items())))
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.collect(itertools.chain(self._terms.items(), other._terms.items()))
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        return self._sum(
+            itertools.chain(
+                ((k, a * n) for k, n in self._terms.items()),
+                ((k, b * n) for k, n in other._terms.items()),
+            ),
+            den,
+        )
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -141,7 +179,9 @@ class Combo:
 
     def scale(self, scalar: Fraction | int):
         s = Fraction(scalar)
-        return type(self)({k: s * c for k, c in self._terms.items()})
+        return self._sum(
+            ((k, s.numerator * n) for k, n in self._terms.items()), s.denominator * self._den
+        )
 
     def __repr__(self) -> str:
         parts = [f"{c}*{k}" for k, c in self.items()] or ["0"]
@@ -160,7 +200,7 @@ class WordCombo(Combo):
 
     def mass(self) -> Fraction:
         """Sum of all coefficients."""
-        return sum(self._terms.values(), _ZERO)
+        return Fraction(sum(self._terms.values()), self._den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,21 +216,26 @@ def shuffle(v: Index, w: Index) -> WordCombo:
         return WordCombo.word(w)
     if not w:
         return WordCombo.word(v)
-    return WordCombo.collect(
+    # Shuffle coefficients are integers: every result has denominator 1.
+    return WordCombo._sum(
         itertools.chain(
-            (((v[0],) + u, c) for u, c in shuffle(v[1:], w)._terms.items()),
-            (((w[0],) + u, c) for u, c in shuffle(v, w[1:])._terms.items()),
-        )
+            (((v[0],) + u, n) for u, n in shuffle(v[1:], w)._terms.items()),
+            (((w[0],) + u, n) for u, n in shuffle(v, w[1:])._terms.items()),
+        ),
+        1,
     )
 
 
 def shuffle_combo(a: WordCombo, b: WordCombo) -> WordCombo:
     """Bilinear extension of the shuffle product to combinations."""
-    return WordCombo.collect(
-        (u, cv * cw * c)
-        for v, cv in a._terms.items()
-        for w, cw in b._terms.items()
-        for u, c in shuffle(v, w)._terms.items()
+    return WordCombo._sum(
+        (
+            (u, nv * nw * n)
+            for v, nv in a._terms.items()
+            for w, nw in b._terms.items()
+            for u, n in shuffle(v, w)._terms.items()
+        ),
+        a._den * b._den,
     )
 
 
@@ -217,9 +262,12 @@ def antipode_convolution(w: Index) -> WordCombo:
     Vanishes identically for every non-empty word; this is the Hopf-algebra
     identity behind the parity splitting of values.
     """
-    return WordCombo.collect(
-        (u, sign * c)
-        for pre, suf in coproduct(w)
-        for sign, rev in [antipode(suf)]
-        for u, c in shuffle(pre, rev)._terms.items()
+    return WordCombo._sum(
+        (
+            (u, sign * n)
+            for pre, suf in coproduct(w)
+            for sign, rev in [antipode(suf)]
+            for u, n in shuffle(pre, rev)._terms.items()
+        ),
+        1,
     )

@@ -180,6 +180,34 @@ def test_verify_kronecker(capsys):
     assert all(rep["passed"] for rep in reports)
 
 
+def test_verify_reports_every_instance_when_some_raise(capsys):
+    # I(k) for the five {0,1} indices of length 5 and weight 4 raise FitError at
+    # tau = i; the sweep still reports every instance, then exits 4.
+    argv = ["verify", "--family", "reduction", "--max-weight", "4", "--max-length", "5"]
+    raising = ["0,1,1,1,1", "1,0,1,1,1", "1,1,0,1,1", "1,1,1,0,1", "1,1,1,1,0"]
+    code, out, err = run(capsys, *argv, "--tau", "0+1i", "--format", "json")
+    assert code == 4
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 252
+    errors = [rep for rep in reports if "error" in rep]
+    assert [rep["instance"] for rep in errors] == raising
+    for rep in errors:
+        assert rep["error"].startswith("FitError: regularization fits for I(")
+        assert rep["passed"] is False
+        assert rep["lhs"] is rep["rhs"] is rep["residual"] is None
+    assert all(rep["passed"] for rep in reports if "error" not in rep)
+    assert err.strip() == "# family=reduction: 247/252 passed, 5 raised"
+
+    code, out, err = run(capsys, *argv, "--tau", "0+1i", "--format", "text")
+    assert code == 4
+    lines = out.splitlines()
+    assert len(lines) == 252
+    failing = [line for line in lines if not line.endswith(" PASS")]
+    assert [line.split(":")[0] for line in failing] == [f"reduction {k}" for k in raising]
+    assert all(": error FitError: " in line and line.endswith(" FAIL") for line in failing)
+    assert err.strip() == "# family=reduction: 247/252 passed, 5 raised"
+
+
 def test_verify_needs_tau(capsys):
     code, _, err = run(capsys, "verify", "--family", "fay")
     assert code == 2

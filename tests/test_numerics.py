@@ -370,3 +370,27 @@ def test_eval_expression():
     ident = shuffle_identity((1,), (0, 2))
     res = eval_expression(ident.lhs - ident.rhs, TAU)
     assert abs(res) < 1e-6
+
+
+def test_eval_expression_reads_numerators_bitwise():
+    """Numerators over one denominator give the same bits as a loop over
+    Fraction coefficients: int / int and float(Fraction) both round once."""
+    from emzv.faypoly import compositions
+    from emzv.reduction import reduce_index
+
+    ev = get_evaluator(TAU)
+    dens = set()
+    for r in range(4):
+        for w in range(6):
+            for k in compositions(w, r):
+                expr, _ = reduce_index(k)
+                dens.add(expr.den)
+                expected = 0.0 + 0.0j
+                for mon, coef in expr.items():
+                    prod = complex(coef)
+                    for atom in mon:
+                        prod *= ev.value(atom)
+                    expected += prod
+                got = ev.eval_expression(expr)
+                assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex()), k
+    assert dens > {1}

@@ -1,3 +1,5 @@
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -94,6 +96,87 @@ def test_expression_json_text_roundtrip():
     assert "I(1,2)" in text and "I(0)" in text and "-1/2" in text
     assert Expression.zero().to_text() == "0"
     assert Expression.unit().to_text() == "1"
+
+
+# Integer core of Expression against a dict-of-Fraction reference, with
+# coefficients whose denominators are 2 (parity_split) and m! (the scale of
+# trailing_ones, which the shuffle 1^{sh m} = m! 1^m cancels in its output).
+RULE_COEFS = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 6, 24, 120]))
+PARITY_RHS = [parity_split(k).rhs for k in [(2, 2), (0, 2, 0, 2), (1, 0, 1, 0)]]
+
+
+def expression_dicts(atoms):
+    mons = st.lists(st.sampled_from(atoms), max_size=3).map(monomial)
+    return st.dictionaries(mons, RULE_COEFS, max_size=4)
+
+
+def assert_canonical(expr):
+    den, nums = expr.den, expr._terms
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = monomial(m1 + m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def ref_substitute(expr, mapping):
+    out = {}
+    for mon, c in expr.items():
+        product = {tuple(a for a in mon if a not in mapping): c}
+        for a in mon:
+            if a in mapping:
+                product = ref_mul(product, mapping[a])
+        for m, d in product.items():
+            out[m] = out.get(m, 0) + d
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def test_rule_denominators():
+    assert [e.den for e in PARITY_RHS] == [2, 2, 2]
+    assert trailing_ones((0, 2, 1, 1, 1)).rhs.den == 1
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_and_substitute_match_fraction_reference(data):
+    da = data.draw(expression_dicts(POOL))
+    db = data.draw(expression_dicts(POOL))
+    a, b = Expression(da), Expression(db)
+    product = a * b
+    assert_canonical(product)
+    assert dict(product.items()) == ref_mul(da, db)
+    for other in (b * a, product.scale(2).scale(Fraction(1, 2)), (a + b) * b - b * b):
+        assert other == product and hash(other) == hash(product)
+    keys = data.draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3, unique=True))
+    replacements = st.one_of(
+        st.sampled_from(PARITY_RHS), expression_dicts(POOL + [(2, 3)]).map(Expression)
+    )
+    mapping = {atom: data.draw(replacements) for atom in keys}
+    result = a.substitute(mapping)
+    assert_canonical(result)
+    expected = ref_substitute(da, {atom: dict(e.items()) for atom, e in mapping.items()})
+    assert dict(result.items()) == expected
+
+
+@given(expression_dicts(POOL + [(1, 0, 1, 0)]))
+@settings(deadline=None)
+def test_expression_json_roundtrip_prints_fraction_text(terms):
+    expr = Expression(terms)
+    data = json.loads(expr.to_json())
+    assert [t["coef"] for t in data["terms"]] == [str(c) for _, c in expr.items()]
+    assert {tuple(tuple(a) for a in t["atoms"]): Fraction(t["coef"]) for t in data["terms"]} == {
+        m: c for m, c in terms.items() if c != 0
+    }
+    back = Expression.from_json_dict(data)
+    assert back == expr and hash(back) == hash(expr)
+    assert_canonical(back)
 
 
 def test_expression_drop_odd_singletons():

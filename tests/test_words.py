@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -195,6 +196,111 @@ def test_collect_matches_dict_reference(cls, data):
 def test_combo_equality_is_type_strict():
     assert WordCombo.zero() != Expression.zero()
     assert WordCombo.word(()) != Expression.unit()
+
+
+# Integer core: every Combo holds integer numerators over one denominator.
+# The references below work on plain dicts of Fractions.
+
+# denominators of the rewrite rules: 2 (parity_split) and m! (trailing_ones)
+RULE_COEFFS = st.builds(
+    Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 6, 24, 120, 720])
+)
+SCALARS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**15),
+)
+
+
+def assert_canonical(combo):
+    """Positive denominator, nonzero int numerators, gcd 1; items() agree."""
+    den, nums = combo.den, combo._terms
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert dict(combo.items()) == {k: Fraction(n, den) for k, n in nums.items()}
+
+
+def ref_linear(*scaled):
+    """Sum of scalar * dict over (scalar, dict) pairs, zeros dropped."""
+    out = {}
+    for s, terms in scaled:
+        for k, c in terms.items():
+            out[k] = out.get(k, 0) + s * c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def ref_shuffle(v, w):
+    """Shuffle product as a Counter of words, by the recursive rule."""
+    if not v or not w:
+        return Counter({v + w: 1})
+    out = Counter()
+    for u, c in ref_shuffle(v[1:], w).items():
+        out[(v[0],) + u] += c
+    for u, c in ref_shuffle(v, w[1:]).items():
+        out[(w[0],) + u] += c
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([WordCombo, Expression]), st.data())
+def test_combo_arithmetic_matches_fraction_reference(cls, data):
+    da = data.draw(st.dictionaries(KEYS[cls], RULE_COEFFS, max_size=5))
+    db = data.draw(st.dictionaries(KEYS[cls], RULE_COEFFS, max_size=5))
+    s = data.draw(SCALARS)
+    a, b = cls(da), cls(db)
+    cases = [
+        (a, ref_linear((1, da))),
+        (a + b, ref_linear((1, da), (1, db))),
+        (a - b, ref_linear((1, da), (-1, db))),
+        (a.scale(s), ref_linear((Fraction(s), da))),
+        (a.scale(s) - b.scale(s), ref_linear((Fraction(s), da), (-Fraction(s), db))),
+    ]
+    for combo, reference in cases:
+        assert_canonical(combo)
+        assert dict(combo.items()) == reference
+        assert all(type(c) is Fraction for _, c in combo.items())
+        assert all(combo.coeff(k) == reference.get(k, 0) for k in set(da) | set(db))
+    if cls is WordCombo:
+        assert a.mass() == sum(da.values(), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(WORDS, RULE_COEFFS, max_size=3),
+    st.dictionaries(WORDS, RULE_COEFFS, max_size=3),
+)
+def test_shuffle_combo_with_denominators_matches_reference(da, db):
+    reference = Counter()
+    for v, cv in da.items():
+        for w, cw in db.items():
+            for u, c in ref_shuffle(v, w).items():
+                reference[u] += cv * cw * c
+    product = shuffle_combo(WordCombo(da), WordCombo(db))
+    assert_canonical(product)
+    assert dict(product.items()) == {u: c for u, c in reference.items() if c != 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([WordCombo, Expression]), st.data())
+def test_equal_values_along_different_paths_are_equal_and_hash_alike(cls, data):
+    pairs = data.draw(st.lists(st.tuples(KEYS[cls], RULE_COEFFS), max_size=8))
+    b = cls(data.draw(st.dictionaries(KEYS[cls], RULE_COEFFS, max_size=4)))
+    s = data.draw(SCALARS.filter(lambda x: x != 0))
+    a = cls.collect(pairs)
+    paths = [
+        cls.collect(reversed(pairs)),
+        cls(ref_linear(*((1, {k: c}) for k, c in pairs))),
+        a.scale(s).scale(1 / Fraction(s)),
+        a.scale(2).scale(Fraction(1, 2)),
+        a + b - b,
+        (a - b) + b,
+        b + a - b,
+    ]
+    for other in paths:
+        assert_canonical(other)
+        assert other == a and hash(other) == hash(a)
+    zero = a.scale(0)
+    assert zero == cls.zero() and hash(zero) == hash(cls.zero()) and zero.den == 1
 
 
 def test_antipode():
