@@ -268,15 +268,14 @@ def cmd_verify(args) -> int:
         return f"{rep['family']} {rep['instance']}: residual {rep['residual']:.3e} {verdict}"
 
     if args.format == "text":
-        lines = [text_line(rep) for rep in reports]
+        lines = [text_line(rep) + "\n" for rep in reports]
     else:
-        lines = [json.dumps(rep, sort_keys=True) for rep in reports]
+        lines = [json.dumps(rep, sort_keys=True) + "\n" for rep in reports]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(lines)
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(lines)
     failed = sum(not rep["passed"] for rep in reports)
     raised = sum("error" in rep for rep in reports)
     print(

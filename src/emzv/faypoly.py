@@ -27,87 +27,59 @@ expansion is an injective ring map and the sum of the summands is a
 polynomial, so these coefficients add up to c<l|k> with no division.
 
 `p_poly` is the exact reference: it assembles the summands over a common
-denominator of suffix forms in `SparsePoly` and divides it out, checking
-that no remainder survives.
+denominator of suffix forms in `SparsePoly`, whose exponents are unbounded,
+and divides it out, checking that no remainder survives.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
-from typing import Iterator
+from operator import add
+from typing import Iterable, Iterator
 
 from .words import ArgumentError, Index, weight
 
 ExpVec = tuple[int, ...]
 
-#: Bits per variable in a packed exponent key.
-_BITS = 8
-#: Largest exponent a field holds, and so the largest total degree.
-_MAX_DEGREE = (1 << _BITS) - 1
+#: Largest column weight `c_coeff` and `enumerate_support` accept: an input
+#: limit, not a field width.  The arithmetic is exact at any weight, but a
+#: support search visits all C(w + r - 1, r - 1) compositions of weight w.
+MAX_WEIGHT = 255
 
 
 class NonPolynomialError(ArithmeticError):
     """Exact division left a remainder where polynomiality is guaranteed."""
 
 
-def _pack(nvars: int, exps: ExpVec) -> int:
-    if len(exps) != nvars:
-        raise ArgumentError(f"exponent vector {exps} does not have {nvars} entries")
-    key = 0
-    for v, e in enumerate(exps):
-        if not 0 <= e <= _MAX_DEGREE:
-            raise ArgumentError(f"exponent {e} outside 0..{_MAX_DEGREE}")
-        key |= e << (_BITS * v)
-    return key
-
-
-def _nonzero(terms: dict[int, int]) -> dict[int, int]:
-    return {e: c for e, c in terms.items() if c != 0}
-
-
-def _unpack(nvars: int, key: int) -> ExpVec:
-    return tuple((key >> (_BITS * v)) & _MAX_DEGREE for v in range(nvars))
-
-
 class SparsePoly:
     """Multivariate polynomial with integer coefficients, stored sparsely.
 
-    Terms map exponent vectors (fixed length = number of variables) to
-    non-zero integer coefficients.  Internally an exponent vector is packed
-    into one integer key, 8 bits per variable: the exponent of u_v is
-    ``(key >> 8*v) & 0xFF``, so the product of two monomials is the sum of
-    their keys.  ``terms`` decodes the keys back to tuples.
-
-    Each polynomial carries an upper bound on its total degree.  An
-    exponent above 255, or a product whose degree bounds sum past 255,
-    raises ArgumentError instead of carrying into the next variable's field.
+    ``terms`` maps exponent vectors, tuples of ``nvars`` non-negative
+    integers, to non-zero integer coefficients.  Exponents are unbounded.
     """
 
-    __slots__ = ("nvars", "_terms", "_degree")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[ExpVec, int] | None = None):
+        for e in terms or {}:
+            if len(e) != nvars or min(e, default=0) < 0:
+                raise ArgumentError(f"exponent vector {e} needs {nvars} non-negative entries")
         self.nvars = nvars
-        self._terms = {}
-        self._degree = 0
-        for e, c in (terms or {}).items():
-            if c != 0:
-                self._terms[_pack(nvars, tuple(e))] = c
-                self._degree = max(self._degree, sum(e))
+        self.terms = {tuple(e): c for e, c in (terms or {}).items() if c != 0}
 
     @classmethod
-    def _packed(cls, nvars: int, terms: dict[int, int], degree: int) -> "SparsePoly":
-        """Wrap packed terms, all coefficients non-zero, with a degree bound."""
+    def _collect(cls, nvars: int, pairs: Iterable[tuple[ExpVec, int]]) -> "SparsePoly":
+        """Sum (exponent vector, coefficient) pairs and drop the zero terms."""
+        terms: dict[ExpVec, int] = {}
+        for e, c in pairs:
+            terms[e] = terms.get(e, 0) + c
         poly = cls.__new__(cls)
         poly.nvars = nvars
-        poly._terms = terms
-        poly._degree = degree
+        poly.terms = {e: c for e, c in terms.items() if c != 0}
         return poly
-
-    @property
-    def terms(self) -> dict[ExpVec, int]:
-        return {_unpack(self.nvars, e): c for e, c in self._terms.items()}
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":
@@ -115,7 +87,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "SparsePoly":
-        return cls._packed(nvars, {0: c} if c else {}, 0)
+        return cls._collect(nvars, [((0,) * nvars, c)])
 
     @classmethod
     def monomial(cls, nvars: int, exps: ExpVec, c: int = 1) -> "SparsePoly":
@@ -124,53 +96,32 @@ class SparsePoly:
     @classmethod
     def suffix_form(cls, nvars: int, start: int) -> "SparsePoly":
         """The linear form u_start + u_{start+1} + ... + u_{nvars-1} (0-based)."""
-        return cls._packed(nvars, {1 << (_BITS * v): 1 for v in range(start, nvars)}, 1)
+        return cls._collect(nvars, ((_unit(nvars, v), 1) for v in range(start, nvars)))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return SparsePoly._packed(self.nvars, _nonzero(terms), max(self._degree, other._degree))
+        return SparsePoly._collect(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        terms = dict(self._terms)
-        for e, c in other._terms.items():
-            terms[e] = terms.get(e, 0) - c
-        return SparsePoly._packed(self.nvars, _nonzero(terms), max(self._degree, other._degree))
+        negated = ((e, -c) for e, c in other.terms.items())
+        return SparsePoly._collect(self.nvars, chain(self.terms.items(), negated))
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        degree = self._degree + other._degree
-        if degree > _MAX_DEGREE:
-            raise ArgumentError(f"product degree {degree} exceeds {_MAX_DEGREE}")
-        terms: dict[int, int] = {}
-        get = terms.get
-        other_items = other._terms.items()
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other_items:
-                e = e1 + e2
-                terms[e] = get(e, 0) + c1 * c2
-        return SparsePoly._packed(self.nvars, _nonzero(terms), degree)
-
-    def _times_monomial(self, exps: ExpVec) -> "SparsePoly":
-        """Multiply by u^exps: one addition per key."""
-        shift = _pack(self.nvars, tuple(exps))
-        degree = self._degree + sum(exps)
-        if degree > _MAX_DEGREE:
-            raise ArgumentError(f"product degree {degree} exceeds {_MAX_DEGREE}")
-        return SparsePoly._packed(
-            self.nvars, {e + shift: c for e, c in self._terms.items()}, degree
-        )
+        return SparsePoly._collect(self.nvars, (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        ))
 
     def pow(self, n: int) -> "SparsePoly":
         if n == 0:
@@ -181,10 +132,7 @@ class SparsePoly:
         return out
 
     def coeff(self, exps: ExpVec) -> int:
-        try:
-            return self._terms.get(_pack(self.nvars, tuple(exps)), 0)
-        except ArgumentError:  # no term has this shape
-            return 0
+        return self.terms.get(tuple(exps), 0)
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)
@@ -202,41 +150,43 @@ class SparsePoly:
         """Exact division by u_start + ... + u_{nvars-1}; remainder must vanish.
 
         Long division in x = u_start: terms are grouped by the exponent of x
-        (the masked field of their key) and processed from the highest
-        exponent down.  A term c*x*m moves c*m into the quotient and leaves
-        -c*m*u_v behind for every later variable v, one exponent of x lower;
-        whatever reaches exponent 0 is the remainder.
+        and processed from the highest exponent down.  A term c*x*m moves
+        c*m into the quotient and leaves -c*m*u_v behind for every later
+        variable v, one exponent of x lower; whatever reaches exponent 0 is
+        the remainder.
         """
-        shift = _BITS * start
-        unit = 1 << shift
-        later = [1 << (_BITS * v) for v in range(start + 1, self.nvars)]
-        by_deg: dict[int, dict[int, int]] = {}
-        for e, c in self._terms.items():
-            by_deg.setdefault((e >> shift) & _MAX_DEGREE, {})[e] = c
-        quotient: dict[int, int] = {}
+        later = [_unit(self.nvars, v) for v in range(start + 1, self.nvars)]
+        by_deg: dict[int, dict[ExpVec, int]] = {}
+        for e, c in self.terms.items():
+            by_deg.setdefault(e[start], {})[e] = c
+        quotient = []
         for d in range(max(by_deg, default=0), 0, -1):
             lower = by_deg.setdefault(d - 1, {})
             for e, c in by_deg.get(d, {}).items():
                 if c == 0:
                     continue
-                q = e - unit
-                quotient[q] = c
+                q = e[:start] + (d - 1,) + e[start + 1 :]
+                quotient.append((q, c))
                 for u in later:
-                    lower[q + u] = lower.get(q + u, 0) - c
+                    m = tuple(map(add, q, u))
+                    lower[m] = lower.get(m, 0) - c
         if any(by_deg.get(0, {}).values()):
             raise NonPolynomialError("exact division left a remainder")
-        return SparsePoly._packed(self.nvars, quotient, max(self._degree - 1, 0))
+        return SparsePoly._collect(self.nvars, quotient)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "SparsePoly(0)"
         parts = []
         for e, c in sorted(self.terms.items()):
-            vars_part = "*".join(
-                f"u{i}^{p}" for i, p in enumerate(e) if p
-            )
+            vars_part = "*".join(f"u{i}^{p}" for i, p in enumerate(e) if p)
             parts.append(f"{c}" + (f"*{vars_part}" if vars_part else ""))
         return "SparsePoly(" + " + ".join(parts) + ")"
+
+
+def _unit(nvars: int, v: int) -> ExpVec:
+    """The exponent vector of u_v."""
+    return tuple(int(w == v) for w in range(nvars))
 
 
 def _term_numerator(l: Index, i: int, denom_vars: frozenset[int]) -> SparsePoly:
@@ -244,8 +194,8 @@ def _term_numerator(l: Index, i: int, denom_vars: frozenset[int]) -> SparsePoly:
 
     Variables are 0-based; suffix form T_v means u_v + ... + u_{r-1}.  The
     summand's own negative powers are T_{i-1} and T_i (when the matching
-    l entry is 0); the remaining forms of the common denominator multiply in.
-    The summand's monomial multiplies in last, as a shift of every key.
+    l entry is 0); the remaining forms of the common denominator multiply in,
+    and the summand's monomial last.
     """
     r = len(l)
     exps = [0] * r
@@ -270,7 +220,7 @@ def _term_numerator(l: Index, i: int, denom_vars: frozenset[int]) -> SparsePoly:
         poly = poly * SparsePoly.suffix_form(r, i).pow(l[i] - 1)
     for v in sorted(denom_vars - frozenset(own_negative)):
         poly = poly * SparsePoly.suffix_form(r, v)
-    return poly._times_monomial(tuple(exps))
+    return poly * SparsePoly.monomial(r, tuple(exps))
 
 
 @functools.lru_cache(maxsize=None)
@@ -350,9 +300,8 @@ def _column_coeff(l: Index, k: Index) -> int:
 
 
 def _check_weight(k: Index) -> None:
-    """Columns stop at weight 255, the width of `SparsePoly`'s exponent fields."""
-    if weight(k) > _MAX_DEGREE:
-        raise ArgumentError(f"weight {weight(k)} exceeds {_MAX_DEGREE}")
+    if weight(k) > MAX_WEIGHT:
+        raise ArgumentError(f"weight {weight(k)} exceeds {MAX_WEIGHT}")
 
 
 def c_coeff(l: Index, k: Index) -> int:

@@ -586,7 +586,9 @@ class Evaluator:
 
     def regularized(self, k: Index) -> tuple[complex, float]:
         """Regularized value and an error estimate: the fits at eps0 and
-        eps0 / 2 are Richardson-combined, their difference is the estimate."""
+        eps0 / 2 are Richardson-combined, their difference is the estimate.
+        Both fits read one grid, so the split-grid noise of their samples is
+        held to the tolerance `admissible` applies to its own refinement."""
         k = as_index(k)
         if len(k) == 0:
             return 1.0 + 0.0j, 0.0
@@ -596,6 +598,8 @@ class Evaluator:
         npoints = _fit_points(degree, corr_degree)
         eps0 = self.cfg.eps0
         noise = self._sample_noise(k, eps0, npoints + 1)
+        if noise > self.cfg.tolerance:
+            raise ToleranceError(f"refinement moved the samples of I{k} by {noise:.3e}")
         first = self._fit_constant_term(k, eps0, npoints, degree, corr_degree, noise)
         second = self._fit_constant_term(k, eps0 / 2, npoints, degree, corr_degree, noise)
         estimate = abs(second - first)

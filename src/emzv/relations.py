@@ -186,10 +186,9 @@ def reflection_identity(k: Index) -> Identity:
 def fay_identity(k: Index) -> Identity:
     """General Fay relation for one value, valid for r = 1 or last entry != 1.
 
-    The zeta-carrying boundary sum is constructed literally from its delta
-    guards; under the stated precondition every guard vanishes, which is
-    asserted, so the emitted right-hand side is the pure coefficient sum
-    -sum_l c<l|k> I(l).
+    The right-hand side is the pure coefficient sum -sum_l c<l|k> I(l): the
+    zeta-carrying boundary terms, i = 2..r, each carry the factor
+    delta_{1,k_r}, which the precondition sets to zero.
     """
     k = as_index(k)
     r = len(k)
@@ -197,14 +196,6 @@ def fay_identity(k: Index) -> Identity:
         raise PreconditionError("fay identity needs a non-empty index")
     if r > 1 and k[-1] == 1:
         raise PreconditionError("fay identity requires last entry != 1 when length > 1")
-    # boundary sum: i runs over 2..r with guards delta_{1,k_1}..delta_{1,k_{i-1}}
-    # and delta_{1,k_r}; each surviving term would carry a zeta(i) factor.
-    surviving = []
-    for i in range(2, r + 1):
-        guard = all(k[j] == 1 for j in range(i - 1)) and k[-1] == 1
-        if guard:
-            surviving.append(i)
-    assert not surviving, "zeta boundary terms must vanish under the precondition"
     rhs = Expression.collect((monomial([l]), -c) for l, c in enumerate_support(k))
     return Identity(Expression.atom(k), rhs, "fay")
 

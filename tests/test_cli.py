@@ -136,11 +136,17 @@ def test_eval_empty_index(capsys, fmt, expected):
     assert (code, out, err) == (0, expected, "")
 
 
-def test_eval_numeric_failure_exit_code(capsys):
+def test_eval_numeric_failure_exit_code(tmp_path, capsys):
     # length above the configured iterated-integral limit
     code, _, err = run(capsys, "eval", "--index", "0,0,0,0,0,0,0", "--tau", "0+1i")
     assert code == 4
     assert "error" in err
+    # a regularized value whose samples a coarse grid cannot resolve
+    path = tmp_path / "numerics.cfg"
+    path.write_text("panel_order = 2\n")
+    code, out, err = run(capsys, "eval", "--index", "1,2", "--tau", "0+1i", "--config", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("error: refinement moved the samples of I(1, 2)")
 
 
 def test_verify_prop_mat(capsys):
@@ -233,6 +239,12 @@ def test_verify_out_file(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     reports = [json.loads(line) for line in lines]
     assert all(rep["passed"] for rep in reports)
+    # An empty sweep writes what stdout would print: nothing.
+    argv = ["verify", "--family", "reflection", "--max-weight", "-1", "--tau", "0+1i"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "")
+    code, _, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and out_path.read_text() == ""
 
 
 def test_table_counts_and_determinism(tmp_path, capsys):

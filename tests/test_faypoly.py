@@ -145,22 +145,29 @@ def test_sparse_poly_terms_roundtrip(data):
 
 @given(data=st.data())
 @settings(deadline=None)
-def test_sparse_poly_degree_overflow_raises(data):
+def test_sparse_poly_high_degree_exact(data):
+    # Exponents are unbounded: products and monomials past degree 255 are
+    # exact, and their terms round-trip through the constructor.
     n = data.draw(st.integers(1, 5))
     d1 = data.draw(st.integers(1, 255))
-    d2 = data.draw(st.integers(256 - d1, 255))
+    d2 = data.draw(st.integers(256 - d1, 400))
     v1, v2 = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    a = SparsePoly.monomial(n, tuple(d1 if i == v1 else 0 for i in range(n)))
-    b = SparsePoly.monomial(n, tuple(d2 if i == v2 else 0 for i in range(n)))
-    with pytest.raises(ArgumentError):
-        a * b
-    with pytest.raises(ArgumentError):
-        SparsePoly.monomial(n, (256,) + (0,) * (n - 1))
-    # At the field width the product is still exact.
-    c = SparsePoly.monomial(n, tuple(255 - d1 if i == v2 else 0 for i in range(n)))
-    assert (a * c).terms == {
-        tuple((d1 if i == v1 else 0) + (255 - d1 if i == v2 else 0) for i in range(n)): 1
-    }
+
+    def power(v, d):
+        return tuple(d if i == v else 0 for i in range(n))
+
+    a = SparsePoly.monomial(n, power(v1, d1))
+    for d in (255 - d1, d2):
+        product = a * SparsePoly.monomial(n, power(v2, d))
+        assert product.terms == {tuple(x + y for x, y in zip(power(v1, d1), power(v2, d))): 1}
+        assert SparsePoly(n, product.terms) == product
+    b = SparsePoly.monomial(n, power(v2, d2), -3)
+    assert b.terms == {power(v2, d2): -3} and b.coeff(power(v2, d2)) == -3
+    square = (a + b) * (a + b)
+    assert square == a * a + SparsePoly.constant(n, 2) * a * b + b * b
+    assert SparsePoly(n, square.terms) == square
+    for us in POINTS[n]:
+        assert square.evaluate(us) == (a.evaluate(us) + b.evaluate(us)) ** 2
 
 
 def test_p_poly_length_one():
@@ -373,3 +380,12 @@ def test_weight_limit_is_255():
     with pytest.raises(ArgumentError, match="255"):
         c_coeff((1, 300), (1, 300))
     assert len(enumerate_support((0, 255))) > 0
+
+
+@pytest.mark.parametrize("l", [(0, 255), (255, 0), (128, 127), (1, 0, 254)])
+def test_p_poly_matches_c_coeff_at_weight_255(l):
+    # The reference reaches the top of the weight range `c_coeff` accepts.
+    poly = p_poly(l)
+    assert poly.is_homogeneous(255) and not poly.is_zero()
+    for k, c in poly.terms.items():
+        assert c_coeff(l, k) == c, k
