@@ -19,7 +19,10 @@ half [0, 1/2].  A sweep of a word w is
 
 computed from B_{w[1:]} on the nodes by one backward pass of composite
 Gauss-Legendre panels, and cached per (split, word) at every lower-half
-breakpoint x.  Chen's identity at 1/2 and the reflection
+breakpoint x.  The node values themselves are kept per (split, word) only
+for words of length <= NODE_CACHE_LENGTH, the tails that most words end in;
+those of longer words are rebuilt from them when a profile needs them.
+Chen's identity at 1/2 and the reflection
 f_n(1 - z) = (-1)^n f_n(z) then give every cut integral at once:
 
   T(eps) = sum_{j=0..r} B_{k[:j]}(eps) (-1)^{|k[j:]|} B_{rev(k[j:])}(eps).
@@ -58,6 +61,10 @@ FIT_EPS_BLOCKS = 2
 FIT_EXTRA_POINTS = 6
 #: Points closer than this to a lattice point are refused as poles.
 POLE_TOLERANCE = 1e-8
+#: Longest word whose sweep node values the evaluator keeps, one complex
+#: value per lower-half node each.  Short words are the tails that many
+#: profiles share; longer ones are reused far less for the memory they hold.
+NODE_CACHE_LENGTH = 2
 
 
 def _fit_points(degree: int, corr_degree: int) -> int:
@@ -331,6 +338,8 @@ class PanelGrid:
     """
 
     def __init__(self, order: int, depth: int, split: int = 1):
+        if split < 1:
+            raise ArgumentError(f"split must be >= 1, got {split}")
         bp = [0.0]
         bp += [2.0**-g for g in range(depth, 0, -1)]
         bp += [1.0 - 2.0**-g for g in range(2, depth + 1)]
@@ -383,12 +392,18 @@ class Evaluator:
         self.cfg = cfg
         self.rho = cfg.rho_factor * min(1.0, self.tau.tau.imag)
         self.theta_prime0 = theta_prime0(self.tau)
+        # highest letter order the Cauchy extraction resolves: 2 n + 8 <= circle_samples
+        self._top = (cfg.circle_samples - 8) // 2
         self._grids: dict[int, PanelGrid] = {}
         self._letters: dict[tuple[int, int], np.ndarray] = {}  # (split, n) -> values
-        self._circle: dict[int, np.ndarray] = {}  # split -> F on nodes x circle, fft'd
+        # split -> the circle transform on the lower-half nodes, column n
+        # for letter n = 0.._top only (see _cauchy)
+        self._circle: dict[int, np.ndarray] = {}
         self._values: dict[Index, complex] = {}
         # (split, word) -> B_word at the lower-half breakpoints
         self._sweeps: dict[tuple[int, Index], np.ndarray] = {}
+        # (split, word) -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
+        self._nodes: dict[tuple[int, Index], np.ndarray] = {}
         # (k, split) -> T(eps) at the lower-half breakpoints eps
         self._profiles: dict[tuple[Index, int], np.ndarray] = {}
         # (eps0, npoints, degree, corr_degree) -> (profile rows, pinv, norms, amps)
@@ -396,26 +411,28 @@ class Evaluator:
 
     def grid(self, split: int = 1) -> PanelGrid:
         if split not in self._grids:
-            self._grids[split] = PanelGrid(self.cfg.panel_order, GRADING_DEPTH, split)
+            grid = PanelGrid(self.cfg.panel_order, GRADING_DEPTH, split)
+            self._grids[split] = grid
+            self._nodes[(split, ())] = np.ones(len(grid.lower_nodes), dtype=complex)
         return self._grids[split]
 
-    def _cauchy(self, z: np.ndarray, m: int) -> np.ndarray:
+    def _cauchy(self, z: np.ndarray, m: int, top: int) -> np.ndarray:
         """F(alpha, z) sampled at m points of the alpha-circle of radius rho,
-        Fourier transformed: column j holds rho^(j+1) f_{j+1}(z), up to
-        aliasing (index taken mod m)."""
+        Fourier transformed, keeping the columns of letters 0..top: column n
+        holds rho^(n-1) f_n(z), up to aliasing (frequency n - 1 mod m)."""
         alphas = self.rho * np.exp(TWO_PI_I * np.arange(m) / m)
         fvals = _kronecker_grid(z, alphas, self.tau, self.theta_prime0)
-        return np.fft.fft(fvals, axis=1) / m
+        return np.fft.fft(fvals, axis=1)[:, (np.arange(top + 1) - 1) % m] / m
 
-    def _coefficient(self, fft: np.ndarray, n: int) -> np.ndarray:
+    def _coefficient(self, transform: np.ndarray, n: int) -> np.ndarray:
         """The letter f_n from a `_cauchy` transform."""
-        return self.rho ** (1 - n) * fft[:, (n - 1) % fft.shape[1]]
+        return self.rho ** (1 - n) * transform[:, n]
 
     def _check_letter(self, n: int) -> None:
-        """Letter orders the Cauchy extraction resolves: n >= 0, 2 n + 8 <= circle_samples."""
-        top = (self.cfg.circle_samples - 8) // 2
-        if not 0 <= n <= top:
-            raise ArgumentError(f"letter order {n} outside 0..{top} (circle_samples too small)")
+        if not 0 <= n <= self._top:
+            raise ArgumentError(
+                f"letter order {n} outside 0..{self._top} (circle_samples too small)"
+            )
 
     def letters(self, n: int, split: int = 1) -> np.ndarray:
         """Values of the letter f_n on the lower-half grid nodes."""
@@ -424,7 +441,9 @@ class Evaluator:
             self._check_letter(n)
             if split not in self._circle:
                 grid = self.grid(split)
-                self._circle[split] = self._cauchy(grid.lower_nodes, self.cfg.circle_samples)
+                self._circle[split] = self._cauchy(
+                    grid.lower_nodes, self.cfg.circle_samples, self._top
+                )
             self._letters[key] = self._coefficient(self._circle[split], n)
         return self._letters[key]
 
@@ -437,8 +456,8 @@ class Evaluator:
         for x in zz:
             if lattice_distance(complex(x), self.tau) < POLE_TOLERANCE:
                 raise PoleError(f"z = {x} is within tolerance of a lattice point")
-        base = self._coefficient(self._cauchy(zz, cfg.circle_samples), n)
-        doubled = self._coefficient(self._cauchy(zz, 2 * cfg.circle_samples), n)
+        base = self._coefficient(self._cauchy(zz, cfg.circle_samples, n), n)
+        doubled = self._coefficient(self._cauchy(zz, 2 * cfg.circle_samples, n), n)
         if float(np.max(np.abs(base - doubled))) > 1e-9:
             raise AliasError("doubling the circle sample count moved f_n")
         if np.isscalar(z):
@@ -449,21 +468,27 @@ class Evaluator:
 
     def _sweep(self, word: Index, split: int, scratch: dict) -> np.ndarray:
         """B_word on the lower-half nodes, from B_word[1:] by one backward
-        pass; caches B_word at the breakpoints.  `scratch` holds the node
-        values of one profile and is dropped with it."""
-        if word not in scratch:
+        pass; caches B_word at the breakpoints.  Node values of words up to
+        NODE_CACHE_LENGTH are kept by the evaluator, so each of them is swept
+        once; `scratch` holds those of longer words for one profile and is
+        dropped with it."""
+        key = (split, word)
+        store = self._nodes if len(word) <= NODE_CACHE_LENGTH else scratch
+        if key not in store:
             inner = self._sweep(word[1:], split, scratch)
-            tails, scratch[word] = self.grid(split).sweep(self.letters(word[0], split), inner)
-            self._sweeps[(split, word)] = tails
-        return scratch[word]
+            tails, store[key] = self.grid(split).sweep(self.letters(word[0], split), inner)
+            self._sweeps[key] = tails
+        return store[key]
 
     def _profile(self, k: Index, split: int) -> np.ndarray:
         """T(eps) at every lower-half breakpoint eps, by Chen's identity at
-        1/2 and the reflection f_n(1 - z) = (-1)^n f_n(z)."""
+        1/2 and the reflection f_n(1 - z) = (-1)^n f_n(z).  Only sweeps not
+        yet cached run; their node values of words longer than
+        NODE_CACHE_LENGTH are scratch for this profile."""
         key = (k, split)
         if key not in self._profiles:
             grid = self.grid(split)
-            scratch = {(): np.ones(len(grid.lower_nodes), dtype=complex)}
+            scratch: dict[tuple[int, Index], np.ndarray] = {}
 
             def swept(word: Index):
                 if not word:

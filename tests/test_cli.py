@@ -48,7 +48,7 @@ def test_reduce_parse_error(capsys):
 
 
 def test_reduce_exponent_overflow_exit_code(capsys):
-    # Fay polynomials of weight 301 do not fit 8-bit exponent fields.
+    # Weight 301 exceeds the input bound faypoly.MAX_WEIGHT (255).
     code, _, err = run(capsys, "reduce", "--index", "1,300")
     assert code == 2
     assert "error" in err and "255" in err

@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from emzv.numerics import (
     Evaluator,
     FitError,
     NumericsConfig,
+    PanelGrid,
     PoleError,
     PreconditionError,
     Tau,
@@ -307,6 +310,71 @@ def test_values_do_not_depend_on_cache_order():
         warm.value(k)
     for k in indices:
         assert Evaluator(TAU).value(k) == warm.value(k), k
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return (z.real.hex(), z.imag.hex())
+
+
+def test_cut_integrals_do_not_depend_on_cache_order_at_length_four():
+    # Length-3 tails of these words are rebuilt from the length-2 node
+    # values that the warm evaluator has kept from earlier words.
+    indices = list(itertools.product(range(4), repeat=4))
+    cuts = [(eps, split) for eps in (0.0, 2.0**-10) for split in (1, 2)]
+    warm = Evaluator(TAU)
+    for k in reversed(indices):
+        warm.value(k)
+    for k in indices:
+        fresh = Evaluator(TAU)
+        for eps, split in cuts:
+            got = fresh.cut_integral(k, eps, split)
+            assert bits(got) == bits(warm.cut_integral(k, eps, split)), (k, eps, split)
+        assert bits(fresh.value(k)) == bits(warm.value(k)), k
+
+
+def test_short_words_are_swept_once(monkeypatch):
+    """One evaluator over the W<=6/L<=4 population sweeps each word of length
+    <= 2 once per split; longer words are rebuilt only as profiles need
+    them (2388 sweeps when no node values were kept)."""
+    from emzv.faypoly import compositions
+    from emzv.reduction import reduce_index
+
+    active, swept = [], Counter()
+    evaluator_sweep, grid_sweep = Evaluator._sweep, PanelGrid.sweep
+
+    def tracked_sweep(self, word, split, scratch):
+        active.append((split, word))
+        try:
+            return evaluator_sweep(self, word, split, scratch)
+        finally:
+            active.pop()
+
+    def counted_sweep(self, letter, inner):
+        swept[active[-1]] += 1
+        return grid_sweep(self, letter, inner)
+
+    monkeypatch.setattr(Evaluator, "_sweep", tracked_sweep)
+    monkeypatch.setattr(PanelGrid, "sweep", counted_sweep)
+    ev = Evaluator(TAU)
+    for r in range(5):
+        for w in range(7):
+            for k in compositions(w, r):
+                ev.value(k)
+                ev.eval_expression(reduce_index(k)[0])
+    repeated = {key: n for key, n in swept.items() if len(key[1]) <= 2 and n > 1}
+    assert not repeated
+    assert sum(swept.values()) <= 1200
+
+
+def test_split_below_one_is_rejected():
+    for split in (0, -1):
+        ev = Evaluator(TAU)
+        with pytest.raises(ArgumentError):
+            ev.cut_integral((2, 0), 0.0, split)
+        with pytest.raises(ArgumentError):
+            ev.grid(split)
+        with pytest.raises(ArgumentError):
+            PanelGrid(DEFAULT_CONFIG.panel_order, 4, split)
 
 
 def test_regularized_matches_admissible():
