@@ -8,8 +8,8 @@ The building blocks:
                   extracted by a discrete Cauchy integral over an alpha-circle
   emzv_admissible iterated integral of the letters f_{k_i} over the ordered
                   simplex in [0, 1]
-  emzv_regularized constant term of the asymptotic expansion of the cut
-                  integral T(eps) in powers of log(-2 pi i eps)
+  emzv_regularized the same integral, shuffle-regularized at the endpoints
+                  (I(1) = 0)
 
 All evaluation shares one dyadically graded panel grid per (tau, config),
 symmetric under z -> 1 - z, and every integral is assembled from the lower
@@ -21,11 +21,16 @@ computed from B_{w[1:]} on the nodes by one backward pass of composite
 Gauss-Legendre panels, and cached per (split, word) at every lower-half
 breakpoint x.  The node values themselves are kept per (split, word) only
 for words of length <= NODE_CACHE_LENGTH, the tails that most words end in;
-those of longer words are rebuilt from them when a profile needs them.
-Chen's identity at 1/2 and the reflection
-f_n(1 - z) = (-1)^n f_n(z) then give every cut integral at once:
+those of longer words are rebuilt from them when a Chen sum needs them.
+Chen's identity at 1/2 and the reflection f_n(1 - z) = (-1)^n f_n(z) give
+the cut integral at a breakpoint eps:
 
   T(eps) = sum_{j=0..r} B_{k[:j]}(eps) (-1)^{|k[j:]|} B_{rev(k[j:])}(eps).
+
+Only f_1 has a pole on [0, 1], so B_w(0) converges unless w starts with 1.
+Every value is the sum at eps = 0 with each B_w(0) replaced by its shuffle
+regularization (see Evaluator._reg), computed on panel splits 1 and 2; the
+gap between the two is its error estimate.
 
 The backward pass integrates node to panel end as the panel integral minus
 the antiderivative collocation A.  Gauss-Legendre collocation satisfies
@@ -45,36 +50,22 @@ from typing import Iterable
 import numpy as np
 
 from .relations import Expression
-from .words import ArgumentError, Index, PreconditionError, as_index, is_admissible
+from .words import ArgumentError, Index, PreconditionError, as_index, is_admissible, shuffle
 
 TWO_PI_I = 2j * math.pi
 
 #: Longest index whose iterated integral is evaluated.
-MAX_IINT_LENGTH = 6
+MAX_IINT_LENGTH = 8
 #: Theta series terms summed before NonConvergence is raised.
 THETA_MAX_TERMS = 256
 #: The panel grid's finest breakpoints are 2^-GRADING_DEPTH and its mirror.
 GRADING_DEPTH = 45
-#: A fit has FIT_EPS_BLOCKS blocks of eps^m corrections, m = 1, 2, ...
-FIT_EPS_BLOCKS = 2
-#: Fit samples beyond the number of fitted coefficients.
-FIT_EXTRA_POINTS = 6
 #: Points closer than this to a lattice point are refused as poles.
 POLE_TOLERANCE = 1e-8
 #: Longest word whose sweep node values the evaluator keeps, one complex
 #: value per lower-half node each.  Short words are the tails that many
-#: profiles share; longer ones are reused far less for the memory they hold.
+#: longer words share; longer ones are reused far less for the memory they hold.
 NODE_CACHE_LENGTH = 2
-
-
-def _fit_points(degree: int, corr_degree: int) -> int:
-    """Sample count n of one regularization fit, at eps0 2^-j for j < n."""
-    return (degree + 1) + FIT_EPS_BLOCKS * (corr_degree + 1) + FIT_EXTRA_POINTS
-
-
-# The second fit of a longest index reaches eps0 2^-_FIT_DEPTH, a breakpoint.
-_FIT_DEPTH = _fit_points(MAX_IINT_LENGTH, MAX_IINT_LENGTH)
-EPS0_MIN = 2.0 ** (_FIT_DEPTH - GRADING_DEPTH)
 
 
 class NonConvergence(ArithmeticError):
@@ -91,10 +82,6 @@ class AliasError(ArithmeticError):
 
 class ToleranceError(ArithmeticError):
     """Grid refinement failed to stabilize an iterated integral."""
-
-
-class FitError(ArithmeticError):
-    """The two regularization fits disagree beyond the allowed margin."""
 
 
 @dataclass(frozen=True)
@@ -140,15 +127,13 @@ class NumericsConfig:
 
     rho_factor (in (0, 1)) and circle_samples (>= 8; letter f_n needs
     2 n + 8) shape the Cauchy alpha-circle, panel_order (1..100) the
-    Gauss-Legendre panels.  eps0 is a power of two in [EPS0_MIN, 0.1), so
-    every regularization fit sample is a grid breakpoint.  tolerance (finite,
-    > 0) bounds grid refinement and, times ten, the fit disagreement.
+    Gauss-Legendre panels.  tolerance (finite, > 0) bounds the gap between
+    the two panel splits that every value is computed on.
     """
 
     rho_factor: float = 0.45
     circle_samples: int = 64
     panel_order: int = 12
-    eps0: float = 2.0**-10
     tolerance: float = 1e-6
 
     def __post_init__(self):
@@ -158,11 +143,6 @@ class NumericsConfig:
             raise ArgumentError(f"circle_samples must be >= 8, got {self.circle_samples}")
         if not (1 <= self.panel_order <= 100):  # numpy's Gauss nodes are tested to 100
             raise ArgumentError(f"panel_order must lie in 1..100, got {self.panel_order}")
-        if not (EPS0_MIN <= self.eps0 < 0.1) or math.frexp(self.eps0)[0] != 0.5:
-            raise ArgumentError(
-                f"eps0 must be a power of two in [2**{_FIT_DEPTH - GRADING_DEPTH}, 0.1) so that "
-                f"the deepest fit sample eps0 * 2**-{_FIT_DEPTH} is on the grid, got {self.eps0}"
-            )
         if not (0 < self.tolerance < math.inf):
             raise ArgumentError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
@@ -404,10 +384,8 @@ class Evaluator:
         self._sweeps: dict[tuple[int, Index], np.ndarray] = {}
         # (split, word) -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
         self._nodes: dict[tuple[int, Index], np.ndarray] = {}
-        # (k, split) -> T(eps) at the lower-half breakpoints eps
-        self._profiles: dict[tuple[Index, int], np.ndarray] = {}
-        # (eps0, npoints, degree, corr_degree) -> (profile rows, pinv, norms, amps)
-        self._solvers: dict[tuple, tuple] = {}
+        # (split, word) -> the shuffle-regularized B_word(0)
+        self._regs: dict[tuple[int, Index], complex] = {}
 
     def grid(self, split: int = 1) -> PanelGrid:
         if split not in self._grids:
@@ -470,169 +448,104 @@ class Evaluator:
         """B_word on the lower-half nodes, from B_word[1:] by one backward
         pass; caches B_word at the breakpoints.  Node values of words up to
         NODE_CACHE_LENGTH are kept by the evaluator, so each of them is swept
-        once; `scratch` holds those of longer words for one profile and is
+        once; `scratch` holds those of longer words for one Chen sum and is
         dropped with it."""
         key = (split, word)
+        grid = self.grid(split)  # seeds the empty word's node values
         store = self._nodes if len(word) <= NODE_CACHE_LENGTH else scratch
         if key not in store:
             inner = self._sweep(word[1:], split, scratch)
-            tails, store[key] = self.grid(split).sweep(self.letters(word[0], split), inner)
+            tails, store[key] = grid.sweep(self.letters(word[0], split), inner)
             self._sweeps[key] = tails
         return store[key]
 
-    def _profile(self, k: Index, split: int) -> np.ndarray:
-        """T(eps) at every lower-half breakpoint eps, by Chen's identity at
-        1/2 and the reflection f_n(1 - z) = (-1)^n f_n(z).  Only sweeps not
-        yet cached run; their node values of words longer than
-        NODE_CACHE_LENGTH are scratch for this profile."""
-        key = (k, split)
-        if key not in self._profiles:
-            grid = self.grid(split)
+    def _tail(self, word: Index, split: int, row: int, scratch: dict) -> complex:
+        """B_word at the lower-half breakpoint of index `row`."""
+        if not word:
+            return 1.0
+        if (split, word) not in self._sweeps:
+            self._sweep(word, split, scratch)
+        return complex(self._sweeps[(split, word)][row])
+
+    def _reg(self, word: Index, split: int, scratch: dict) -> complex:
+        """B_word(0), shuffle-regularized where word starts with 1.
+
+        reg B_1 = int_0^{1/2} (f_1(z) - 1/z) dz + log(pi) - i pi / 2, the
+        constant term of B_1(x) in powers of log(-2 pi i x).  The rest
+        follows because reg is a shuffle homomorphism:
+        reg B_{1^a} = (reg B_1)^a / a!, and for y != 1
+        reg B_{1^a y w} = sum_{i<=a} (reg B_1)^i / i! (-1)^(a-i)
+        sum_{s in 1^(a-i) sh w} B_{y s}(0), whose words all converge at 0.
+        """
+        key = (split, word)
+        if key not in self._regs:
+            ones = next((i for i, n in enumerate(word) if n != 1), len(word))
+            if ones == 0:
+                value = self._tail(word, split, 0, scratch)
+            elif word == (1,):
+                grid = self.grid(split)
+                tails, _ = grid.sweep(
+                    self.letters(1, split) - 1.0 / grid.lower_nodes, self._nodes[(split, ())]
+                )
+                value = complex(tails[0]) + complex(math.log(math.pi), -math.pi / 2)
+            elif ones == len(word):
+                value = self._reg((1,), split, scratch) ** ones / math.factorial(ones)
+            else:
+                c = self._reg((1,), split, scratch)
+                head, rest = word[ones : ones + 1], word[ones + 1 :]
+                value = 0.0
+                for i in range(ones + 1):
+                    inner = sum(
+                        n * self._reg(head + s, split, scratch)
+                        for s, n in shuffle((1,) * (ones - i), rest).numerators()
+                    )
+                    value += c**i / math.factorial(i) * (-1) ** (ones - i) * inner
+            self._regs[key] = value
+        return self._regs[key]
+
+    def _chen(self, k: Index, at) -> complex:
+        """Chen's identity at 1/2 with the reflection f_n(1 - z) = (-1)^n
+        f_n(z): sum_j at(k[:j]) (-1)^{|k[j:]|} at(rev(k[j:]))."""
+        total = 0.0
+        for j in range(len(k) + 1):
+            sign = -1.0 if sum(k[j:]) % 2 else 1.0
+            total += at(k[:j]) * (sign * at(k[j:][::-1]))
+        return total
+
+    def _value(self, k: Index) -> tuple[complex, float]:
+        """I(k) from the regularized tails on splits 1 and 2, and their gap."""
+        if len(k) > MAX_IINT_LENGTH:
+            raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
+        values = []
+        for split in (1, 2):
             scratch: dict[tuple[int, Index], np.ndarray] = {}
-
-            def swept(word: Index):
-                if not word:
-                    return 1.0
-                if (split, word) not in self._sweeps:
-                    self._sweep(word, split, scratch)
-                return self._sweeps[(split, word)]
-
-            total = np.zeros(grid.n_panels // 2 + 1, dtype=complex)
-            for j in range(len(k) + 1):
-                sign = -1.0 if sum(k[j:]) % 2 else 1.0
-                total += swept(k[:j]) * (sign * swept(k[j:][::-1]))
-            self._profiles[key] = total
-        return self._profiles[key]
+            values.append(complex(self._chen(k, lambda w: self._reg(w, split, scratch))))
+        coarse, fine = values
+        gap = abs(coarse - fine)
+        if gap > self.cfg.tolerance:
+            raise ToleranceError(f"refinement moved I{k} by {gap:.3e}")
+        return fine, gap
 
     def admissible(self, k: Index) -> complex:
         """Iterated integral over the full simplex; admissible indices only."""
         k = as_index(k)
         if not is_admissible(k):
             raise PreconditionError(f"{k} is not admissible")
-        if len(k) > MAX_IINT_LENGTH:
-            raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
-        coarse = self.cut_integral(k, 0.0, 1)
-        fine = self.cut_integral(k, 0.0, 2)
-        if abs(coarse - fine) > self.cfg.tolerance:
-            raise ToleranceError(
-                f"refinement moved I{k} by {abs(coarse - fine):.3e}"
-            )
-        return fine
+        return self._value(k)[0]
+
+    def regularized(self, k: Index) -> tuple[complex, float]:
+        """Shuffle-regularized value (I(1) = 0) and its split gap."""
+        return self._value(as_index(k))
 
     def cut_integral(self, k: Index, eps: float, split: int = 1) -> complex:
         """T(eps): iterated integral over eps < z_1 < ... < z_r < 1 - eps,
         for a grid breakpoint eps in [0, 1/2]."""
-        lo, _ = self.grid(split).panel_range(eps, 1.0 - eps)
-        profile = self._profile(as_index(k), split)
-        if lo >= len(profile):
+        grid = self.grid(split)
+        row, _ = grid.panel_range(eps, 1.0 - eps)
+        if row > grid.n_panels // 2:
             raise ArgumentError(f"eps = {eps} lies above 1/2")
-        return complex(profile[lo])
-
-    # -- regularization
-
-    def _fit_degree(self, k: Index) -> tuple[int, int]:
-        """Log-polynomial degree of the main term and of the corrections.
-
-        Only the letter f_1 has boundary poles, so the eps^0 part carries at
-        most one log per boundary run of ones, while eps^m corrections can
-        pick up a log from every 1-entry (interior ones reach the boundary
-        through corners of the simplex, which costs a power of eps).
-        """
-        r = len(k)
-        ones = sum(1 for e in k if e == 1)
-        lead = 0
-        while lead < r and k[lead] == 1:
-            lead += 1
-        if lead == r:
-            return r, ones
-        trail = 0
-        while trail < r and k[r - 1 - trail] == 1:
-            trail += 1
-        return lead + trail, ones
-
-    def _log_eps(self, eps: float) -> complex:
-        # branch with log(-i) = -i pi / 2
-        return complex(math.log(2 * math.pi * eps), -math.pi / 2)
-
-    def _fit_solver(
-        self, eps0: float, npoints: int, degree: int, corr_degree: int
-    ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-        """Profile rows of the samples eps_j = eps0 2^-j, with the fit's
-        design matrix reduced to what every solve needs: the pseudo-inverse
-        of its column-scaled form, the column norms and the noise
-        amplifications.  None of these depends on the index."""
-        key = (eps0, npoints, degree, corr_degree)
-        if key not in self._solvers:
-            eps = np.array([eps0 * 2.0**-j for j in range(npoints)])
-            rows = [self.grid(1).panel_range(e, 1.0 - e)[0] for e in eps]
-            lvals = np.array([self._log_eps(e) for e in eps])
-            cols = [lvals**n for n in range(degree + 1)]
-            for m in range(1, FIT_EPS_BLOCKS + 1):
-                for n in range(corr_degree + 1):
-                    cols.append(eps**m * lvals**n)
-            design = np.stack(cols, axis=1)
-            norms = np.linalg.norm(design, axis=0)
-            norms[norms == 0] = 1.0
-            pinv = np.linalg.pinv(design / norms, rcond=1e-10)
-            amps = np.linalg.norm(pinv, axis=1) / norms
-            self._solvers[key] = (rows, pinv, norms, amps)
-        return self._solvers[key]
-
-    def _sample_noise(self, k: Index, eps0: float, npoints: int) -> float:
-        """Quadrature noise estimate: split-grid disagreement of T(eps),
-        probed at the shallow and the deep end of the sample ladder."""
-        worst = 1e-15
-        for e in (eps0, eps0 * 2.0 ** -(npoints - 1)):
-            coarse = self.cut_integral(k, e, 1)
-            fine = self.cut_integral(k, e, 2)
-            worst = max(worst, abs(coarse - fine))
-        return worst
-
-    def _fit_constant_term(
-        self, k: Index, eps0: float, npoints: int, degree: int, corr_degree: int, noise: float
-    ) -> complex:
-        """Constant term c_0 of the least-squares fit T(eps_j) = sum_n c_n L^n
-        + corrections, with insignificant leading log powers pruned against
-        the noise estimate.
-
-        Over-parameterized degrees (the degree rule is only an upper bound
-        on the true log power) turn into pure noise amplification, so leading
-        coefficients that are indistinguishable from zero at ten times their
-        propagated noise (the norm of their pseudo-inverse row) are removed
-        and the system re-solved.
-        """
-        profile = self._profile(k, 1)
-        while True:
-            rows, pinv, norms, amps = self._fit_solver(eps0, npoints, degree, corr_degree)
-            coeffs = (pinv @ profile[rows]) / norms
-            if degree == 0 or abs(coeffs[degree]) >= 10 * noise * amps[degree]:
-                return complex(coeffs[0])
-            degree -= 1
-
-    def regularized(self, k: Index) -> tuple[complex, float]:
-        """Regularized value and an error estimate: the fits at eps0 and
-        eps0 / 2 are Richardson-combined, their difference is the estimate.
-        Both fits read one grid, so the split-grid noise of their samples is
-        held to the tolerance `admissible` applies to its own refinement."""
-        k = as_index(k)
-        if len(k) == 0:
-            return 1.0 + 0.0j, 0.0
-        if len(k) > MAX_IINT_LENGTH:
-            raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
-        degree, corr_degree = self._fit_degree(k)
-        npoints = _fit_points(degree, corr_degree)
-        eps0 = self.cfg.eps0
-        noise = self._sample_noise(k, eps0, npoints + 1)
-        if noise > self.cfg.tolerance:
-            raise ToleranceError(f"refinement moved the samples of I{k} by {noise:.3e}")
-        first = self._fit_constant_term(k, eps0, npoints, degree, corr_degree, noise)
-        second = self._fit_constant_term(k, eps0 / 2, npoints, degree, corr_degree, noise)
-        estimate = abs(second - first)
-        if estimate > 10 * self.cfg.tolerance:
-            raise FitError(
-                f"regularization fits for I{k} differ by {estimate:.3e}"
-            )
-        return 2 * second - first, estimate
+        scratch: dict[tuple[int, Index], np.ndarray] = {}
+        return complex(self._chen(as_index(k), lambda w: self._tail(w, split, row, scratch)))
 
     # -- values and expressions
 

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import re
@@ -12,10 +13,8 @@ from hypothesis import strategies as st
 
 from emzv.numerics import (
     DEFAULT_CONFIG,
-    EPS0_MIN,
     AliasError,
     Evaluator,
-    FitError,
     NumericsConfig,
     PanelGrid,
     PoleError,
@@ -32,12 +31,11 @@ from emzv.numerics import (
     parse_tau,
     theta,
     theta_prime0,
-    _fit_points,
     _legendre_antiderivative_matrix,
     zeta,
 )
 from emzv.relations import Expression, parity_split, shuffle_identity
-from emzv.words import ArgumentError
+from emzv.words import ArgumentError, shuffle
 
 TAU = 1j
 TAU2 = 2j
@@ -75,22 +73,7 @@ def test_parse_config_file(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ArgumentError):
-        NumericsConfig(eps0=1e-3)  # not a power of two
-    with pytest.raises(ArgumentError):
-        NumericsConfig(eps0=0.25)
-    with pytest.raises(ArgumentError):
         NumericsConfig(rho_factor=1.5)
-    assert NumericsConfig(eps0=EPS0_MIN).eps0 == EPS0_MIN
-    floor = f"power of two in [2**{round(math.log2(EPS0_MIN))}, 0.1)"
-    with pytest.raises(ArgumentError, match=re.escape(floor)):
-        NumericsConfig(eps0=EPS0_MIN / 2)
-
-
-def test_eps0_floor_reaches_the_deepest_fit_sample():
-    # All ones has the largest fit at the longest length, so its deepest
-    # sample sits on the grid's finest breakpoint; I(1, ..., 1) = I(1)^6 / 720.
-    value, _ = Evaluator(TAU, NumericsConfig(eps0=EPS0_MIN)).regularized((1,) * 6)
-    assert abs(value) < 1e-6
 
 
 def test_readme_config_example_lists_every_field_at_its_default(tmp_path):
@@ -334,8 +317,10 @@ def test_cut_integrals_do_not_depend_on_cache_order_at_length_four():
 
 def test_short_words_are_swept_once(monkeypatch):
     """One evaluator over the W<=6/L<=4 population sweeps each word of length
-    <= 2 once per split; longer words are rebuilt only as profiles need
-    them (2388 sweeps when no node values were kept)."""
+    <= 2 once per split, and the integral of f_1 - 1/z behind reg B_1 once
+    per split; longer words are rebuilt only as Chen sums need them (2388
+    sweeps when no node values were kept, 1156 when a log-power fit read
+    every cut of two profiles)."""
     from emzv.faypoly import compositions
     from emzv.reduction import reduce_index
 
@@ -350,7 +335,7 @@ def test_short_words_are_swept_once(monkeypatch):
             active.pop()
 
     def counted_sweep(self, letter, inner):
-        swept[active[-1]] += 1
+        swept[active[-1] if active else None] += 1
         return grid_sweep(self, letter, inner)
 
     monkeypatch.setattr(Evaluator, "_sweep", tracked_sweep)
@@ -361,9 +346,10 @@ def test_short_words_are_swept_once(monkeypatch):
             for k in compositions(w, r):
                 ev.value(k)
                 ev.eval_expression(reduce_index(k)[0])
+    assert swept.pop(None) == 2
     repeated = {key: n for key, n in swept.items() if len(key[1]) <= 2 and n > 1}
     assert not repeated
-    assert sum(swept.values()) <= 1200
+    assert sum(swept.values()) <= 900
 
 
 def test_split_below_one_is_rejected():
@@ -384,23 +370,11 @@ def test_regularized_matches_admissible():
         assert abs(direct - reg) < 1e-6, k
 
 
-def test_fit_degree_mode_length():
-    # Fitting every log power up to the length over-parameterizes the fit;
-    # with pruning against the noise estimate it must still recover the value.
-    ev = get_evaluator(TAU)
-    eps0 = DEFAULT_CONFIG.eps0
-    for k in [(1, 2), (2, 0, 2), (1, 1, 2)]:
-        r = len(k)
-        npoints = _fit_points(r, r)
-        noise = ev._sample_noise(k, eps0, npoints)
-        value = ev._fit_constant_term(k, eps0, npoints, r, r, noise)
-        assert abs(value - emzv_regularized(k, TAU)) < 1e-6, k
-
-
 def test_regularized_zero_values():
-    assert abs(emzv_regularized((1,), TAU)) < 1e-6
+    # I(1) = 0 exactly: reg B_1 enters Chen's sum once with each sign.
+    for tau in (TAU, TAU2, 0.5 + 0.8j, 0.1j):
+        assert Evaluator(tau).regularized((1,)) == (0, 0)
     assert abs(emzv_regularized((1, 1), TAU)) < 1e-6
-    assert abs(emzv_regularized((1,), TAU2)) < 1e-6
 
 
 def test_regularized_shuffle_and_reflection():
@@ -416,6 +390,54 @@ def test_regularized_shuffle_and_reflection():
     # reported error estimates are small
     _, est = ev.regularized((1, 2))
     assert est < 1e-6
+
+
+# tau, the multiple of 2 pi i by which reg B_1 differs from its closed
+# form, and the tolerance.  Near Re tau = -+0.1 at Im tau = 0.1 the argument
+# of theta(1/2) / theta'(0) reaches -+pi, so the principal log jumps there.
+REG_B1_TAUS = [
+    (1j, 0, 1e-14),
+    (0.5 + 0.8j, 0, 1e-14),
+    (0.2j, 0, 1e-14),
+    (-0.3 + 0.4j, 0, 1e-14),
+    (-0.1 + 0.1j, -1, 1e-13),
+    (0.1 + 0.1j, 1, 1e-13),
+]
+
+
+@pytest.mark.parametrize("tau, turns, tol", REG_B1_TAUS)
+def test_reg_b1_is_the_log_of_theta_at_one_half(tau, turns, tol):
+    """reg B_1 = int_0^{1/2} (f_1 - 1/z) + log(pi) - i pi/2 is a convention that
+    no identity checks (any constant gives a shuffle homomorphism), so it is
+    pinned to log(theta(1/2) / theta'(0)) + log(2 pi) - i pi/2, the constant
+    term of B_1(x) in powers of log(-2 pi i x), up to the branch of the log."""
+    closed = (
+        cmath.log(theta(0.5, tau) / theta_prime0(tau)) + math.log(2 * math.pi) - 0.5j * math.pi
+    )
+    c = Evaluator(tau)._reg((1,), 2, {})
+    assert abs(c - closed - 2j * math.pi * turns) < tol, tau
+
+
+NON_ADMISSIBLE = (
+    st.lists(st.integers(0, 3), min_size=1, max_size=3)
+    .map(tuple)
+    .filter(lambda k: k[0] == 1 or k[-1] == 1)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(NON_ADMISSIBLE, NON_ADMISSIBLE)
+def test_regularized_values_multiply_by_shuffle(u, v):
+    ev = get_evaluator(TAU)
+    rhs = sum(n * ev.value(w) for w, n in shuffle(u, v).numerators())
+    assert abs(ev.value(u) * ev.value(v) - rhs) < 1e-12
+
+
+def test_reflection_of_zero_one_words():
+    ev = get_evaluator(TAU)
+    for r in range(1, 6):
+        for k in itertools.product((0, 1), repeat=r):
+            assert abs(ev.value(k[::-1]) - (-1) ** sum(k) * ev.value(k)) < 1e-12, k
 
 
 def test_zeta():
