@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import comb, factorial
 from operator import add
 from typing import Iterable, Iterator
@@ -46,7 +46,7 @@ ExpVec = tuple[int, ...]
 
 #: Largest column weight `c_coeff` and `enumerate_support` accept: an input
 #: limit, not a field width.  The arithmetic is exact at any weight, but a
-#: support search visits all C(w + r - 1, r - 1) compositions of weight w.
+#: support search may visit up to C(w + r - 1, r - 1) compositions of weight w.
 MAX_WEIGHT = 255
 
 
@@ -330,18 +330,52 @@ def compositions(total: int, parts: int) -> Iterator[Index]:
             yield (first,) + rest
 
 
+def _box_compositions(total: int, box: list[tuple[int, int]]) -> Iterator[Index]:
+    """Compositions of `total` with lo <= part <= hi for each (lo, hi) in
+    `box`; the last part takes what the others leave."""
+    *head, (lo, hi) = box
+    for parts in product(*(range(a, min(b, total) + 1) for a, b in head)):
+        last = total - sum(parts)
+        if lo <= last <= hi:
+            yield parts + (last,)
+
+
+def _reachable_boxes(k: Index) -> Iterator[list[tuple[int, int]]]:
+    """Per-part (lo, hi) bounds whose boxes cover every l of weight(k) for
+    which some summand of `_column_coeff(l, k)` can be nonzero.
+
+    Summand i needs l[:i-1] == k[:i-1], then l[i-1] >= k[i-1] (so l[i-1] = 0
+    when k[i-1] = 0: C(l-1, l) = 0 for l >= 1); l[i] is free.  Past it,
+    every l[v+1] <= k[v], since a series term with a negative exponent
+    vanishes, except when the power is n = -1 (l[i-1] = k[i-1], l[i] = 0):
+    then 1/T_i needs l[i+1] > k[i] instead.  Summand 0 has no head.
+    """
+    r, w = len(k), weight(k)
+    for i in range(r):
+        head = [(e, e) for e in k[: max(i - 1, 0)]]
+        pivot = [] if i == 0 else [(k[i - 1], w) if k[i - 1] else (0, 0)]
+        yield head + pivot + [(0, w)] + [(0, k[v]) for v in range(i, r - 1)]
+        if i < r - 1:
+            pole = [] if i == 0 else [(k[i - 1], k[i - 1])]
+            tail = [(0, k[v]) for v in range(i + 1, r - 1)]
+            yield head + pole + [(0, 0), (k[i] + 1, w)] + tail
+
+
 def enumerate_support(k: Index) -> list[tuple[Index, int]]:
     """All l with c<l|k> != 0, in composition order.
 
     By homogeneity the support sits among compositions of weight(k) into
-    length(k) non-negative parts.
+    length(k) non-negative parts; only those in some `_reachable_boxes`
+    box are tested.
     """
     k = tuple(k)
     if len(k) == 0:
         raise ArgumentError("enumerate_support requires a non-empty index")
     _check_weight(k)
+    w = weight(k)
+    candidates = {l for box in _reachable_boxes(k) for l in _box_compositions(w, box)}
     out = []
-    for l in compositions(weight(k), len(k)):
+    for l in sorted(candidates):
         c = _column_coeff(l, k)
         if c != 0:
             out.append((l, c))

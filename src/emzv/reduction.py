@@ -29,6 +29,7 @@ from .faypoly import enumerate_support
 from .relations import (
     Expression,
     Identity,
+    has_odd_singleton,
     monomial,
     parity_split,
     reflection_identity,
@@ -42,7 +43,7 @@ from .words import (
     is_admissible,
     is_zero_one,
     parity_is_even,
-    word_sort_key,
+    word_key,
 )
 
 DEFAULT_FUEL = 10_000
@@ -81,6 +82,11 @@ def is_terminal(k: Index) -> bool:
     return is_admissible(k) or is_zero_one(k)
 
 
+def nonterminal_children(step: ReductionStep) -> list[Index]:
+    """The non-terminal atoms of the step's rhs, in `word_sort_key` order."""
+    return sorted((a for a in step.identity.rhs.atoms() if not is_terminal(a)), key=word_key)
+
+
 def measure(k: Index) -> tuple[int, int, int, int]:
     """Well-founded measure: (length, #entries >= 2, rightmost >= 2 position
     from the right (1-based, 0 if none), last entry == 1)."""
@@ -110,8 +116,8 @@ def _odd_fay_split(k: Index) -> Identity:
     for s, c in enumerate_support(k):
         s0 = s + (0,)
         pairs += [(monomial((s[:i], s0[i:])), -c * split_sign(s0, i)) for i in range(1, r)]
-    rhs = Expression.collect(pairs)
-    return Identity(Expression.atom(k), rhs.drop_odd_singletons(), "reduction_step")
+    rhs = Expression._sum(((m, n) for m, n in pairs if not has_odd_singleton(m)), 1)
+    return Identity(Expression.atom(k), rhs, "reduction_step")
 
 
 def _zero_rotation(k: Index) -> Identity:
@@ -128,8 +134,8 @@ def _zero_rotation(k: Index) -> Identity:
     ext = (0,) + k
     pairs = [(monomial([ext]), 2)]
     pairs += [(monomial((ext[:i], ext[i:])), split_sign(ext, i)) for i in range(2, len(k) + 1)]
-    rhs = Expression.collect(pairs)
-    return Identity(Expression.atom(k), rhs.drop_odd_singletons(), "reduction_step")
+    rhs = Expression._sum(((m, n) for m, n in pairs if not has_odd_singleton(m)), 1)
+    return Identity(Expression.atom(k), rhs, "reduction_step")
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,39 +181,40 @@ def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, Reduct
     k = as_index(k)
     immediate: dict[Index, ReductionStep] = {}
 
-    def partial_trace() -> ReductionTrace:
-        steps = sorted(
+    def ordered_steps() -> list[ReductionStep]:
+        return sorted(
             immediate.values(),
-            key=lambda s: (measure(s.index), word_sort_key(s.index)),
+            key=lambda s: (measure(s.index), word_key(s.index)),
             reverse=True,
         )
-        return ReductionTrace(k, steps, Expression.atom(k))
+
+    def partial_trace() -> ReductionTrace:
+        return ReductionTrace(k, ordered_steps(), Expression.atom(k))
 
     def discover(atom: Index) -> None:
-        if atom in immediate or is_terminal(atom):
-            return
+        """Record the step of the unseen non-terminal atom, then its children's."""
         if len(immediate) >= fuel:
             raise FuelExhausted(
                 f"fuel exhausted after {len(immediate)} rule applications reducing {k}",
                 partial_trace(),
             )
         step = rewrite_step(atom)
-        for child in step.identity.rhs.atoms():
-            if not is_terminal(child) and measure(child) >= measure(atom):
+        children = nonterminal_children(step)
+        bound = measure(atom)
+        for child in children:
+            if measure(child) >= bound:
                 raise FuelExhausted(
                     f"termination measure did not decrease at {atom} -> {child}",
                     partial_trace(),
                 )
         immediate[atom] = step
-        for child in sorted(step.identity.rhs.atoms(), key=word_sort_key):
-            discover(child)
+        for child in children:
+            if child not in immediate:
+                discover(child)
 
-    discover(k)
-    steps = sorted(
-        immediate.values(),
-        key=lambda s: (measure(s.index), word_sort_key(s.index)),
-        reverse=True,
-    )
+    if not is_terminal(k):
+        discover(k)
+    steps = ordered_steps()
     final = Expression.atom(k)
     # Increasing measure: every child is cached before its parent asks for
     # it, so reduced_atom never recurses more than one level.  The last step
@@ -226,8 +233,8 @@ def reduced_atom(k: Index) -> Expression:
     every reduction that meets k.  Callers must have checked, as
     `reduce_index` does, that the measure decreases below k.
     """
-    rhs = rewrite_step(k).identity.rhs
-    return rhs.substitute({c: reduced_atom(c) for c in rhs.atoms() if not is_terminal(c)})
+    step = rewrite_step(k)
+    return step.identity.rhs.substitute({c: reduced_atom(c) for c in nonterminal_children(step)})
 
 
 def simplify_zero_one(expr: Expression) -> Expression:

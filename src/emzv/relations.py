@@ -2,10 +2,14 @@
 
 An Expression is a Q-linear combination of monomials, each monomial a
 multiset of index atoms standing for a formal product of values; the empty
-monomial is the unit 1.  An Identity pairs two expressions with a provenance
-tag.  Identities are emitted verbatim from their defining formulas; no
-normalization (such as rewriting an atom via reflection) is applied here, so
-each identity can be audited against its source and validated numerically.
+monomial is the unit 1.  A monomial is the tuple of its atoms in
+`word_sort_key` order, sorted through the per-process memo `word_key`, and
+`items()` lists monomials by length and then by those keys, so the JSON and
+text output and the evaluation order do not depend on how an expression was
+built.  An Identity pairs two expressions with a provenance tag.  Identities
+are emitted verbatim from their defining formulas; no normalization (such as
+rewriting an atom via reflection) is applied here, so each identity can be
+audited against its source and validated numerically.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .words import (
     shuffle,
     shuffle_combo,
     weight,
-    word_sort_key,
+    word_key,
 )
 
 Monomial = tuple[Index, ...]
@@ -40,7 +44,7 @@ class DegenerateError(ValueError):
 
 def monomial(atoms: Iterator[Index]) -> Monomial:
     """Canonical monomial: atoms sorted, empty indices (unit factors) dropped."""
-    return tuple(sorted((tuple(a) for a in atoms if len(a) > 0), key=word_sort_key))
+    return tuple(sorted((tuple(a) for a in atoms if len(a) > 0), key=word_key))
 
 
 def monomial_weight(mon: Monomial) -> int:
@@ -48,7 +52,12 @@ def monomial_weight(mon: Monomial) -> int:
 
 
 def monomial_sort_key(mon: Monomial):
-    return (len(mon), tuple(word_sort_key(a) for a in mon))
+    return (len(mon), tuple(map(word_key, mon)))
+
+
+def has_odd_singleton(mon: Monomial) -> bool:
+    """True when a factor is a length-1 index of odd weight (that value vanishes)."""
+    return any(len(a) == 1 and a[0] % 2 for a in mon)
 
 
 class Expression(Combo):
@@ -59,12 +68,12 @@ class Expression(Combo):
 
     @classmethod
     def unit(cls, coeff: Fraction | int = 1) -> "Expression":
-        return cls({(): Fraction(coeff)})
+        return cls._sum([((), coeff.numerator)], coeff.denominator)
 
     @classmethod
     def atom(cls, k: Index, coeff: Fraction | int = 1) -> "Expression":
         """Single formal value as an expression; the empty index is the unit."""
-        return cls({monomial([tuple(k)]): Fraction(coeff)})
+        return cls._sum([(monomial([k]), coeff.numerator)], coeff.denominator)
 
     def atoms(self) -> set[Index]:
         return {a for mon in self._terms for a in mon}
@@ -83,29 +92,35 @@ class Expression(Combo):
 
     def substitute(self, mapping: dict[Index, "Expression"]) -> "Expression":
         """Replace every occurrence (each power) of every atom in `mapping` by
-        its expression, all atoms in one pass."""
-        products = []
+        its expression, all atoms in one pass.
+
+        A monomial with no mapped atom passes through as it is.  Any other
+        monomial expands straight into (monomial, numerator) pairs over the
+        product of its factors' denominators, its atoms sorted with
+        `word_key`, and one `_sum` adds every pair over the lcm of those
+        denominators, so no intermediate expression is built.
+        """
+        blocks = []  # (denominator, [(monomial, numerator)]) per monomial
         for mon, n in self._terms.items():
-            product = Expression._sum([(tuple(a for a in mon if a not in mapping), n)], self._den)
-            for a in mon:
-                if a in mapping:
-                    product = product * mapping[a]
-            products.append(product)
-        # Bring every expanded monomial to the common denominator once.
-        den = math.lcm(*(p._den for p in products))
+            factors = [mapping[a] for a in mon if a in mapping]
+            if not factors:
+                blocks.append((1, [(mon, n)]))
+                continue
+            pairs = [(tuple(a for a in mon if a not in mapping), n)]
+            for f in factors:
+                pairs = [(m + fm, x * fn) for m, x in pairs for fm, fn in f._terms.items()]
+            den = math.prod(f._den for f in factors)
+            blocks.append((den, [(tuple(sorted(m, key=word_key)), x) for m, x in pairs]))
+        den = math.lcm(*(d for d, _ in blocks))
         return Expression._sum(
-            ((m, n * (den // p._den)) for p in products for m, n in p._terms.items()), den
+            ((m, x * s) for d, pairs in blocks for s in (den // d,) for m, x in pairs),
+            self._den * den,
         )
 
     def drop_odd_singletons(self) -> "Expression":
         """Remove monomials with a length-1 odd-weight factor (those values vanish)."""
         return Expression._sum(
-            (
-                (m, n)
-                for m, n in self._terms.items()
-                if not any(len(a) == 1 and a[0] % 2 == 1 for a in m)
-            ),
-            self._den,
+            ((m, n) for m, n in self._terms.items() if not has_odd_singleton(m)), self._den
         )
 
     def is_weight_homogeneous(self) -> bool:
@@ -253,8 +268,8 @@ def parity_split(k: Index) -> Identity:
         raise PreconditionError("parity split needs a non-empty index")
     if len(k) == 1:
         raise DegenerateError("length-1 indices have no non-trivial split")
-    rhs = Expression.collect(
-        (monomial((k[:i], k[i:])), Fraction(-split_sign(k, i), 2)) for i in range(1, len(k))
+    rhs = Expression._sum(
+        ((monomial((k[:i], k[i:])), -split_sign(k, i)) for i in range(1, len(k))), 2
     )
     return Identity(Expression.atom(k), rhs, "parity_split")
 
@@ -279,6 +294,8 @@ def trailing_ones(k: Index) -> Identity:
     combo = WordCombo.word(prefix)
     for _ in range(m):
         combo = shuffle_combo(WordCombo.word((1,)), combo)
-    scale = Fraction((-1) ** m, math.factorial(m))
-    rhs = Expression.collect((monomial([word + (last,)]), c * scale) for word, c in combo.items())
+    rhs = Expression._sum(
+        ((monomial([word + (last,)]), (-1) ** m * n) for word, n in combo.numerators()),
+        combo.den * math.factorial(m),
+    )
     return Identity(Expression.atom(k), rhs, "trailing_ones")

@@ -65,6 +65,20 @@ def word_sort_key(k: Index) -> tuple[int, int, Index]:
     return (len(k), sum(k), k)
 
 
+class _SortKeys(dict):
+    def __missing__(self, k: Index) -> tuple[int, int, Index]:
+        key = self[k] = word_sort_key(k)
+        return key
+
+
+#: The per-process memo behind `word_key`; `clear()` empties it.
+WORD_KEYS = _SortKeys()
+
+#: `word_sort_key` of a word (a tuple), computed once per process.  Sorting
+#: with it gives exactly the canonical order, one dict lookup per word.
+word_key = WORD_KEYS.__getitem__
+
+
 def parse_index(text: str) -> Index:
     """Parse the textual index form: comma-separated entries, `-` for empty."""
     text = text.strip()
@@ -192,7 +206,7 @@ class WordCombo(Combo):
     """Exact Q-linear combination of words."""
 
     __slots__ = ()
-    _sort_key = staticmethod(word_sort_key)
+    _sort_key = staticmethod(word_key)
 
     @classmethod
     def word(cls, w: Index, coeff: Fraction | int = 1) -> "WordCombo":

@@ -1,11 +1,18 @@
+import hashlib
+import json
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.faypoly import compositions
+from emzv import reduction
+from emzv.faypoly import compositions, enumerate_support
 from emzv.numerics import get_evaluator
 from emzv.reduction import (
     FuelExhausted,
+    ReductionStep,
     is_terminal,
     measure,
     reduce_index,
@@ -14,8 +21,18 @@ from emzv.reduction import (
     simplify_zero_one,
     verify_reduction,
 )
-from emzv.relations import Expression, monomial_weight
-from emzv.words import is_admissible, is_zero_one, weight
+from emzv.relations import Expression, Identity, monomial, monomial_weight, split_sign
+from emzv.words import (
+    WORD_KEYS,
+    WordCombo,
+    is_admissible,
+    is_zero_one,
+    reflection_sign,
+    shuffle,
+    shuffle_combo,
+    weight,
+    word_sort_key,
+)
 
 
 def A(*entries, coeff=1):
@@ -214,3 +231,107 @@ def test_simplify_zero_one():
     for mon, _ in out.items():
         for atom in mon:
             assert len(atom) < 4
+
+
+# sha256 over "index<TAB>sha256(expression json)" lines of the cold population
+# below, in canonical index order; the same digest the benchmark's
+# reduce-cold workload checks.
+COLD_POPULATION_SHA256 = "c389db4385ed4252b6cd4d415a209de02e79adcd99f36bed594de09275ab4e8f"
+
+
+def test_cold_population_digest():
+    # Every non-terminal index with weight <= 7 and length <= 4, plus those
+    # with weight <= 5 and length 5 (285), each reduced with every cache cold.
+    population = [
+        k
+        for k in all_indices(7, 5)
+        if k and (len(k) <= 4 or sum(k) <= 5) and not is_terminal(k)
+    ]
+    assert len(population) == 285
+    lines = []
+    for k in population:
+        rewrite_step.cache_clear()
+        reduced_atom.cache_clear()
+        shuffle.cache_clear()
+        WORD_KEYS.clear()
+        expr, _ = reduce_index(k)
+        digest = hashlib.sha256(json.dumps(expr.to_json_dict(), sort_keys=True).encode())
+        lines.append(f"{','.join(map(str, k))}\t{digest.hexdigest()}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == COLD_POPULATION_SHA256
+
+
+def test_measure_violation_raises_with_partial_trace(monkeypatch):
+    # (1, 1, 2, 0) parity-splits with first non-terminal child (1, 2, 0); a
+    # bogus step sends that child to (1, 3, 0), whose measure is the same.
+    start, child, bogus = (1, 1, 2, 0), (1, 2, 0), (1, 3, 0)
+    real = rewrite_step
+    assert reduction.nonterminal_children(real(start))[0] == child
+    assert not is_terminal(bogus) and measure(bogus) == measure(child)
+    fake = ReductionStep(
+        "parity_split", child, Identity(Expression.atom(child), Expression.atom(bogus), "bogus")
+    )
+    monkeypatch.setattr(reduction, "rewrite_step", lambda k: fake if k == child else real(k))
+    try:
+        with pytest.raises(FuelExhausted) as info:
+            reduce_index(start)
+    finally:
+        reduced_atom.cache_clear()
+    message = str(info.value)
+    assert "measure did not decrease" in message
+    assert str(child) in message and str(bogus) in message
+    assert info.value.trace.start == start
+    assert info.value.trace.steps == [real(start)]
+
+
+def _reference_rhs(step: ReductionStep) -> Expression:
+    """The step's rhs from its defining formula, through Fraction
+    coefficients, `Expression.collect` and `drop_odd_singletons`."""
+    k, r = step.index, len(step.index)
+    if step.rule == "reflect":
+        return Expression.collect([(monomial([k[::-1]]), Fraction(reflection_sign(k)))])
+    if step.rule == "trailing_ones":
+        n = max(i for i, e in enumerate(k) if e != 1) + 1
+        combo = WordCombo.word(k[: n - 1])
+        for _ in range(r - n):
+            combo = shuffle_combo(WordCombo.word((1,)), combo)
+        scale = Fraction((-1) ** (r - n), math.factorial(r - n))
+        return Expression.collect((monomial([w + (k[n - 1],)]), c * scale) for w, c in combo.items())
+    if step.rule == "parity_split":
+        return Expression.collect(
+            (monomial((k[:i], k[i:])), Fraction(-split_sign(k, i), 2)) for i in range(1, r)
+        )
+    if step.rule == "odd_fay_split":
+        kp = k[:-1] + (0, k[-1])
+        pairs = [(monomial((kp[:i], kp[i:])), -split_sign(kp, i)) for i in range(1, r + 1)]
+        for s, c in enumerate_support(k):
+            s0 = s + (0,)
+            pairs += [(monomial((s[:i], s0[i:])), -c * split_sign(s0, i)) for i in range(1, r)]
+    else:
+        assert step.rule == "zero_rotation", step.rule
+        ext = (0,) + k
+        pairs = [(monomial([ext]), 2)]
+        pairs += [(monomial((ext[:i], ext[i:])), split_sign(ext, i)) for i in range(2, r + 1)]
+    return Expression.collect(pairs).drop_odd_singletons()
+
+
+def _canonical_monomial_key(mon):
+    return (len(mon), [word_sort_key(a) for a in mon])
+
+
+def test_rule_identities_in_canonical_integer_form():
+    for k in all_indices(8, 5):
+        if is_terminal(k):
+            continue
+        step = rewrite_step(k)
+        assert step.identity.lhs == Expression.collect([(monomial([k]), 1)]), k
+        rhs = step.identity.rhs
+        pairs = rhs.numerators()
+        nums = [n for _, n in pairs]
+        assert all(nums) and math.gcd(rhs.den, *nums) == 1, k
+        mons = [m for m, _ in pairs]
+        assert mons == sorted(mons, key=_canonical_monomial_key), k
+        for m in mons:
+            assert list(m) == sorted(m, key=word_sort_key), (k, m)
+            if step.rule in ("odd_fay_split", "zero_rotation"):
+                assert not any(len(a) == 1 and a[0] % 2 for a in m), (k, m)
+        assert rhs == _reference_rhs(step), k
