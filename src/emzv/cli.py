@@ -82,6 +82,11 @@ def _load_config(args) -> NumericsConfig:
     return DEFAULT_CONFIG
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise ArgumentError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _indices_within(max_weight: int, max_length: int, min_length: int = 1):
     for r in range(min_length, max_length + 1):
         for w in range(max_weight + 1):
@@ -89,6 +94,7 @@ def _indices_within(max_weight: int, max_length: int, min_length: int = 1):
 
 
 def cmd_reduce(args) -> int:
+    _check_tol(args.tol)
     index = parse_index(args.index)
     expr, trace = reduce_index(index, fuel=args.fuel)
     verify_report = None
@@ -239,6 +245,7 @@ def _family_instances(family: str, args, cfg: NumericsConfig):
 
 
 def cmd_verify(args) -> int:
+    _check_tol(args.tol)
     cfg = _load_config(args)
     instances = list(_family_instances(args.family, args, cfg))
 

@@ -18,19 +18,20 @@ half [0, 1/2].  A sweep of a word w is
   B_w(x) = int_{x < z_1 < ... < z_m < 1/2} f_{w_1}(z_1) ... f_{w_m}(z_m),
 
 computed from B_{w[1:]} on the nodes by one backward pass of composite
-Gauss-Legendre panels, and cached per (split, word) at every lower-half
-breakpoint x.  The node values themselves are kept per (split, word) only
-for words of length <= NODE_CACHE_LENGTH, the tails that most words end in;
-those of longer words are rebuilt from them when a Chen sum needs them.
-Chen's identity at 1/2 and the reflection f_n(1 - z) = (-1)^n f_n(z) give
-the cut integral at a breakpoint eps:
+Gauss-Legendre panels.  When w does not start with 1, B_w(0) is cached per
+(split, word) as the sweep runs.  The node values themselves are kept per
+(split, word) only for words of length <= NODE_CACHE_LENGTH, the tails that
+most words end in; those of longer words are rebuilt from them when a Chen
+sum needs them.  Chen's identity at 1/2 and the reflection
+f_n(1 - z) = (-1)^n f_n(z) give the integral over the whole simplex:
 
-  T(eps) = sum_{j=0..r} B_{k[:j]}(eps) (-1)^{|k[j:]|} B_{rev(k[j:])}(eps).
+  I(k) = sum_{j=0..r} B_{k[:j]}(0) (-1)^{|k[j:]|} B_{rev(k[j:])}(0).
 
 Only f_1 has a pole on [0, 1], so B_w(0) converges unless w starts with 1.
-Every value is the sum at eps = 0 with each B_w(0) replaced by its shuffle
-regularization (see Evaluator._reg), computed on panel splits 1 and 2; the
-gap between the two is its error estimate.
+Every value is this sum with each B_w(0) replaced by its shuffle
+regularization (see Evaluator._reg), which is B_w(0) itself where that
+converges, computed on panel splits 1 and 2; the gap between the two is its
+error estimate.
 
 The backward pass integrates node to panel end as the panel integral minus
 the antiderivative collocation A.  Gauss-Legendre collocation satisfies
@@ -41,6 +42,7 @@ definition up to rounding.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import re
@@ -66,6 +68,9 @@ POLE_TOLERANCE = 1e-8
 #: value per lower-half node each.  Short words are the tails that many
 #: longer words share; longer ones are reused far less for the memory they hold.
 NODE_CACHE_LENGTH = 2
+#: Evaluators that get_evaluator keeps, least recently used dropped first;
+#: each holds its letters, node values and values while it is kept.
+EVALUATOR_CACHE_SIZE = 8
 
 
 class NonConvergence(ArithmeticError):
@@ -244,6 +249,13 @@ def lattice_distance(x: complex, tau: Tau) -> float:
     return abs(da + db * t)
 
 
+def _check_poles(points, tau: Tau, name: str) -> None:
+    """PoleError at the first point within POLE_TOLERANCE of the lattice."""
+    for x in np.ravel(points):
+        if lattice_distance(complex(x), tau) < POLE_TOLERANCE:
+            raise PoleError(f"{name} = {x} is within tolerance of a lattice point")
+
+
 # Rows of z per theta(z + alpha) call in _kronecker_grid: the theta series
 # keeps several temporaries of its argument's shape, so a whole grid of
 # nodes x circle samples would multiply the evaluator's peak memory.
@@ -273,12 +285,8 @@ def kronecker_f(alpha, z, tau):
     alpha_arr, z_arr = np.broadcast_arrays(
         np.asarray(alpha, dtype=complex), np.asarray(z, dtype=complex)
     )
-    for x in alpha_arr.ravel():
-        if lattice_distance(complex(x), tau) < POLE_TOLERANCE:
-            raise PoleError(f"alpha = {x} is within tolerance of a lattice point")
-    for x in z_arr.ravel():
-        if lattice_distance(complex(x), tau) < POLE_TOLERANCE:
-            raise PoleError(f"z = {x} is within tolerance of a lattice point")
+    _check_poles(alpha_arr, tau, "alpha")
+    _check_poles(z_arr, tau, "z")
     value = _kronecker_grid(
         z_arr.ravel(), alpha_arr.reshape(-1, 1), tau, theta_prime0(tau)
     ).reshape(alpha_arr.shape)
@@ -332,7 +340,6 @@ class PanelGrid:
         self.breakpoints = np.array(bp)
         self.order = order
         xg, self._wg, self._amat = _legendre_antiderivative_matrix(order)
-        self._index = {float(v): i for i, v in enumerate(self.breakpoints)}
         self.n_panels = len(self.breakpoints) - 1
         assert self.n_panels % 2 == 0
         lower = self.breakpoints[: self.n_panels // 2 + 1]
@@ -340,24 +347,17 @@ class PanelGrid:
         mid = (lower[1:] + lower[:-1]) / 2.0
         self.lower_nodes = (mid[:, None] + self._half[:, None] * xg[None, :]).ravel()
 
-    def panel_range(self, lo: float, hi: float) -> tuple[int, int]:
-        try:
-            return self._index[float(lo)], self._index[float(hi)]
-        except KeyError as exc:
-            raise ArgumentError(f"[{lo}, {hi}] is not aligned with the grid") from exc
-
-    def sweep(self, letter: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def sweep(self, letter: np.ndarray, inner: np.ndarray) -> tuple[complex, np.ndarray]:
         """One backward pass over the lower half: int_x^{1/2} letter * inner.
 
         `letter` and `inner` hold values on the lower-half nodes.  Returns
-        the integral at every lower-half breakpoint x (0 at x = 1/2) and at
-        every lower-half node.
+        the integral at x = 0 and at every lower-half node.
         """
         h = (letter * inner).reshape(-1, self.order)
         panel_ints = self._half * (h @ self._wg)
-        tails = np.append(np.cumsum(panel_ints[::-1])[::-1], 0.0)
-        nodes = (tails[:-1, None] - self._half[:, None] * (h @ self._amat.T)).ravel()
-        return tails, nodes
+        tails = np.cumsum(panel_ints[::-1])[::-1]  # from each panel's start to 1/2
+        nodes = (tails[:, None] - self._half[:, None] * (h @ self._amat.T)).ravel()
+        return complex(tails[0]), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +375,13 @@ class Evaluator:
         # highest letter order the Cauchy extraction resolves: 2 n + 8 <= circle_samples
         self._top = (cfg.circle_samples - 8) // 2
         self._grids: dict[int, PanelGrid] = {}
-        self._letters: dict[tuple[int, int], np.ndarray] = {}  # (split, n) -> values
-        # split -> the circle transform on the lower-half nodes, column n
-        # for letter n = 0.._top only (see _cauchy)
-        self._circle: dict[int, np.ndarray] = {}
+        # split -> letters f_0.._top on the lower-half nodes
+        self._letters: dict[int, list[np.ndarray]] = {}
         self._values: dict[Index, complex] = {}
-        # (split, word) -> B_word at the lower-half breakpoints
-        self._sweeps: dict[tuple[int, Index], np.ndarray] = {}
         # (split, word) -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
         self._nodes: dict[tuple[int, Index], np.ndarray] = {}
-        # (split, word) -> the shuffle-regularized B_word(0)
+        # (split, word) -> the shuffle-regularized B_word(0); set by _sweep
+        # for every swept word that does not start with 1
         self._regs: dict[tuple[int, Index], complex] = {}
 
     def grid(self, split: int = 1) -> PanelGrid:
@@ -414,16 +411,13 @@ class Evaluator:
 
     def letters(self, n: int, split: int = 1) -> np.ndarray:
         """Values of the letter f_n on the lower-half grid nodes."""
-        key = (split, n)
-        if key not in self._letters:
-            self._check_letter(n)
-            if split not in self._circle:
-                grid = self.grid(split)
-                self._circle[split] = self._cauchy(
-                    grid.lower_nodes, self.cfg.circle_samples, self._top
-                )
-            self._letters[key] = self._coefficient(self._circle[split], n)
-        return self._letters[key]
+        self._check_letter(n)
+        if split not in self._letters:
+            transform = self._cauchy(
+                self.grid(split).lower_nodes, self.cfg.circle_samples, self._top
+            )
+            self._letters[split] = [self._coefficient(transform, m) for m in range(self._top + 1)]
+        return self._letters[split][n]
 
     def f_n(self, n: int, z):
         """Letter f_n at arbitrary points by a one-off Cauchy extraction,
@@ -431,9 +425,7 @@ class Evaluator:
         cfg = self.cfg
         self._check_letter(n)
         zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-        for x in zz:
-            if lattice_distance(complex(x), self.tau) < POLE_TOLERANCE:
-                raise PoleError(f"z = {x} is within tolerance of a lattice point")
+        _check_poles(zz, self.tau, "z")
         base = self._coefficient(self._cauchy(zz, cfg.circle_samples, n), n)
         doubled = self._coefficient(self._cauchy(zz, 2 * cfg.circle_samples, n), n)
         if float(np.max(np.abs(base - doubled))) > 1e-9:
@@ -446,26 +438,19 @@ class Evaluator:
 
     def _sweep(self, word: Index, split: int, scratch: dict) -> np.ndarray:
         """B_word on the lower-half nodes, from B_word[1:] by one backward
-        pass; caches B_word at the breakpoints.  Node values of words up to
-        NODE_CACHE_LENGTH are kept by the evaluator, so each of them is swept
-        once; `scratch` holds those of longer words for one Chen sum and is
-        dropped with it."""
+        pass; caches B_word(0) in _regs unless word starts with 1 (where it
+        diverges).  Node values of words up to NODE_CACHE_LENGTH are kept by
+        the evaluator, so each of them is swept once; `scratch` holds those
+        of longer words for one Chen sum and is dropped with it."""
         key = (split, word)
         grid = self.grid(split)  # seeds the empty word's node values
         store = self._nodes if len(word) <= NODE_CACHE_LENGTH else scratch
         if key not in store:
             inner = self._sweep(word[1:], split, scratch)
-            tails, store[key] = grid.sweep(self.letters(word[0], split), inner)
-            self._sweeps[key] = tails
+            at_zero, store[key] = grid.sweep(self.letters(word[0], split), inner)
+            if word[0] != 1:
+                self._regs[key] = at_zero
         return store[key]
-
-    def _tail(self, word: Index, split: int, row: int, scratch: dict) -> complex:
-        """B_word at the lower-half breakpoint of index `row`."""
-        if not word:
-            return 1.0
-        if (split, word) not in self._sweeps:
-            self._sweep(word, split, scratch)
-        return complex(self._sweeps[(split, word)][row])
 
     def _reg(self, word: Index, split: int, scratch: dict) -> complex:
         """B_word(0), shuffle-regularized where word starts with 1.
@@ -477,17 +462,19 @@ class Evaluator:
         reg B_{1^a y w} = sum_{i<=a} (reg B_1)^i / i! (-1)^(a-i)
         sum_{s in 1^(a-i) sh w} B_{y s}(0), whose words all converge at 0.
         """
+        if not word:
+            return 1.0
         key = (split, word)
+        if key not in self._regs and word[0] != 1:
+            self._sweep(word, split, scratch)  # stores B_word(0) in _regs
         if key not in self._regs:
             ones = next((i for i, n in enumerate(word) if n != 1), len(word))
-            if ones == 0:
-                value = self._tail(word, split, 0, scratch)
-            elif word == (1,):
+            if word == (1,):
                 grid = self.grid(split)
-                tails, _ = grid.sweep(
+                at_zero, _ = grid.sweep(
                     self.letters(1, split) - 1.0 / grid.lower_nodes, self._nodes[(split, ())]
                 )
-                value = complex(tails[0]) + complex(math.log(math.pi), -math.pi / 2)
+                value = at_zero + complex(math.log(math.pi), -math.pi / 2)
             elif ones == len(word):
                 value = self._reg((1,), split, scratch) ** ones / math.factorial(ones)
             else:
@@ -537,16 +524,6 @@ class Evaluator:
         """Shuffle-regularized value (I(1) = 0) and its split gap."""
         return self._value(as_index(k))
 
-    def cut_integral(self, k: Index, eps: float, split: int = 1) -> complex:
-        """T(eps): iterated integral over eps < z_1 < ... < z_r < 1 - eps,
-        for a grid breakpoint eps in [0, 1/2]."""
-        grid = self.grid(split)
-        row, _ = grid.panel_range(eps, 1.0 - eps)
-        if row > grid.n_panels // 2:
-            raise ArgumentError(f"eps = {eps} lies above 1/2")
-        scratch: dict[tuple[int, Index], np.ndarray] = {}
-        return complex(self._chen(as_index(k), lambda w: self._tail(w, split, row, scratch)))
-
     # -- values and expressions
 
     def value(self, k: Index) -> complex:
@@ -571,16 +548,15 @@ class Evaluator:
         return total
 
 
-_EVALUATORS: dict[tuple[complex, NumericsConfig], Evaluator] = {}
+@functools.lru_cache(maxsize=EVALUATOR_CACHE_SIZE)
+def _evaluator(tau: complex, cfg: NumericsConfig) -> Evaluator:
+    return Evaluator(tau, cfg)
 
 
 def get_evaluator(tau, cfg: NumericsConfig | None = None) -> Evaluator:
-    tau = as_tau(tau)
-    cfg = cfg or DEFAULT_CONFIG
-    key = (tau.tau, cfg)
-    if key not in _EVALUATORS:
-        _EVALUATORS[key] = Evaluator(tau, cfg)
-    return _EVALUATORS[key]
+    """The shared Evaluator for (tau, cfg), kept for the EVALUATOR_CACHE_SIZE
+    most recently used pairs."""
+    return _evaluator(as_tau(tau).tau, cfg or DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------

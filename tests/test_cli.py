@@ -69,6 +69,25 @@ def test_nonpositive_fuel_exit_code(capsys, command):
     assert err.startswith("error: ") and "fuel must be positive" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("reduce", "--index", "2,1", "--verify"),
+        ("verify", "--family", "reflection", "--tau", "0+1i"),
+    ],
+)
+def test_bad_tol_exit_code(capsys, command, tol):
+    code, out, err = run(capsys, *command, "--tol", tol)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "tol must be finite and >= 0" in err
+
+
+def test_zero_tol_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "prop-mat", "--max-weight", "3", "--tol", "0")
+    assert code == 0 and out
+
+
 REMOVED_CONFIG_KEYS = (
     "max_iint_length",
     "theta_max_terms",
