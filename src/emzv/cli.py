@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
+import tempfile
 import time
 from typing import Callable, Iterable
 
@@ -27,7 +29,7 @@ from .numerics import (
 )
 from .reduction import FuelExhausted, reduce_index
 from .relations import (
-    Expression,
+    atom_json,
     fay_identity,
     parity_split,
     prop_mat_identity,
@@ -296,26 +298,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    lines = []
-    for k in _indices_within(args.max_weight, args.max_length, min_length=0):
-        expr, trace = reduce_index(k, fuel=args.fuel)
-        lines.append(
-            json.dumps(
-                {
-                    "index": list(k),
-                    "expression": expr.to_json_dict(),
-                    "trace_len": len(trace.steps),
-                    "terminal": len(trace.steps) == 0,
-                },
-                sort_keys=True,
+    """Write one JSON line per index within bounds, each the bytes of
+    `json.dumps({"expression", "index", "terminal", "trace_len"},
+    sort_keys=True)`.  Rows stream into an anonymous temporary file, which
+    is copied out only once the table completes, so a failure writes
+    nothing."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as rows:
+        for k in _indices_within(args.max_weight, args.max_length, min_length=0):
+            expr, trace = reduce_index(k, fuel=args.fuel)
+            n = len(trace.steps)
+            rows.write(
+                f'{{"expression": {{"terms": {expr.terms_json()}}}, "index": {atom_json(k)}, '
+                f'"terminal": {"false" if n else "true"}, "trace_len": {n}}}\n'
             )
-            + "\n"
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+        rows.seek(0)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                shutil.copyfileobj(rows, fh)
+        else:
+            shutil.copyfileobj(rows, sys.stdout)
     return EXIT_OK
 
 

@@ -157,6 +157,37 @@ def rewrite_step(k: Index) -> ReductionStep:
     return ReductionStep("zero_rotation", k, _zero_rotation(k))
 
 
+def _ordered_steps(immediate: dict[Index, ReductionStep]) -> list[ReductionStep]:
+    """The recorded steps in decreasing (measure, word_key) order."""
+    return sorted(
+        immediate.values(), key=lambda s: (measure(s.index), word_key(s.index)), reverse=True
+    )
+
+
+def _discover(start: Index, atom: Index, immediate: dict[Index, ReductionStep], fuel: int) -> None:
+    """Record the step of the unseen non-terminal atom in `immediate`, then
+    its children's.  On running out of fuel or a measure that fails to
+    decrease, raise FuelExhausted with the partial trace of `start`."""
+    if len(immediate) >= fuel:
+        raise FuelExhausted(
+            f"fuel exhausted after {len(immediate)} rule applications reducing {start}",
+            ReductionTrace(start, _ordered_steps(immediate), Expression.atom(start)),
+        )
+    step = rewrite_step(atom)
+    children = nonterminal_children(step)
+    bound = measure(atom)
+    for child in children:
+        if measure(child) >= bound:
+            raise FuelExhausted(
+                f"termination measure did not decrease at {atom} -> {child}",
+                ReductionTrace(start, _ordered_steps(immediate), Expression.atom(start)),
+            )
+    immediate[atom] = step
+    for child in children:
+        if child not in immediate:
+            _discover(start, child, immediate, fuel)
+
+
 def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, ReductionTrace]:
     """Rewrite I(k) into an expression over admissible and {0,1} atoms.
 
@@ -180,41 +211,9 @@ def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, Reduct
         raise ArgumentError(f"fuel must be positive, got {fuel}")
     k = as_index(k)
     immediate: dict[Index, ReductionStep] = {}
-
-    def ordered_steps() -> list[ReductionStep]:
-        return sorted(
-            immediate.values(),
-            key=lambda s: (measure(s.index), word_key(s.index)),
-            reverse=True,
-        )
-
-    def partial_trace() -> ReductionTrace:
-        return ReductionTrace(k, ordered_steps(), Expression.atom(k))
-
-    def discover(atom: Index) -> None:
-        """Record the step of the unseen non-terminal atom, then its children's."""
-        if len(immediate) >= fuel:
-            raise FuelExhausted(
-                f"fuel exhausted after {len(immediate)} rule applications reducing {k}",
-                partial_trace(),
-            )
-        step = rewrite_step(atom)
-        children = nonterminal_children(step)
-        bound = measure(atom)
-        for child in children:
-            if measure(child) >= bound:
-                raise FuelExhausted(
-                    f"termination measure did not decrease at {atom} -> {child}",
-                    partial_trace(),
-                )
-        immediate[atom] = step
-        for child in children:
-            if child not in immediate:
-                discover(child)
-
     if not is_terminal(k):
-        discover(k)
-    steps = ordered_steps()
+        _discover(k, k, immediate, fuel)
+    steps = _ordered_steps(immediate)
     final = Expression.atom(k)
     # Increasing measure: every child is cached before its parent asks for
     # it, so reduced_atom never recurses more than one level.  The last step

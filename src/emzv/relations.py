@@ -60,6 +60,28 @@ def has_odd_singleton(mon: Monomial) -> bool:
     return any(len(a) == 1 and a[0] % 2 for a in mon)
 
 
+def coef_text(n: int, den: int) -> str:
+    """`str(Fraction(n, den))` for `den > 0`, without building the Fraction."""
+    if den == 1:
+        return str(n)
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+class _AtomTexts(dict):
+    def __missing__(self, a: Index) -> str:
+        text = self[a] = json.dumps(list(a))
+        return text
+
+
+#: The per-process memo behind `atom_json`; `clear()` empties it.
+ATOM_TEXTS = _AtomTexts()
+
+#: `json.dumps(list(a))` of an index a, such as "[1, 2]", computed once per
+#: process.
+atom_json = ATOM_TEXTS.__getitem__
+
+
 class Expression(Combo):
     """Exact Q-linear combination of monomials of index atoms."""
 
@@ -134,12 +156,26 @@ class Expression(Combo):
         return None
 
     def to_json_dict(self) -> dict:
+        den = self._den
         return {
             "terms": [
-                {"coef": str(c), "atoms": [list(a) for a in m]}
-                for m, c in self.items()
+                {"coef": coef_text(n, den), "atoms": [list(a) for a in m]}
+                for m, n in self.numerators()
             ]
         }
+
+    def terms_json(self) -> str:
+        """`json.dumps(self.to_json_dict()["terms"], sort_keys=True)`, written
+        straight from the numerators with one memoised text per atom."""
+        den = self._den
+        return (
+            "["
+            + ", ".join(
+                '{"atoms": [' + ", ".join(map(atom_json, m)) + '], "coef": "' + coef_text(n, den) + '"}'
+                for m, n in self.numerators()
+            )
+            + "]"
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Expression":
@@ -154,13 +190,15 @@ class Expression(Combo):
     def to_text(self) -> str:
         if not self._terms:
             return "0"
+        den = self._den
         parts = []
-        for m, c in self.items():
+        for m, n in self.numerators():
+            c = coef_text(n, den)
             if m:
                 atoms = "*".join("I(" + ",".join(str(e) for e in a) + ")" for a in m)
                 parts.append(f"{c} * {atoms}")
             else:
-                parts.append(f"{c}")
+                parts.append(c)
         return " + ".join(parts)
 
     def __repr__(self) -> str:

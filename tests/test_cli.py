@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -310,23 +311,40 @@ def test_table_counts_and_determinism(tmp_path, capsys):
     assert not by_index[(2, 1)]["terminal"]
 
 
-def test_table_fuel_exit_code_writes_nothing(tmp_path, capsys):
+# sha256 of the `emzv table` output bytes, as the benchmark records them.
+TABLE_SHA256 = {
+    (5, 3): "8e56ef7ebf16181195978f64ad148ce9db7c88457280ca1e73899fc872d47564",
+    (8, 4): "0b715709407a4c73c928e4fae628ff1644814d97604d13e045d14b80b124bab7",
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(TABLE_SHA256))
+def test_table_golden_digests(tmp_path, capsys, bounds):
+    argv = ["table", "--max-weight", str(bounds[0]), "--max-length", str(bounds[1])]
     path = tmp_path / "table.jsonl"
-    code, _, err = run(
-        capsys,
-        "table",
-        "--max-weight",
-        "4",
-        "--max-length",
-        "3",
-        "--fuel",
-        "1",
-        "--out",
-        str(path),
-    )
-    assert code == 3
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TABLE_SHA256[bounds]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_SHA256[bounds]
+
+
+def test_table_fuel_exit_code_writes_nothing(tmp_path, capsys):
+    argv = ["table", "--max-weight", "4", "--max-length", "3", "--fuel", "1"]
+    path = tmp_path / "table.jsonl"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 3 and out == ""
     assert "fuel" in err
     assert not path.exists()
+    # An --out file that already existed keeps its bytes, and no file
+    # appears beside it.
+    path.write_bytes(b"an earlier table\n")
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 3 and out == "" and "fuel" in err
+    assert path.read_bytes() == b"an earlier table\n"
+    assert list(tmp_path.iterdir()) == [path]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "fuel" in err
 
 
 def test_selftest(capsys):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -258,6 +259,26 @@ def test_cold_population_digest():
         digest = hashlib.sha256(json.dumps(expr.to_json_dict(), sort_keys=True).encode())
         lines.append(f"{','.join(map(str, k))}\t{digest.hexdigest()}\n")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == COLD_POPULATION_SHA256
+
+
+def test_cold_reductions_leave_no_reference_cycles():
+    # reduce_index passes its state explicitly instead of through closures,
+    # so reference counting alone frees what a reduction leaves behind.
+    indices = [(2, 1), (1, 1, 2), (2, 1, 1), (1, 0, 3), (1, 2, 0, 2), (1, 2, 0, 2, 3)]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for k in indices:
+            rewrite_step.cache_clear()
+            reduced_atom.cache_clear()
+            shuffle.cache_clear()
+            WORD_KEYS.clear()
+            reduce_index(k)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_measure_violation_raises_with_partial_trace(monkeypatch):

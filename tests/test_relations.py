@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emzv.relations import (
@@ -177,6 +177,33 @@ def test_expression_json_roundtrip_prints_fraction_text(terms):
     back = Expression.from_json_dict(data)
     assert back == expr and hash(back) == hash(expr)
     assert_canonical(back)
+
+
+# Atoms with entries >= 10 and coefficients with either sign and any
+# denominator up to 720, for the renderers built from integer numerators.
+RENDER_ATOMS = st.lists(st.integers(0, 30), min_size=1, max_size=4).map(tuple)
+RENDER_TERMS = st.dictionaries(
+    st.lists(RENDER_ATOMS, max_size=3).map(monomial),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 720)),
+    max_size=6,
+)
+
+
+@given(RENDER_TERMS)
+@example({})
+@example({(): Fraction(1)})
+@example({(): Fraction(-7, 3), ((12, 0, 1),): Fraction(5, 6), ((2,), (10, 11)): Fraction(-4)})
+@settings(deadline=None)
+def test_renderers_match_json_dumps_and_fraction_text(terms):
+    expr = Expression(terms)
+    data = expr.to_json_dict()
+    assert [t["coef"] for t in data["terms"]] == [str(c) for _, c in expr.items()]
+    assert expr.terms_json() == json.dumps(data["terms"], sort_keys=True)
+    reference = " + ".join(
+        f"{c} * " + "*".join("I(" + ",".join(map(str, a)) + ")" for a in m) if m else str(c)
+        for m, c in expr.items()
+    )
+    assert expr.to_text() == (reference or "0")
 
 
 def test_expression_drop_odd_singletons():
