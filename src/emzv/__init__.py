@@ -4,6 +4,10 @@ The package rewrites any regularized value I(k_1, ..., k_r) into a rational
 polynomial in values with admissible indices and values whose indices use
 only the letters 0 and 1, and independently validates every emitted identity
 by evaluating theta-function integrals.
+
+The exact side (words, faypoly, relations, reduction) is pure Python.  The
+numeric names (Evaluator, get_evaluator, parse_tau, ...) load emzv.numerics,
+and with it numpy, on first use.
 """
 
 from .words import (
@@ -41,20 +45,38 @@ from .reduction import (
     simplify_zero_one,
     verify_reduction,
 )
-from .numerics import (
-    Evaluator,
-    NumericsConfig,
-    Tau,
-    emzv_admissible,
-    emzv_regularized,
-    eval_expression,
-    f_n,
-    get_evaluator,
-    kronecker_f,
-    parse_tau,
-    theta,
-    theta_prime0,
-    zeta,
+
+# The numeric layer imports numpy.  Its names load it on first use (PEP 562),
+# so the exact side never does.
+_NUMERICS = (
+    "Evaluator",
+    "NumericsConfig",
+    "Tau",
+    "emzv_admissible",
+    "emzv_regularized",
+    "eval_expression",
+    "f_n",
+    "get_evaluator",
+    "kronecker_f",
+    "parse_tau",
+    "theta",
+    "theta_prime0",
+    "zeta",
 )
+
+# The exact names imported above (the submodules, not callable, are left out)
+# and the numeric ones.
+__all__ = [
+    name for name, value in globals().items() if not name.startswith("_") and callable(value)
+] + list(_NUMERICS)
+
+
+def __getattr__(name: str):
+    if name in _NUMERICS:
+        from . import numerics
+
+        return getattr(numerics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -3,6 +3,9 @@ families, and emit reduction tables as JSON lines.
 
 Exit codes: 0 success, 2 argument/parse error, 3 fuel exhausted,
 4 numeric failure, 5 verification failure.
+
+The numeric layer (emzv.numerics, and with it numpy) is imported only where
+numbers are computed: `eval`, `verify`, `selftest` and `reduce --verify`.
 """
 
 from __future__ import annotations
@@ -14,19 +17,9 @@ import shutil
 import sys
 import tempfile
 import time
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .faypoly import compositions
-from .numerics import (
-    DEFAULT_CONFIG,
-    NumericsConfig,
-    get_evaluator,
-    kronecker_f,
-    parse_config_file,
-    parse_tau,
-)
 from .reduction import FuelExhausted, reduce_index
 from .relations import (
     atom_json,
@@ -45,6 +38,9 @@ from .words import (
     parity_is_even,
     weight,
 )
+
+if TYPE_CHECKING:
+    from .numerics import NumericsConfig
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -79,6 +75,8 @@ def _complex_json(value: complex) -> dict:
 
 
 def _load_config(args) -> NumericsConfig:
+    from .numerics import DEFAULT_CONFIG, parse_config_file
+
     if getattr(args, "config", None):
         return parse_config_file(args.config)
     return DEFAULT_CONFIG
@@ -101,6 +99,8 @@ def cmd_reduce(args) -> int:
     expr, trace = reduce_index(index, fuel=args.fuel)
     verify_report = None
     if args.verify:
+        from .numerics import get_evaluator, parse_tau
+
         cfg = _load_config(args)
         tau = parse_tau(args.tau)
         ev = get_evaluator(tau, cfg)
@@ -148,6 +148,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .numerics import get_evaluator, parse_tau
+
     index = parse_index(args.index)
     tau = parse_tau(args.tau)
     value, estimate = get_evaluator(tau, _load_config(args)).regularized(index)
@@ -160,6 +162,10 @@ def cmd_eval(args) -> int:
 
 def _family_instances(family: str, args, cfg: NumericsConfig):
     """Yield (descriptor, callable) pairs; callables return (lhs, rhs) values."""
+    import numpy as np
+
+    from .numerics import get_evaluator, kronecker_f, parse_tau
+
     mw, ml = args.max_weight, args.max_length
     tau = parse_tau(args.tau) if args.tau else None
     ev = get_evaluator(tau, cfg) if tau is not None else None
@@ -321,6 +327,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .numerics import get_evaluator, parse_tau
+
     cfg = _load_config(args)
     checks: list[tuple[str, Callable[[], bool]]] = []
 

@@ -91,13 +91,23 @@ class ToleranceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Tau:
-    """A point of the upper half-plane."""
+    """A point of the upper half-plane, taken mod 1.
+
+    Every value here depends on tau only through q = e^{2 pi i tau}, so a
+    real part x outside [-1/2, 1/2] is replaced by x - round(x), which is
+    exact in floating point; a real part inside is kept bit for bit.  At a
+    large x, e^{2 pi i x} itself would be rounding noise."""
 
     tau: complex
 
     def __post_init__(self):
-        if not (self.tau.imag > 0):
+        x, y = self.tau.real, self.tau.imag
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ArgumentError(f"tau must be finite, got {self.tau}")
+        if not y > 0:
             raise ArgumentError(f"tau must have positive imaginary part, got {self.tau}")
+        if abs(x) > 0.5:
+            object.__setattr__(self, "tau", complex(x - round(x), y))
 
     @property
     def q(self) -> complex:

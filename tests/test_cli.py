@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import emzv
+import emzv.numerics
 from emzv.cli import main
 
 
@@ -351,3 +357,102 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("taus", [("1.5+1i", "-0.5+1i"), ("1e300+1i", "0+1i")])
+def test_eval_takes_tau_mod_one(capsys, taus):
+    outs = [run(capsys, "eval", "--index", "2,0,3", f"--tau={tau}", "--format", "json") for tau in taus]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+def test_reduce_verify_reports_reduced_tau(capsys):
+    argv = ["reduce", "--index", "2,1", "--verify", "--format", "json", "--tau"]
+    code, out, _ = run(capsys, *argv, "2.25+1i")
+    assert code == 0
+    assert json.loads(out)["verify"]["tau"] == str(0.25 + 1j)
+    assert run(capsys, *argv, "0.25+1i") == (code, out, "")
+
+
+def test_non_finite_tau_exit_code(capsys):
+    code, out, err = run(capsys, "eval", "--index", "2", "--tau", "1e400+1i")
+    assert code == 2 and out == "" and "finite" in err
+
+
+# --- The import boundary: the exact side never loads the numeric layer.
+# Each check runs in a fresh interpreter, since this session has numpy.
+
+SRC = str(Path(emzv.__file__).resolve().parents[1])
+
+
+def fresh(script: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["table", "--max-weight", "5", "--max-length", "3"],
+        ["reduce", "--index", "1,2,0,3"],
+    ],
+)
+def test_exact_commands_leave_numerics_unloaded(argv):
+    done = fresh(
+        "import sys\n"
+        "import emzv.cli\n"
+        f"assert {argv!r} is None or emzv.cli.main({argv!r}) == 0\n"
+        "print(sorted({'numpy', 'emzv.numerics'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "[]\n"
+
+
+def test_numeric_commands_load_numerics_in_a_fresh_interpreter():
+    commands = [
+        ["reduce", "--index", "1,2,0", "--verify"],
+        ["eval", "--index", "2,0,3", "--tau", "0+1i"],
+        ["verify", "--family", "kronecker", "--tol", "1e-9"],
+        ["selftest"],
+    ]
+    done = fresh(
+        "import sys\n"
+        "from emzv.cli import main\n"
+        f"sys.exit(max(main(argv) for argv in {commands!r}))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert "FAIL" not in done.stdout
+
+
+NUMERIC_NAMES = (
+    "Evaluator",
+    "NumericsConfig",
+    "Tau",
+    "emzv_admissible",
+    "emzv_regularized",
+    "eval_expression",
+    "f_n",
+    "get_evaluator",
+    "kronecker_f",
+    "parse_tau",
+    "theta",
+    "theta_prime0",
+    "zeta",
+)
+
+
+def test_package_serves_numeric_names_from_numerics():
+    for name in NUMERIC_NAMES:
+        assert getattr(emzv, name) is getattr(emzv.numerics, name), name
+        assert name in emzv.__all__
+    namespace = {}
+    exec("from emzv import *", namespace)
+    assert all(namespace[name] is getattr(emzv, name) for name in emzv.__all__)
+    assert {"reduce_index", "Expression", "shuffle", "p_poly"} <= set(namespace)
+    with pytest.raises(AttributeError):
+        emzv.no_such_name

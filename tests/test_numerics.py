@@ -52,6 +52,41 @@ def test_tau_validation():
     assert abs(Tau(1j).q - math.exp(-2 * math.pi)) < 1e-18
 
 
+def bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_tau_is_taken_mod_one():
+    for tau in (0.5 + 0.8j, -0.5 + 0.8j, 0.25 + 1j, -0.0 + 1j, 1j):
+        assert bits(Tau(tau).tau) == bits(tau)
+    assert Tau(1.5 + 1j).tau == -0.5 + 1j
+    assert Tau(-2.75 + 0.3j).tau == 0.25 + 0.3j
+    assert Tau(1e300 + 1j).tau == 1j
+    assert Tau(100000000.3 + 0.5j).tau == complex(100000000.3 - 100000000, 0.5)
+    for k in [(2, 0, 3), (1, 2), (0, 4, 1)]:
+        reference = Evaluator(1j).value(k)
+        assert bits(Evaluator(3 + 1j).value(k)) == bits(reference)
+        assert bits(Evaluator(1e300 + 1j).value(k)) == bits(reference)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_tau_real_part_reduction_is_exact(x):
+    reduced = Tau(complex(x, 1.0)).tau.real
+    assert -0.5 <= reduced <= 0.5
+    assert x - reduced == (round(x) if abs(x) > 0.5 else 0)
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [complex(math.nan, 1), complex(math.inf, 1), complex(-math.inf, 1), complex(0, math.inf), complex(1, math.nan)],
+)
+def test_non_finite_tau_is_refused(tau):
+    with pytest.raises(ArgumentError, match="finite"):
+        Tau(tau)
+    with pytest.raises(ArgumentError):
+        Evaluator(tau)
+
+
 def test_parse_tau():
     assert parse_tau("0+1i").tau == 1j
     assert parse_tau("0.5+2i").tau == 0.5 + 2j
