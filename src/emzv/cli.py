@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import shutil
 import sys
 import tempfile
@@ -432,9 +433,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_tau(argv: list[str]) -> list[str]:
+    """`--tau -0.5+1i` as `--tau=-0.5+1i`: argparse takes a value that
+    starts with '-' and is not a plain number for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--tau" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--tau={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Iterable[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    args = parser.parse_args(_join_negative_tau(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -5,7 +5,9 @@ The building blocks:
   theta           odd Jacobi theta series  sum_n (-1)^n q^{(n+1/2)^2/2} w^{n+1/2}
   kronecker_f     F(alpha, z) = theta(z + alpha) theta'(0) / (theta(z) theta(alpha))
   f_n             Laurent coefficients of F in alpha (F = sum_n f_n(z) alpha^{n-1}),
-                  extracted by a discrete Cauchy integral over an alpha-circle
+                  summed from their closed-form Lambert series in q (see
+                  _lambert_letters); theta and kronecker_f are the independent
+                  check of them
   emzv_admissible iterated integral of the letters f_{k_i} over the ordered
                   simplex in [0, 1]
   emzv_regularized the same integral, shuffle-regularized at the endpoints
@@ -60,6 +62,17 @@ TWO_PI_I = 2j * math.pi
 MAX_IINT_LENGTH = 8
 #: Theta series terms summed before NonConvergence is raised.
 THETA_MAX_TERMS = 256
+#: Highest letter order n whose f_n is evaluated.
+MAX_LETTER = 28
+#: The Lambert series of the letters is cut where its tail falls below this
+#: fraction of its first term.
+LAMBERT_TARGET = 1e-17
+#: Lambert series terms summed at most; a letter that needs more is refused
+#: with NonConvergence.
+LAMBERT_MAX_TERMS = 1024
+#: The lowest Im tau (rounded up) at which the letters on the grid stay
+#: within LAMBERT_MAX_TERMS.
+MIN_IM_TAU = 0.00659
 #: The panel grid's finest breakpoints are 2^-GRADING_DEPTH and its mirror.
 GRADING_DEPTH = 45
 #: Points closer than this to a lattice point are refused as poles.
@@ -79,10 +92,6 @@ class NonConvergence(ArithmeticError):
 
 class PoleError(ArithmeticError):
     """Evaluation point too close to a lattice point."""
-
-
-class AliasError(ArithmeticError):
-    """Doubling the Cauchy sample count moved a coefficient noticeably."""
 
 
 class ToleranceError(ArithmeticError):
@@ -140,22 +149,15 @@ def parse_tau(text: str) -> Tau:
 class NumericsConfig:
     """Tunable parameters for all numerical evaluation.
 
-    rho_factor (in (0, 1)) and circle_samples (>= 8; letter f_n needs
-    2 n + 8) shape the Cauchy alpha-circle, panel_order (1..100) the
-    Gauss-Legendre panels.  tolerance (finite, > 0) bounds the gap between
-    the two panel splits that every value is computed on.
+    panel_order (1..100) is the number of Gauss-Legendre nodes per panel.
+    tolerance (finite, > 0) bounds the gap between the two panel splits that
+    every value is computed on.
     """
 
-    rho_factor: float = 0.45
-    circle_samples: int = 64
     panel_order: int = 12
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not (0 < self.rho_factor < 1):
-            raise ArgumentError(f"rho_factor must lie in (0, 1), got {self.rho_factor}")
-        if self.circle_samples < 8:
-            raise ArgumentError(f"circle_samples must be >= 8, got {self.circle_samples}")
         if not (1 <= self.panel_order <= 100):  # numpy's Gauss nodes are tested to 100
             raise ArgumentError(f"panel_order must lie in 1..100, got {self.panel_order}")
         if not (0 < self.tolerance < math.inf):
@@ -266,29 +268,6 @@ def _check_poles(points, tau: Tau, name: str) -> None:
             raise PoleError(f"{name} = {x} is within tolerance of a lattice point")
 
 
-# Rows of z per theta(z + alpha) call in _kronecker_grid: the theta series
-# keeps several temporaries of its argument's shape, so a whole grid of
-# nodes x circle samples would multiply the evaluator's peak memory.
-_GRID_ROWS = 64
-
-
-def _kronecker_grid(z, alphas, tau: Tau, theta_prime: complex) -> np.ndarray:
-    """F(alpha, z) = theta(z + alpha) theta'(0) / (theta(z) theta(alpha)) on a
-    grid: row i pairs the point z[i] with every alpha of one row of `alphas`,
-    which is shared by every z (1-D) or given per z (2-D, one row per z)."""
-    z = np.asarray(z, dtype=complex)[:, None]
-    alphas = np.asarray(alphas, dtype=complex)
-    per_row = alphas.ndim == 2
-    theta_z = theta(z, tau)
-    theta_alpha = theta(alphas, tau)
-    out = np.empty(np.broadcast_shapes(z.shape, alphas.shape), dtype=complex)
-    for start in range(0, len(out), _GRID_ROWS):
-        rows = slice(start, start + _GRID_ROWS)
-        a, ta = (alphas[rows], theta_alpha[rows]) if per_row else (alphas, theta_alpha)
-        out[rows] = theta(z[rows] + a, tau) * theta_prime / (theta_z[rows] * ta)
-    return out
-
-
 def kronecker_f(alpha, z, tau):
     """Eisenstein-Kronecker series F(alpha, z), scalars or arrays."""
     tau = as_tau(tau)
@@ -297,12 +276,90 @@ def kronecker_f(alpha, z, tau):
     )
     _check_poles(alpha_arr, tau, "alpha")
     _check_poles(z_arr, tau, "z")
-    value = _kronecker_grid(
-        z_arr.ravel(), alpha_arr.reshape(-1, 1), tau, theta_prime0(tau)
-    ).reshape(alpha_arr.shape)
+    value = (
+        theta(z_arr + alpha_arr, tau)
+        * theta_prime0(tau)
+        / (theta(z_arr, tau) * theta(alpha_arr, tau))
+    )
     if np.isscalar(alpha) and np.isscalar(z):
         return complex(value)
     return value
+
+
+# ---------------------------------------------------------------------------
+# the letters from their Lambert series
+
+
+def _lambert_terms(decay: float) -> int:
+    """Terms M of a Lambert series whose m-th term is at most e^{-decay (m-1)}
+    times its first, so that the tail beyond M, at most e^{-decay M} /
+    (1 - e^{-decay}) of the first term, is below LAMBERT_TARGET.
+    NonConvergence when M exceeds LAMBERT_MAX_TERMS."""
+    bound = -math.log(LAMBERT_TARGET * -math.expm1(-decay)) / decay
+    if not bound <= LAMBERT_MAX_TERMS:
+        raise NonConvergence(
+            f"the letters need more than LAMBERT_MAX_TERMS = {LAMBERT_MAX_TERMS} Lambert"
+            f" series terms here (on the grid, where Im tau < {MIN_IM_TAU})"
+        )
+    return max(1, math.ceil(bound))
+
+
+@functools.lru_cache(maxsize=None)
+def _lambert_constants(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the letters f_1..f_top, j = n - 1 = 0..top-1: the coefficients of
+    the Eulerian polynomials A_j (column j), for Li_{-j}(x) = sum_d d^j x^d
+    = x A_j(x) / (1 - x)^{j+1}; the factors 4 pi (2 pi)^j / j! (-1)^{floor(j/2)};
+    and 2 zeta(n) for the even n."""
+    eulerian = np.zeros((top, top))
+    row = [1]
+    for j in range(top):
+        eulerian[: len(row), j] = row
+        prev = row + [0]
+        row = [(k + 1) * prev[k] + (j + 1 - k) * (prev[k - 1] if k else 0) for k in range(j + 1)]
+    scale = np.array(
+        [4 * math.pi * (2 * math.pi) ** j / math.factorial(j) * (-1) ** (j // 2) for j in range(top)]
+    )
+    zetas = np.array([2 * zeta(n) for n in range(2, top + 1, 2)])
+    for shared in (eulerian, scale, zetas):  # every caller gets the same arrays
+        shared.flags.writeable = False
+    return eulerian, scale, zetas
+
+
+def _product_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out[...] = a @ b for complex a, without casting a real b to complex."""
+    if np.iscomplexobj(b):
+        out[...] = a @ b
+    else:
+        out.real = a.real @ b
+        out.imag = a.imag @ b
+
+
+def _lambert_letters(z: np.ndarray, tau: Tau, top: int, terms: int) -> np.ndarray:
+    """Rows f_0..f_top at the points z (|Im z| < Im tau) from
+
+      f_n(z) = [n=0] + [n=1] pi cot(pi z) - [n even] 2 zeta(n)
+               + 4 pi (2 pi)^j / j! (-1)^{floor(j/2)} sum_{m=1..terms} trig_j(2 pi m z) Li_{-j}(q^m),
+
+    j = n - 1, trig_j = sin for even j and cos for odd j: the coefficients of
+    alpha^{n-1} in F = pi cot(pi z) + pi cot(pi alpha) + 4 pi sum_{m,d>=1}
+    q^{md} sin 2 pi (m z + d alpha)."""
+    eulerian, scale, zetas = _lambert_constants(top)
+    m = np.arange(1, terms + 1)
+    exponent = TWO_PI_I * tau.tau * m
+    x = np.exp(exponent)
+    # row j, column m: scale[j] Li_{-j}(q^m); 1 - q^m comes from expm1, so
+    # that it keeps its digits where q^m is near 1
+    coef = (np.vander(x, top, increasing=True) @ eulerian).T
+    coef *= scale[:, None] * x / (-np.expm1(exponent)) ** (np.arange(1, top + 1)[:, None])
+    phase = np.multiply.outer(2 * math.pi * m, z)
+    out = np.empty((top + 1, len(z)), dtype=complex)
+    out[0] = 1.0
+    _product_into(out[1::2], coef[0::2], np.sin(phase))
+    _product_into(out[2::2], coef[1::2], np.cos(phase, out=phase))
+    if top:
+        out[1] += math.pi / np.tan(math.pi * z)
+    out[2::2] -= zetas[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +431,20 @@ class PanelGrid:
 # the evaluator
 
 
+def _check_letter(n: int) -> None:
+    if not 0 <= n <= MAX_LETTER:
+        raise ArgumentError(f"letter order {n} outside 0..{MAX_LETTER}")
+
+
 class Evaluator:
     """All numerics for one (tau, config): letters, integrals, value cache."""
 
     def __init__(self, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
         self.tau = as_tau(tau)
         self.cfg = cfg
-        self.rho = cfg.rho_factor * min(1.0, self.tau.tau.imag)
-        self.theta_prime0 = theta_prime0(self.tau)
-        # highest letter order the Cauchy extraction resolves: 2 n + 8 <= circle_samples
-        self._top = (cfg.circle_samples - 8) // 2
         self._grids: dict[int, PanelGrid] = {}
-        # split -> letters f_0.._top on the lower-half nodes
-        self._letters: dict[int, list[np.ndarray]] = {}
+        # split -> letters f_0..f_MAX_LETTER (rows) on the lower-half nodes
+        self._letters: dict[int, np.ndarray] = {}
         self._values: dict[Index, complex] = {}
         # (split, word) -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
         self._nodes: dict[tuple[int, Index], np.ndarray] = {}
@@ -401,48 +459,35 @@ class Evaluator:
             self._nodes[(split, ())] = np.ones(len(grid.lower_nodes), dtype=complex)
         return self._grids[split]
 
-    def _cauchy(self, z: np.ndarray, m: int, top: int) -> np.ndarray:
-        """F(alpha, z) sampled at m points of the alpha-circle of radius rho,
-        Fourier transformed, keeping the columns of letters 0..top: column n
-        holds rho^(n-1) f_n(z), up to aliasing (frequency n - 1 mod m)."""
-        alphas = self.rho * np.exp(TWO_PI_I * np.arange(m) / m)
-        fvals = _kronecker_grid(z, alphas, self.tau, self.theta_prime0)
-        return np.fft.fft(fvals, axis=1)[:, (np.arange(top + 1) - 1) % m] / m
-
-    def _coefficient(self, transform: np.ndarray, n: int) -> np.ndarray:
-        """The letter f_n from a `_cauchy` transform."""
-        return self.rho ** (1 - n) * transform[:, n]
-
-    def _check_letter(self, n: int) -> None:
-        if not 0 <= n <= self._top:
-            raise ArgumentError(
-                f"letter order {n} outside 0..{self._top} (circle_samples too small)"
-            )
-
     def letters(self, n: int, split: int = 1) -> np.ndarray:
-        """Values of the letter f_n on the lower-half grid nodes."""
-        self._check_letter(n)
+        """Values of the letter f_n on the lower-half grid nodes.  All letters
+        of a split are built at its first use, in one pass."""
+        _check_letter(n)
         if split not in self._letters:
-            transform = self._cauchy(
-                self.grid(split).lower_nodes, self.cfg.circle_samples, self._top
-            )
-            self._letters[split] = [self._coefficient(transform, m) for m in range(self._top + 1)]
+            # refuses a tau that needs too many terms before any table is built
+            terms = _lambert_terms(2 * math.pi * self.tau.tau.imag)
+            nodes = self.grid(split).lower_nodes
+            self._letters[split] = _lambert_letters(nodes, self.tau, MAX_LETTER, terms)
         return self._letters[split][n]
 
     def f_n(self, n: int, z):
-        """Letter f_n at arbitrary points by a one-off Cauchy extraction,
-        checked against twice the circle samples."""
-        cfg = self.cfg
-        self._check_letter(n)
+        """Letter f_n at arbitrary points z.  Re z is taken mod 1, and Im z
+        is brought within Im tau / 2 by b = round(Im z / Im tau) periods:
+        f_n(z + b tau) = sum_{i=0..n} (-2 pi i b)^i / i! f_{n-i}(z)."""
+        _check_letter(n)
         zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         _check_poles(zz, self.tau, "z")
-        base = self._coefficient(self._cauchy(zz, cfg.circle_samples, n), n)
-        doubled = self._coefficient(self._cauchy(zz, 2 * cfg.circle_samples, n), n)
-        if float(np.max(np.abs(base - doubled))) > 1e-9:
-            raise AliasError("doubling the circle sample count moved f_n")
+        t = self.tau.tau
+        b = np.round(zz.imag / t.imag)
+        w = zz - b * t
+        w -= np.round(w.real)
+        terms = _lambert_terms(2 * math.pi * (t.imag - float(np.max(np.abs(w.imag)))))
+        rows = _lambert_letters(w, self.tau, n, terms)
+        shift = -TWO_PI_I * b
+        value = sum(shift**i / math.factorial(i) * rows[n - i] for i in range(n + 1))
         if np.isscalar(z):
-            return complex(doubled[0])
-        return doubled
+            return complex(value[0])
+        return value
 
     # -- iterated integrals
 

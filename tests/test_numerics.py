@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from emzv.numerics import (
     DEFAULT_CONFIG,
     EVALUATOR_CACHE_SIZE,
-    AliasError,
+    MAX_LETTER,
+    MIN_IM_TAU,
     Evaluator,
+    NonConvergence,
     NumericsConfig,
     PanelGrid,
     PoleError,
@@ -110,8 +112,11 @@ def test_parse_config_file(tmp_path):
 
 
 def test_config_validation():
+    assert [f.name for f in fields(NumericsConfig)] == ["panel_order", "tolerance"]
     with pytest.raises(ArgumentError):
-        NumericsConfig(rho_factor=1.5)
+        NumericsConfig(panel_order=0)
+    with pytest.raises(ArgumentError):
+        NumericsConfig(tolerance=0.0)
 
 
 def test_readme_config_example_lists_every_field_at_its_default(tmp_path):
@@ -135,18 +140,17 @@ def test_theta_basic_symmetries():
 
 
 def test_theta_nonconvergence_guard():
-    from emzv.numerics import NonConvergence
-
     with pytest.raises(NonConvergence):
         theta(0.3, 1e-4j)
 
 
 def test_grid_alignment_guard():
     ev = get_evaluator(TAU)
-    with pytest.raises(ArgumentError):
-        ev.letters(40)  # beyond the circle sample capacity
-    with pytest.raises(ArgumentError):
-        ev.letters(-1)
+    for n in (MAX_LETTER + 1, -1):
+        with pytest.raises(ArgumentError, match=f"letter order {n} outside 0..28"):
+            ev.letters(n)
+        with pytest.raises(ArgumentError):
+            ev.f_n(n, 0.3)
 
 
 def test_theta_prime0():
@@ -237,13 +241,123 @@ def test_f_n_values():
             assert abs(ev.f_n(n, 1 - z) - (-1) ** n * ev.f_n(n, z)) < 1e-10
 
 
-def test_f_n_stability():
-    # halving the circle radius and doubling the sample count barely moves f_n
-    base = get_evaluator(TAU)
-    alt = Evaluator(TAU, NumericsConfig(rho_factor=0.225, circle_samples=128))
-    for z in (0.2, 0.55, 0.81):
-        for n in (1, 2, 3):
-            assert abs(base.f_n(n, z) - alt.f_n(n, z)) < 1e-9
+def lambert_reference(nodes, tau, top):
+    """Rows f_0..f_top at the real `nodes`, from the Lambert series of the
+    letters summed at 40 digits (Li_{-j} from mpmath.polylog) until its tail
+    is below 1e-25 of its first term."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        pi = mpmath.pi
+        q = mpmath.exp(2j * pi * mpmath.mpc(tau))
+        x = math.exp(-2 * math.pi * tau.imag)
+        terms = math.ceil(-math.log(1e-25 * (1 - x)) / (2 * math.pi * tau.imag))
+        li = [[mpmath.polylog(-j, q**m) for m in range(1, terms + 1)] for j in range(top)]
+        scale = [4 * pi * (2 * pi) ** j / mpmath.factorial(j) * (-1) ** (j // 2) for j in range(top)]
+        rows = np.empty((top + 1, len(nodes)), dtype=complex)
+        rows[0] = 1
+        for i, z in enumerate(map(mpmath.mpf, nodes)):
+            sin = [mpmath.sin(2 * pi * m * z) for m in range(1, terms + 1)]
+            cos = [mpmath.cos(2 * pi * m * z) for m in range(1, terms + 1)]
+            for j in range(top):
+                value = scale[j] * mpmath.fdot(cos if j % 2 else sin, li[j])
+                if j == 0:
+                    value += pi * mpmath.cot(pi * z)
+                elif j % 2:
+                    value -= 2 * mpmath.zeta(j + 1)
+                rows[j + 1, i] = complex(value)
+    return rows
+
+
+@pytest.mark.parametrize("tau", [1j, 0.5 + 0.8j, 0.3j, 0.37 + 0.1j, 0.05j])
+def test_letters_match_a_40_digit_lambert_reference(tau):
+    """f_0..f_28 on split-1 nodes (every tenth, and the last), each within
+    1e-13 of its largest magnitude there."""
+    ev = Evaluator(tau)
+    picked = np.r_[0 : len(ev.grid(1).lower_nodes) : 10, -1]
+    ref = lambert_reference(ev.grid(1).lower_nodes[picked], tau, MAX_LETTER)
+    for n in range(MAX_LETTER + 1):
+        got = ev.letters(n)[picked]
+        assert np.max(np.abs(got - ref[n])) <= 1e-13 * np.max(np.abs(ref[n])), n
+
+
+# (tau, z): z off the real axis, up to three periods of tau away, so that
+# f_n(z) needs the shift by periods; alpha is well inside the radius of the
+# Laurent series of F(alpha, z) at 0.
+KRONECKER_POINTS = [
+    (1j, [0.3 + 0.4j, 0.7 - 1.3j, -0.2 + 2.1j, 1.45 + 0.05j]),
+    (0.5 + 0.8j, [0.3 + 0.3j, 0.2 - 1.1j, 0.4 + 2.5j]),
+    (-0.37 + 0.21j, [0.3 + 0.05j, 0.15 + 0.5j, 0.6 - 0.65j]),
+]
+
+
+@pytest.mark.parametrize("tau, zs", KRONECKER_POINTS)
+def test_letters_sum_to_the_theta_built_kronecker_function(tau, zs):
+    """sum_n f_n(z) alpha^{n-1} against kronecker_f from theta quotients."""
+    ev = Evaluator(tau)
+    rng = np.random.default_rng(7)
+    radius = 0.2 * min(1.0, tau.imag)
+    for z in zs:
+        letters = np.array([ev.f_n(n, z) for n in range(MAX_LETTER + 1)])
+        assert np.allclose(ev.f_n(3, [z, z]), letters[3], rtol=1e-14, atol=0)
+        for alpha in radius * np.exp(2j * math.pi * rng.random(4)):
+            series = np.sum(letters * alpha ** np.arange(-1.0, MAX_LETTER))
+            ref = kronecker_f(alpha, z, tau)
+            assert abs(series - ref) <= 1e-12 * abs(ref), (z, alpha)
+
+
+def test_letters_refuse_an_im_tau_below_the_term_cap_before_allocating():
+    """MIN_IM_TAU is the lowest Im tau whose grid letters fit in
+    LAMBERT_MAX_TERMS.  Below it the letters raise NonConvergence before any
+    table (or the grid) is built: at Im tau = 1e-5 the tables would take
+    gigabytes."""
+    import tracemalloc
+
+    ev = Evaluator(MIN_IM_TAU * 1j)
+    ev.letters(2)
+    with pytest.raises(NonConvergence, match="LAMBERT_MAX_TERMS"):
+        Evaluator((MIN_IM_TAU - 1e-5) * 1j).letters(2)
+    assert ev.f_n(2, 0.3) == pytest.approx(ev.f_n(2, 1.3), rel=1e-12)
+    tiny = Evaluator(1e-5j)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergence, match="LAMBERT_MAX_TERMS"):
+            tiny.letters(2)
+        with pytest.raises(NonConvergence, match="LAMBERT_MAX_TERMS"):
+            tiny.f_n(2, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert not tiny._letters and not tiny._grids
+
+
+def test_values_at_large_im_tau_reach_the_constant_letter_limit():
+    """As tau -> i infinity, f_n -> a_n with a_0 = 1, a_n = -2 zeta(n) for even
+    n and a_n = 0 for odd n > 1, so I(k) -> prod_i a_{k_i} / r! for every k
+    without an entry 1.  At tau = 6i, q = 4e-17, and the Fourier terms of
+    the letters up to weight 8 are below 5e-14."""
+    from emzv.faypoly import compositions
+
+    ev = Evaluator(6j)
+    limit = [1.0] + [-2 * zeta(n) if n % 2 == 0 else 0.0 for n in range(1, 9)]
+    indices = [k for r in range(1, 5) for w in range(9) for k in compositions(w, r) if 1 not in k]
+    assert len(indices) == 275
+    for k in indices:
+        expected = math.prod(limit[n] for n in k) / math.factorial(len(k))
+        assert abs(ev.value(k) - expected) <= 5e-14 * max(1.0, abs(expected)), k
+
+
+@pytest.mark.parametrize("tau, worst", [(1j, 1e-13), (0.1j, 1e-6), (0.07j, 1e-6), (0.05j, 1e-6)])
+def test_reduction_sweep_holds_down_to_im_tau_one_twentieth(tau, worst):
+    """Every index of weight <= 6 and length <= 4 against its reduction:
+    none raises, and no residual exceeds `worst`."""
+    from emzv.faypoly import compositions
+    from emzv.reduction import reduce_index
+
+    ev = Evaluator(tau)
+    for k in (k for r in range(5) for w in range(7) for k in compositions(w, r)):
+        assert abs(ev.value(k) - ev.eval_expression(reduce_index(k)[0])) <= worst, k
 
 
 def test_f_n_pole():
