@@ -20,11 +20,13 @@ half [0, 1/2].  A sweep of a word w is
   B_w(x) = int_{x < z_1 < ... < z_m < 1/2} f_{w_1}(z_1) ... f_{w_m}(z_m),
 
 computed from B_{w[1:]} on the nodes by one backward pass of composite
-Gauss-Legendre panels.  When w does not start with 1, B_w(0) is cached per
-(split, word) as the sweep runs.  The node values themselves are kept per
-(split, word) only for words of length <= NODE_CACHE_LENGTH, the tails that
-most words end in; those of longer words are rebuilt from them when a Chen
-sum needs them.  Chen's identity at 1/2 and the reflection
+Gauss-Legendre panels.  The evaluator keeps one head vector per (split,
+tail s): the letters times the weighted node values of s, whose entry a is
+B_{a s}(0) for every letter a at once.  So a word is swept only when its
+node values feed a longer word or a head vector.  The node values are kept
+per (split, word) only for words of length <= NODE_CACHE_LENGTH, the tails
+that most words end in; those of longer words are rebuilt from them when a
+Chen sum needs them.  Chen's identity at 1/2 and the reflection
 f_n(1 - z) = (-1)^n f_n(z) give the integral over the whole simplex:
 
   I(k) = sum_{j=0..r} B_{k[:j]}(0) (-1)^{|k[j:]|} B_{rev(k[j:])}(0).
@@ -82,7 +84,8 @@ POLE_TOLERANCE = 1e-8
 #: longer words share; longer ones are reused far less for the memory they hold.
 NODE_CACHE_LENGTH = 2
 #: Evaluators that get_evaluator keeps, least recently used dropped first;
-#: each holds its letters, node values and values while it is kept.
+#: each holds its letters, node values, head vectors (MAX_LETTER + 1 complex
+#: numbers per split and tail) and values while it is kept.
 EVALUATOR_CACHE_SIZE = 8
 
 
@@ -413,6 +416,8 @@ class PanelGrid:
         self._half = (lower[1:] - lower[:-1]) / 2.0
         mid = (lower[1:] + lower[:-1]) / 2.0
         self.lower_nodes = (mid[:, None] + self._half[:, None] * xg[None, :]).ravel()
+        #: quadrature weights of the lower-half nodes: int_0^{1/2} g = weights @ g
+        self.weights = (self._half[:, None] * self._wg[None, :]).ravel()
 
     def sweep(self, letter: np.ndarray, inner: np.ndarray) -> tuple[complex, np.ndarray]:
         """One backward pass over the lower half: int_x^{1/2} letter * inner.
@@ -448,8 +453,10 @@ class Evaluator:
         self._values: dict[Index, complex] = {}
         # (split, word) -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
         self._nodes: dict[tuple[int, Index], np.ndarray] = {}
-        # (split, word) -> the shuffle-regularized B_word(0); set by _sweep
-        # for every swept word that does not start with 1
+        # (split, tail s) -> the head vector of s: entry a is B_{a s}(0)
+        self._heads: dict[tuple[int, Index], np.ndarray] = {}
+        # (split, word) -> the shuffle-regularized B_word(0) of a word that
+        # starts with 1
         self._regs: dict[tuple[int, Index], complex] = {}
 
     def grid(self, split: int = 1) -> PanelGrid:
@@ -493,19 +500,31 @@ class Evaluator:
 
     def _sweep(self, word: Index, split: int, scratch: dict) -> np.ndarray:
         """B_word on the lower-half nodes, from B_word[1:] by one backward
-        pass; caches B_word(0) in _regs unless word starts with 1 (where it
-        diverges).  Node values of words up to NODE_CACHE_LENGTH are kept by
-        the evaluator, so each of them is swept once; `scratch` holds those
-        of longer words for one Chen sum and is dropped with it."""
+        pass.  Node values of words up to NODE_CACHE_LENGTH are kept by the
+        evaluator, so each of them is swept once; `scratch` holds those of
+        longer words for one Chen sum and is dropped with it."""
         key = (split, word)
         grid = self.grid(split)  # seeds the empty word's node values
         store = self._nodes if len(word) <= NODE_CACHE_LENGTH else scratch
         if key not in store:
             inner = self._sweep(word[1:], split, scratch)
-            at_zero, store[key] = grid.sweep(self.letters(word[0], split), inner)
-            if word[0] != 1:
-                self._regs[key] = at_zero
+            _, store[key] = grid.sweep(self.letters(word[0], split), inner)
         return store[key]
+
+    def _head(self, tail: Index, split: int, scratch: dict) -> np.ndarray:
+        """The head vector of `tail`: entry a is B_{a tail}(0) =
+        int_0^{1/2} f_a B_tail for every letter a at once, one weighted
+        product of the letters with the node values of `tail`.  Entry 1,
+        where B_{1 tail}(0) diverges, is NaN."""
+        key = (split, tail)
+        head = self._heads.get(key)
+        if head is None:
+            weighted = self.grid(split).weights * self._sweep(tail, split, scratch)
+            self.letters(1, split)  # builds the split's letters
+            head = self._letters[split] @ weighted
+            head[1] = math.nan
+            self._heads[key] = head
+        return head
 
     def _reg(self, word: Index, split: int, scratch: dict) -> complex:
         """B_word(0), shuffle-regularized where word starts with 1.
@@ -519,26 +538,25 @@ class Evaluator:
         """
         if not word:
             return 1.0
+        if word[0] != 1:
+            _check_letter(word[0])
+            return self._head(word[1:], split, scratch)[word[0]]
         key = (split, word)
-        if key not in self._regs and word[0] != 1:
-            self._sweep(word, split, scratch)  # stores B_word(0) in _regs
         if key not in self._regs:
             ones = next((i for i, n in enumerate(word) if n != 1), len(word))
             if word == (1,):
                 grid = self.grid(split)
-                at_zero, _ = grid.sweep(
-                    self.letters(1, split) - 1.0 / grid.lower_nodes, self._nodes[(split, ())]
-                )
-                value = at_zero + complex(math.log(math.pi), -math.pi / 2)
+                cut = grid.weights @ (self.letters(1, split) - 1.0 / grid.lower_nodes)
+                value = complex(cut) + complex(math.log(math.pi), -math.pi / 2)
             elif ones == len(word):
                 value = self._reg((1,), split, scratch) ** ones / math.factorial(ones)
             else:
                 c = self._reg((1,), split, scratch)
-                head, rest = word[ones : ones + 1], word[ones + 1 :]
+                y, rest = word[ones : ones + 1], word[ones + 1 :]
                 value = 0.0
                 for i in range(ones + 1):
                     inner = sum(
-                        n * self._reg(head + s, split, scratch)
+                        n * self._reg(y + s, split, scratch)
                         for s, n in shuffle((1,) * (ones - i), rest).numerators()
                     )
                     value += c**i / math.factorial(i) * (-1) ** (ones - i) * inner
@@ -583,6 +601,10 @@ class Evaluator:
 
     def value(self, k: Index) -> complex:
         """Value of one atom, admissible integrals preferred, cached."""
+        if isinstance(k, tuple):  # only validated indices are ever cached
+            cached = self._values.get(k)
+            if cached is not None:
+                return cached
         k = as_index(k)
         if k not in self._values:
             if is_admissible(k):

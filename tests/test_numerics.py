@@ -499,15 +499,17 @@ def test_cut_integrals_do_not_depend_on_cache_order_at_length_four():
 
 def test_short_words_are_swept_once(monkeypatch):
     """One evaluator over the W<=6/L<=4 population sweeps each word of length
-    <= 2 once per split, and the integral of f_1 - 1/z behind reg B_1 once
-    per split; longer words are rebuilt only as Chen sums need them (2388
-    sweeps when no node values were kept, 1156 when a log-power fit read
-    every cut of two profiles)."""
+    <= 2 once per split and builds the head vector of each tail once per
+    split; reg B_1 is a weighted sum and runs no sweep.  A length-3 word is
+    swept to build its head vector, and again only when a longer word's
+    sweep needs its node values (892 sweeps when every B_w(0) was read from
+    a sweep of w, 1156 when a log-power fit read every cut of two profiles,
+    2388 when no node values were kept)."""
     from emzv.faypoly import compositions
     from emzv.reduction import reduce_index
 
-    active, swept = [], Counter()
-    evaluator_sweep, grid_sweep = Evaluator._sweep, PanelGrid.sweep
+    active, swept, heads = [], Counter(), {}
+    evaluator_sweep, evaluator_head, grid_sweep = Evaluator._sweep, Evaluator._head, PanelGrid.sweep
 
     def tracked_sweep(self, word, split, scratch):
         active.append((split, word))
@@ -520,7 +522,13 @@ def test_short_words_are_swept_once(monkeypatch):
         swept[active[-1] if active else None] += 1
         return grid_sweep(self, letter, inner)
 
+    def tracked_head(self, tail, split, scratch):
+        head = evaluator_head(self, tail, split, scratch)
+        assert heads.setdefault((split, tail), head) is head, (split, tail)
+        return head
+
     monkeypatch.setattr(Evaluator, "_sweep", tracked_sweep)
+    monkeypatch.setattr(Evaluator, "_head", tracked_head)
     monkeypatch.setattr(PanelGrid, "sweep", counted_sweep)
     ev = Evaluator(TAU)
     for r in range(5):
@@ -528,10 +536,58 @@ def test_short_words_are_swept_once(monkeypatch):
             for k in compositions(w, r):
                 ev.value(k)
                 ev.eval_expression(reduce_index(k)[0])
-    assert swept.pop(None) == 2
+    assert None not in swept
     repeated = {key: n for key, n in swept.items() if len(key[1]) <= 2 and n > 1}
     assert not repeated
-    assert sum(swept.values()) <= 900
+    tails = {split: {tail for s, tail in heads if s == split} for split in (1, 2)}
+    assert tails[1] == tails[2]
+    assert sum(len(tail) == 3 for tail in tails[1]) == 84
+    assert sum(swept.values()) <= 290
+
+
+def test_head_vectors_leave_the_divergent_entry_nan():
+    """Entry 1 of a head vector, B_{1 s}(0), diverges; the graded grid would
+    give it a finite value with no meaning, so it is NaN, and every
+    regularized value, which reads only convergent entries, is finite."""
+    from emzv.faypoly import compositions
+
+    ev = Evaluator(TAU)
+    for k in (k for r in range(5) for w in range(7) for k in compositions(w, r)):
+        assert cmath.isfinite(ev.value(k)), k
+    assert ev._heads
+    for key, head in ev._heads.items():
+        assert cmath.isnan(head[1]), key
+        assert all(cmath.isfinite(v) for a, v in enumerate(head) if a != 1), key
+
+
+def test_head_vectors_match_a_direct_sweep():
+    """B_{a s}(0) read from the head vector of s matches the x = 0 value of a
+    direct chain of backward passes, to 1e-13 of the same chain over the
+    magnitudes of the letters."""
+    ev = Evaluator(TAU)
+    for split in (1, 2):
+        grid = ev.grid(split)
+        tails = [s for r in range(4) for s in itertools.product(range(4), repeat=r)]
+        for s in tails:
+            direct = np.ones(len(grid.lower_nodes), dtype=complex)
+            magnitude = direct.copy()
+            for n in reversed(s):
+                _, direct = grid.sweep(ev.letters(n, split), direct)
+                _, magnitude = grid.sweep(np.abs(ev.letters(n, split)), magnitude)
+            for a in (0, 2, 3, 4):
+                expected, _ = grid.sweep(ev.letters(a, split), direct)
+                scale, _ = grid.sweep(np.abs(ev.letters(a, split)), magnitude)
+                got = ev._reg((a,) + s, split, {})
+                assert abs(got - expected) <= 1e-13 * abs(scale), (split, a, s)
+
+
+def test_value_validates_what_it_has_not_cached():
+    ev = Evaluator(TAU)
+    assert ev.value([2, 0, 3]) == ev.value((2, 0, 3)) == ev.admissible((2, 0, 3))
+    with pytest.raises(ArgumentError):
+        ev.value((-1,))
+    with pytest.raises(ArgumentError):
+        ev.value([2, -1])
 
 
 def test_split_below_one_is_rejected():
