@@ -14,9 +14,7 @@ from .words import (
     Combo,
     Index,
     WordCombo,
-    antipode,
     as_index,
-    coproduct,
     format_index,
     is_admissible,
     is_zero_one,
@@ -27,7 +25,7 @@ from .words import (
     shuffle_combo,
     weight,
 )
-from .faypoly import SparsePoly, c_coeff, enumerate_support, p_poly
+from .faypoly import c_coeff, enumerate_support
 from .relations import (
     Expression,
     Identity,

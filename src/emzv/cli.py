@@ -21,7 +21,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .faypoly import compositions
-from .reduction import FuelExhausted, reduce_index
+from .reduction import FuelExhausted, reduce_index, verify_reduction
 from .relations import (
     atom_json,
     fay_identity,
@@ -100,20 +100,15 @@ def cmd_reduce(args) -> int:
     expr, trace = reduce_index(index, fuel=args.fuel)
     verify_report = None
     if args.verify:
-        from .numerics import get_evaluator, parse_tau
+        from .numerics import parse_tau
 
-        cfg = _load_config(args)
-        tau = parse_tau(args.tau)
-        ev = get_evaluator(tau, cfg)
-        lhs = ev.value(index)
-        rhs = ev.eval_expression(expr)
-        residual = abs(lhs - rhs)
+        check = verify_reduction(index, parse_tau(args.tau), args.tol, _load_config(args), args.fuel)
         verify_report = {
-            "tau": str(tau.tau),
-            "lhs": _complex_json(lhs),
-            "rhs": _complex_json(rhs),
-            "residual": residual,
-            "passed": residual <= args.tol,
+            "tau": str(check["tau"]),
+            "lhs": _complex_json(check["lhs"]),
+            "rhs": _complex_json(check["rhs"]),
+            "residual": check["residual"],
+            "passed": check["passed"],
         }
     if args.format == "json":
         payload = {
@@ -161,6 +156,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _prop_mat_indices(max_weight: int) -> list[tuple[int, int]]:
+    """(r, s) of every I(r, s) of weight <= max_weight that the length-2
+    formula covers."""
+    return [(r, w - r) for w in range(max_weight + 1) for r in range(w + 1) if w - r != 1]
+
+
+def _prop_mat_matches_fay(r: int, s: int) -> bool:
+    """Both sides of the length-2 formula for I(r, s) equal the Fay identity's."""
+    fay, mat = fay_identity((r, s)), prop_mat_identity(r, s)
+    return fay.lhs == mat.lhs and fay.rhs == mat.rhs
+
+
 def _family_instances(family: str, args, cfg: NumericsConfig):
     """Yield (descriptor, callable) pairs; callables return (lhs, rhs) values."""
     import numpy as np
@@ -203,25 +210,18 @@ def _family_instances(family: str, args, cfg: NumericsConfig):
                 continue
             yield format_index(k), identity_check(trailing_ones(k))
     elif family == "prop-mat":
-        for w in range(mw + 1):
-            for r in range(w + 1):
-                s = w - r
-                if s == 1:
-                    continue
+        for r, s in _prop_mat_indices(mw):
 
-                def run(r=r, s=s):
-                    fay = fay_identity((r, s))
-                    mat = prop_mat_identity(r, s)
-                    match = fay.lhs == mat.lhs and fay.rhs == mat.rhs
-                    return (1.0 + 0j, (1.0 if match else 0.0) + 0j)
+            def run(r=r, s=s):
+                return (1.0 + 0j, (1.0 if _prop_mat_matches_fay(r, s) else 0.0) + 0j)
 
-                yield f"{r},{s}", run
+            yield f"{r},{s}", run
     elif family == "reduction":
         for k in _indices_within(mw, ml, min_length=0):
 
             def run(k=k):
-                expr, _ = reduce_index(k, fuel=args.fuel)
-                return ev.value(k), ev.eval_expression(expr)
+                check = verify_reduction(k, tau, args.tol, cfg, args.fuel)
+                return check["lhs"], check["rhs"]
 
             yield format_index(k), run
     elif family == "kronecker":
@@ -334,16 +334,7 @@ def cmd_selftest(args) -> int:
     checks: list[tuple[str, Callable[[], bool]]] = []
 
     def check_prop_mat() -> bool:
-        for w in range(7):
-            for r in range(w + 1):
-                s = w - r
-                if s == 1:
-                    continue
-                fay = fay_identity((r, s))
-                mat = prop_mat_identity(r, s)
-                if fay.rhs != mat.rhs:
-                    return False
-        return True
+        return all(_prop_mat_matches_fay(r, s) for r, s in _prop_mat_indices(6))
 
     checks.append(("fay matches length-2 formula (weight <= 6)", check_prop_mat))
 
@@ -362,9 +353,7 @@ def cmd_selftest(args) -> int:
     checks.append(("length-1 values", check_length_one))
 
     def check_reduce() -> bool:
-        ev = get_evaluator(parse_tau("0+1i"), cfg)
-        expr, _ = reduce_index((2, 1))
-        return abs(ev.value((2, 1)) - ev.eval_expression(expr)) < 1e-6
+        return verify_reduction((2, 1), parse_tau("0+1i"), 1e-6, cfg)["passed"]
 
     checks.append(("reduce and verify (2,1)", check_reduce))
 

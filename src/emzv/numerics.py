@@ -600,17 +600,14 @@ class Evaluator:
     # -- values and expressions
 
     def value(self, k: Index) -> complex:
-        """Value of one atom, admissible integrals preferred, cached."""
+        """Value of one atom, shuffle-regularized if not admissible, cached."""
         if isinstance(k, tuple):  # only validated indices are ever cached
             cached = self._values.get(k)
             if cached is not None:
                 return cached
         k = as_index(k)
         if k not in self._values:
-            if is_admissible(k):
-                self._values[k] = self.admissible(k)
-            else:
-                self._values[k], _ = self.regularized(k)
+            self._values[k] = self._value(k)[0]
         return self._values[k]
 
     def eval_expression(self, expr: Expression) -> complex:

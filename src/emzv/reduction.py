@@ -255,13 +255,17 @@ def simplify_zero_one(expr: Expression) -> Expression:
         expr = expr.substitute(mapping)
 
 
-def verify_reduction(k: Index, tau, tol: float = 1e-6, cfg=None) -> dict:
-    """Evaluate I(k) directly and through its reduction; compare at tau."""
+def verify_reduction(k: Index, tau, tol: float = 1e-6, cfg=None, fuel: int = DEFAULT_FUEL) -> dict:
+    """Evaluate I(k) directly and through its reduction; compare at tau.
+
+    The one reduction check behind `reduce --verify`, `verify --family
+    reduction` and `selftest`.
+    """
     from .numerics import get_evaluator
 
     k = as_index(k)
     ev = get_evaluator(tau, cfg)
-    expr, trace = reduce_index(k)
+    expr, trace = reduce_index(k, fuel=fuel)
     lhs = ev.value(k)
     rhs = ev.eval_expression(expr)
     residual = abs(lhs - rhs)

@@ -31,7 +31,6 @@ from .words import (
     reflection_sign,
     shuffle,
     shuffle_combo,
-    weight,
     word_key,
 )
 
@@ -45,10 +44,6 @@ class DegenerateError(ValueError):
 def monomial(atoms: Iterator[Index]) -> Monomial:
     """Canonical monomial: atoms sorted, empty indices (unit factors) dropped."""
     return tuple(sorted((tuple(a) for a in atoms if len(a) > 0), key=word_key))
-
-
-def monomial_weight(mon: Monomial) -> int:
-    return sum(weight(a) for a in mon)
 
 
 def monomial_sort_key(mon: Monomial):
@@ -145,16 +140,6 @@ class Expression(Combo):
             ((m, n) for m, n in self._terms.items() if not has_odd_singleton(m)), self._den
         )
 
-    def is_weight_homogeneous(self) -> bool:
-        weights = {monomial_weight(m) for m in self._terms}
-        return len(weights) <= 1
-
-    def homogeneous_weight(self) -> int | None:
-        weights = {monomial_weight(m) for m in self._terms}
-        if len(weights) == 1:
-            return weights.pop()
-        return None
-
     def to_json_dict(self) -> dict:
         den = self._den
         return {
@@ -176,16 +161,6 @@ class Expression(Combo):
             )
             + "]"
         )
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Expression":
-        return cls.collect(
-            (monomial(as_index(a) for a in t["atoms"]), Fraction(t["coef"]))
-            for t in data["terms"]
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     def to_text(self) -> str:
         if not self._terms:
@@ -215,9 +190,6 @@ class Identity:
 
     def residual(self) -> Expression:
         return self.lhs - self.rhs
-
-    def is_weight_homogeneous(self) -> bool:
-        return self.residual().is_weight_homogeneous()
 
 
 def shuffle_identity(v: Index, w: Index) -> Identity:
@@ -257,16 +229,10 @@ def _binomial(a: int, b: int) -> int:
     """Binomial with the boundary conventions used by the length-2 formula.
 
     C(a, b) = 0 for b < 0 or a < b, except C(-1, -1) = 1 so that the n = 0
-    boundary terms agree with the general Fay relation.
+    boundary terms agree with the general Fay relation.  Callers pass a < 0
+    only with b = -1.
     """
-    if a == -1 and b == -1:
-        return 1
-    if b < 0 or a < b:
-        return 0
-    out = 1
-    for i in range(b):
-        out = out * (a - i) // (i + 1)
-    return out
+    return math.comb(a, b) if b >= 0 else int(a == b == -1)
 
 
 def prop_mat_identity(r: int, s: int) -> Identity:

@@ -1,12 +1,11 @@
-"""Words over the letters e_k (k >= 0) and the shuffle Hopf algebra.
+"""Words over the letters e_k (k >= 0) and their shuffle product.
 
 An index (k_1, ..., k_r) of non-negative integers doubles as the word
 e_{k_1} ... e_{k_r}.  This module provides the index bookkeeping (weight,
-length, parity, admissibility) together with the shuffle product, the
-deconcatenation coproduct and the antipode of the shuffle Hopf algebra,
-all with exact rational coefficients.  `Combo`, the one exact Q-linear
-combination class, keeps those coefficients as integer numerators over one
-common denominator, so sums and products are plain integer arithmetic.
+length, parity, admissibility) together with the shuffle product, with
+exact rational coefficients.  `Combo`, the one exact Q-linear combination
+class, keeps those coefficients as integer numerators over one common
+denominator, so sums and products are plain integer arithmetic.
 """
 
 from __future__ import annotations
@@ -105,9 +104,9 @@ class Combo:
     int) over one common denominator `_den > 0`, in lowest terms:
     gcd(_den, *numerators) == 1.  That form is unique, so two combinations
     are equal when they have the same class, numerators and denominator.
-    Every arithmetic path ends in `_sum`, which restores the form; `items`,
-    `coeff` and `mass` return `Fraction`s.  Instances are treated as
-    immutable values.  Subclasses fix the key type and its `_sort_key`.
+    Every arithmetic path ends in `_sum`, which restores the form; `items`
+    and `coeff` return `Fraction`s.  Instances are treated as immutable
+    values.  Subclasses fix the key type and its `_sort_key`.
     """
 
     __slots__ = ("_terms", "_den")
@@ -212,10 +211,6 @@ class WordCombo(Combo):
     def word(cls, w: Index, coeff: Fraction | int = 1) -> "WordCombo":
         return cls({tuple(w): Fraction(coeff)})
 
-    def mass(self) -> Fraction:
-        """Sum of all coefficients."""
-        return Fraction(sum(self._terms.values()), self._den)
-
 
 @functools.lru_cache(maxsize=None)
 def shuffle(v: Index, w: Index) -> WordCombo:
@@ -253,35 +248,7 @@ def shuffle_combo(a: WordCombo, b: WordCombo) -> WordCombo:
     )
 
 
-def antipode(w: Index) -> tuple[int, Index]:
-    """Antipode of a word: sign (-1)^length and the reversed word."""
-    w = tuple(w)
-    return (-1) ** len(w), w[::-1]
-
-
-def coproduct(w: Index) -> list[tuple[Index, Index]]:
-    """Deconcatenation coproduct: all prefix/suffix splits, in order."""
-    w = tuple(w)
-    return [(w[:j], w[j:]) for j in range(len(w) + 1)]
-
-
 def reflection_sign(k: Index) -> int:
     """Sign relating a value to the value of the reversed index: (-1)^weight."""
     return -1 if sum(k) % 2 else 1
 
-
-def antipode_convolution(w: Index) -> WordCombo:
-    """Sum over splits of prefix shuffled with antipode of suffix.
-
-    Vanishes identically for every non-empty word; this is the Hopf-algebra
-    identity behind the parity splitting of values.
-    """
-    return WordCombo._sum(
-        (
-            (u, sign * n)
-            for pre, suf in coproduct(w)
-            for sign, rev in [antipode(suf)]
-            for u, n in shuffle(pre, rev)._terms.items()
-        ),
-        1,
-    )

@@ -1,0 +1,62 @@
+"""Exact-algebra helpers that only the tests use.
+
+The shuffle Hopf algebra's deconcatenation coproduct and antipode, whose
+convolution identity underlies `emzv.relations.parity_split`; the weight of
+a monomial and of an expression; and the inverse of
+`Expression.to_json_dict`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from emzv.relations import Expression, Monomial, monomial
+from emzv.words import Index, WordCombo, as_index, shuffle, weight
+
+
+def antipode(w: Index) -> tuple[int, Index]:
+    """Antipode of a word: sign (-1)^length and the reversed word."""
+    w = tuple(w)
+    return (-1) ** len(w), w[::-1]
+
+
+def coproduct(w: Index) -> list[tuple[Index, Index]]:
+    """Deconcatenation coproduct: all prefix/suffix splits, in order."""
+    w = tuple(w)
+    return [(w[:j], w[j:]) for j in range(len(w) + 1)]
+
+
+def antipode_convolution(w: Index) -> WordCombo:
+    """Sum over splits of prefix shuffled with antipode of suffix.
+
+    Vanishes identically for every non-empty word; this is the Hopf-algebra
+    identity behind the parity splitting of values.
+    """
+    return WordCombo.collect(
+        (u, sign * c)
+        for pre, suf in coproduct(w)
+        for sign, rev in [antipode(suf)]
+        for u, c in shuffle(pre, rev).items()
+    )
+
+
+def monomial_weight(mon: Monomial) -> int:
+    return sum(weight(a) for a in mon)
+
+
+def homogeneous_weight(expr: Expression) -> int | None:
+    """The weight shared by every monomial of `expr`, or None if they differ
+    (or `expr` is zero)."""
+    weights = {monomial_weight(m) for m, _ in expr.items()}
+    return weights.pop() if len(weights) == 1 else None
+
+
+def is_weight_homogeneous(expr: Expression) -> bool:
+    return len({monomial_weight(m) for m, _ in expr.items()}) <= 1
+
+
+def expression_from_json_dict(data: dict) -> Expression:
+    """Inverse of `Expression.to_json_dict`."""
+    return Expression.collect(
+        (monomial(as_index(a) for a in t["atoms"]), Fraction(t["coef"])) for t in data["terms"]
+    )

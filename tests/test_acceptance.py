@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from emzv.cli import main as cli_main
-from emzv.faypoly import c_coeff, compositions, p_poly
+from emzv.faypoly import c_coeff, compositions
 from emzv.numerics import get_evaluator, kronecker_f, zeta
 from emzv.reduction import reduce_index
 from emzv.relations import (
@@ -25,13 +25,14 @@ from emzv.relations import (
 )
 from emzv.words import (
     WordCombo,
-    antipode_convolution,
     is_admissible,
     is_zero_one,
     shuffle,
     shuffle_combo,
     weight,
 )
+from exact_helpers import antipode_convolution
+from fay_reference import p_poly
 
 TAU = 1j
 TAU2 = 2j

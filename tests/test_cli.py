@@ -489,6 +489,7 @@ def test_package_serves_numeric_names_from_numerics():
     namespace = {}
     exec("from emzv import *", namespace)
     assert all(namespace[name] is getattr(emzv, name) for name in emzv.__all__)
-    assert {"reduce_index", "Expression", "shuffle", "p_poly"} <= set(namespace)
+    assert {"reduce_index", "Expression", "shuffle", "c_coeff"} <= set(namespace)
+    assert not {"SparsePoly", "p_poly", "antipode", "coproduct"} & set(namespace)
     with pytest.raises(AttributeError):
         emzv.no_such_name

@@ -22,7 +22,7 @@ from emzv.reduction import (
     simplify_zero_one,
     verify_reduction,
 )
-from emzv.relations import Expression, Identity, monomial, monomial_weight, split_sign
+from emzv.relations import Expression, Identity, monomial, split_sign
 from emzv.words import (
     WORD_KEYS,
     WordCombo,
@@ -34,6 +34,7 @@ from emzv.words import (
     weight,
     word_sort_key,
 )
+from exact_helpers import monomial_weight
 
 
 def A(*entries, coeff=1):
