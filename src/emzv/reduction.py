@@ -23,14 +23,14 @@ every step; a violation raises FuelExhausted instead of looping.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .faypoly import enumerate_support
 from .relations import (
     Expression,
     Identity,
-    has_odd_singleton,
-    monomial,
+    pair_monomial,
     parity_split,
     reflection_identity,
     split_sign,
@@ -57,11 +57,44 @@ class FuelExhausted(RuntimeError):
         self.trace = trace
 
 
+def is_terminal(k: Index) -> bool:
+    return is_admissible(k) or is_zero_one(k)
+
+
+def measure(k: Index) -> tuple[int, int, int, int]:
+    """Well-founded measure: (length, #entries >= 2, rightmost >= 2 position
+    from the right (1-based, 0 if none), last entry == 1)."""
+    big = [i for i, e in enumerate(k) if e >= 2]
+    pos = len(k) - big[-1] if big else 0
+    return (len(k), len(big), pos, 1 if (k and k[-1] == 1) else 0)
+
+
 @dataclass(frozen=True)
 class ReductionStep:
+    """The identity that rewrites the non-terminal atom `index` by `rule`.
+
+    Derived once from those at construction, and left out of equality and
+    hashing: `children`, the non-terminal atoms of the rhs in `word_key`
+    order; `violation`, the first child whose measure is not below the
+    atom's, or None; and `order`, the key `(measure, word_key)` of the atom
+    that sorts a trace.
+    """
+
     rule: str
     index: Index
     identity: Identity
+    children: tuple[Index, ...] = field(init=False, compare=False, repr=False)
+    violation: Index | None = field(init=False, compare=False, repr=False)
+    order: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rhs_atoms = self.identity.rhs.atoms()
+        children = tuple(sorted((a for a in rhs_atoms if not is_terminal(a)), key=word_key))
+        bound = measure(self.index)
+        violation = next((c for c in children if measure(c) >= bound), None)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "violation", violation)
+        object.__setattr__(self, "order", (bound, word_key(self.index)))
 
 
 @dataclass
@@ -76,23 +109,6 @@ class ReductionTrace:
         for step in self.steps:
             expr = expr.substitute({step.index: step.identity.rhs})
         return expr
-
-
-def is_terminal(k: Index) -> bool:
-    return is_admissible(k) or is_zero_one(k)
-
-
-def nonterminal_children(step: ReductionStep) -> list[Index]:
-    """The non-terminal atoms of the step's rhs, in `word_sort_key` order."""
-    return sorted((a for a in step.identity.rhs.atoms() if not is_terminal(a)), key=word_key)
-
-
-def measure(k: Index) -> tuple[int, int, int, int]:
-    """Well-founded measure: (length, #entries >= 2, rightmost >= 2 position
-    from the right (1-based, 0 if none), last entry == 1)."""
-    big = [i for i, e in enumerate(k) if e >= 2]
-    pos = len(k) - big[-1] if big else 0
-    return (len(k), len(big), pos, 1 if (k and k[-1] == 1) else 0)
 
 
 def _odd_fay_split(k: Index) -> Identity:
@@ -112,11 +128,19 @@ def _odd_fay_split(k: Index) -> Identity:
     """
     r = len(k)
     kp = k[:-1] + (0, k[-1])
-    pairs = [(monomial((kp[:i], kp[i:])), -split_sign(kp, i)) for i in range(1, r + 1)]
+    pairs = [
+        (m, -split_sign(kp, i))
+        for i in range(1, r + 1)
+        if (m := pair_monomial(kp[:i], kp[i:])) is not None
+    ]
     for s, c in enumerate_support(k):
         s0 = s + (0,)
-        pairs += [(monomial((s[:i], s0[i:])), -c * split_sign(s0, i)) for i in range(1, r)]
-    rhs = Expression._sum(((m, n) for m, n in pairs if not has_odd_singleton(m)), 1)
+        pairs += [
+            (m, -c * split_sign(s0, i))
+            for i in range(1, r)
+            if (m := pair_monomial(s[:i], s0[i:])) is not None
+        ]
+    rhs = Expression._sum(pairs, 1)
     return Identity(Expression.atom(k), rhs, "reduction_step")
 
 
@@ -132,9 +156,13 @@ def _zero_rotation(k: Index) -> Identity:
     its rightmost entry >= 2 one position further right than in k.
     """
     ext = (0,) + k
-    pairs = [(monomial([ext]), 2)]
-    pairs += [(monomial((ext[:i], ext[i:])), split_sign(ext, i)) for i in range(2, len(k) + 1)]
-    rhs = Expression._sum(((m, n) for m, n in pairs if not has_odd_singleton(m)), 1)
+    pairs = [((ext,), 2)]
+    pairs += [
+        (m, split_sign(ext, i))
+        for i in range(2, len(k) + 1)
+        if (m := pair_monomial(ext[:i], ext[i:])) is not None
+    ]
+    rhs = Expression._sum(pairs, 1)
     return Identity(Expression.atom(k), rhs, "reduction_step")
 
 
@@ -159,9 +187,7 @@ def rewrite_step(k: Index) -> ReductionStep:
 
 def _ordered_steps(immediate: dict[Index, ReductionStep]) -> list[ReductionStep]:
     """The recorded steps in decreasing (measure, word_key) order."""
-    return sorted(
-        immediate.values(), key=lambda s: (measure(s.index), word_key(s.index)), reverse=True
-    )
+    return sorted(immediate.values(), key=attrgetter("order"), reverse=True)
 
 
 def _discover(start: Index, atom: Index, immediate: dict[Index, ReductionStep], fuel: int) -> None:
@@ -174,16 +200,13 @@ def _discover(start: Index, atom: Index, immediate: dict[Index, ReductionStep], 
             ReductionTrace(start, _ordered_steps(immediate), Expression.atom(start)),
         )
     step = rewrite_step(atom)
-    children = nonterminal_children(step)
-    bound = measure(atom)
-    for child in children:
-        if measure(child) >= bound:
-            raise FuelExhausted(
-                f"termination measure did not decrease at {atom} -> {child}",
-                ReductionTrace(start, _ordered_steps(immediate), Expression.atom(start)),
-            )
+    if step.violation is not None:
+        raise FuelExhausted(
+            f"termination measure did not decrease at {atom} -> {step.violation}",
+            ReductionTrace(start, _ordered_steps(immediate), Expression.atom(start)),
+        )
     immediate[atom] = step
-    for child in children:
+    for child in step.children:
         if child not in immediate:
             _discover(start, child, immediate, fuel)
 
@@ -196,7 +219,8 @@ def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, Reduct
     atom is a function of the atom alone, this reproduces the expression the
     naive one-substitution-at-a-time loop would produce, and each atom's
     reduced expression is cached across calls (`reduced_atom`).  The rule
-    discovery below still runs on every call, so the trace, the fuel count
+    discovery below still walks the atom's steps on every call, reading each
+    step's cached children and measure check, so the trace, the fuel count
     and the measure check do not depend on the cache.  The recorded trace
     lists each atom's identity in decreasing measure order, which makes a
     sequential replay of the substitutions reproduce the final expression
@@ -233,7 +257,7 @@ def reduced_atom(k: Index) -> Expression:
     `reduce_index` does, that the measure decreases below k.
     """
     step = rewrite_step(k)
-    return step.identity.rhs.substitute({c: reduced_atom(c) for c in nonterminal_children(step)})
+    return step.identity.rhs.substitute({c: reduced_atom(c) for c in step.children})
 
 
 def simplify_zero_one(expr: Expression) -> Expression:

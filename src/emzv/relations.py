@@ -46,6 +46,19 @@ def monomial(atoms: Iterator[Index]) -> Monomial:
     return tuple(sorted((tuple(a) for a in atoms if len(a) > 0), key=word_key))
 
 
+def pair_monomial(a: Index, b: Index, keep_odd: bool = False) -> Monomial | None:
+    """`monomial((a, b))` from one `word_key` comparison, or None (the term
+    drops) when a factor is a length-1 index of odd weight, whose value
+    vanishes, unless `keep_odd`."""
+    if not keep_odd and ((len(a) == 1 and a[0] % 2) or (len(b) == 1 and b[0] % 2)):
+        return None
+    if not a:
+        return (b,) if b else ()
+    if not b:
+        return (a,)
+    return (b, a) if word_key(b) < word_key(a) else (a, b)
+
+
 def monomial_sort_key(mon: Monomial):
     return (len(mon), tuple(map(word_key, mon)))
 
@@ -273,7 +286,8 @@ def parity_split(k: Index) -> Identity:
     if len(k) == 1:
         raise DegenerateError("length-1 indices have no non-trivial split")
     rhs = Expression._sum(
-        ((monomial((k[:i], k[i:])), -split_sign(k, i)) for i in range(1, len(k))), 2
+        ((pair_monomial(k[:i], k[i:], keep_odd=True), -split_sign(k, i)) for i in range(1, len(k))),
+        2,
     )
     return Identity(Expression.atom(k), rhs, "parity_split")
 

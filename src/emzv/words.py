@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Hashable, Iterable
 
@@ -31,8 +32,16 @@ class PreconditionError(ValueError):
 
 
 def as_index(entries: Iterable[int]) -> Index:
-    """Validate and normalize an index to a tuple of small non-negative ints."""
-    idx = tuple(int(e) for e in entries)
+    """Validate and normalize an index to a tuple of small non-negative ints.
+
+    Entries must be integers (anything with `__index__`, such as a bool or
+    a numpy integer); a float or a string raises ArgumentError instead of
+    being truncated or split into digits.
+    """
+    try:
+        idx = tuple(map(operator.index, entries))
+    except TypeError as exc:
+        raise ArgumentError(f"index entries must be integers ({exc})") from None
     for e in idx:
         if e < 0:
             raise ArgumentError(f"negative index entry {e}")

@@ -282,12 +282,47 @@ def test_cold_reductions_leave_no_reference_cycles():
             gc.enable()
 
 
+def test_steps_carry_their_children_and_measure_check():
+    for k in all_indices(8, 5):
+        if is_terminal(k):
+            continue
+        step = rewrite_step(k)
+        nonterminal = [a for a in step.identity.rhs.atoms() if not is_terminal(a)]
+        assert step.children == tuple(sorted(nonterminal, key=word_sort_key)), k
+        late = [c for c in step.children if measure(c) >= measure(k)]
+        assert step.violation == (late[0] if late else None), k
+        assert step.order == (measure(k), word_sort_key(k)), k
+
+
+def test_hand_built_step_carries_its_measure_check():
+    # (1, 1, 2) lies below (1, 2, 0) in measure, (1, 3, 0) does not, and
+    # the terminal (1, 1, 0) is no child.
+    rhs = A(1, 3, 0) + A(1, 1, 2) + A(1, 1, 0)
+    step = ReductionStep("bogus", (1, 2, 0), Identity(A(1, 2, 0), rhs, "bogus"))
+    assert step.children == ((1, 1, 2), (1, 3, 0))
+    assert step.violation == (1, 3, 0)
+    assert step == ReductionStep("bogus", (1, 2, 0), step.identity)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_trace_steps_in_decreasing_measure_order(warm):
+    for k in all_indices(6, 5):
+        if not warm:
+            rewrite_step.cache_clear()
+            reduced_atom.cache_clear()
+        _, trace = reduce_index(k)
+        keys = [(measure(s.index), word_sort_key(s.index)) for s in trace.steps]
+        assert keys == sorted(keys, reverse=True), k
+        assert len(set(keys)) == len(keys), k
+        assert not trace.steps or trace.steps[0].index == k
+
+
 def test_measure_violation_raises_with_partial_trace(monkeypatch):
     # (1, 1, 2, 0) parity-splits with first non-terminal child (1, 2, 0); a
     # bogus step sends that child to (1, 3, 0), whose measure is the same.
     start, child, bogus = (1, 1, 2, 0), (1, 2, 0), (1, 3, 0)
     real = rewrite_step
-    assert reduction.nonterminal_children(real(start))[0] == child
+    assert real(start).children[0] == child
     assert not is_terminal(bogus) and measure(bogus) == measure(child)
     fake = ReductionStep(
         "parity_split", child, Identity(Expression.atom(child), Expression.atom(bogus), "bogus")

@@ -12,7 +12,9 @@ from emzv.relations import (
     Identity,
     PreconditionError,
     fay_identity,
+    has_odd_singleton,
     monomial,
+    pair_monomial,
     parity_split,
     prop_mat_identity,
     reflection_identity,
@@ -205,6 +207,22 @@ def test_renderers_match_json_dumps_and_fraction_text(terms):
         for m, c in expr.items()
     )
     assert expr.to_text() == (reference or "0")
+
+
+# Short indices with small entries: empty atoms, odd and even singletons,
+# and equal pairs all come up often.
+SHORT_INDICES = st.lists(st.integers(0, 4), max_size=3).map(tuple)
+
+
+@given(a=SHORT_INDICES, b=SHORT_INDICES)
+@example(a=(), b=())
+@example(a=(3,), b=())
+@example(a=(2,), b=(1, 0))
+@example(a=(1, 2), b=(1, 2))
+def test_pair_monomial_matches_monomial_and_odd_filter(a, b):
+    mon = monomial((a, b))
+    assert pair_monomial(a, b, keep_odd=True) == mon
+    assert pair_monomial(a, b) == (None if has_odd_singleton(mon) else mon)
 
 
 def test_expression_drop_odd_singletons():

@@ -70,6 +70,20 @@ def test_index_validation():
     assert as_index([3, 0]) == (3, 0)
 
 
+@pytest.mark.parametrize("entries", [[2.7, 0.5], (2.0,), "12", ["1"]])
+def test_index_rejects_non_integer_entries(entries):
+    # A float would be truncated and a string split into digits.
+    with pytest.raises(ArgumentError, match="must be integers"):
+        as_index(entries)
+
+
+def test_index_accepts_integer_types():
+    np = pytest.importorskip("numpy")
+    k = as_index([np.int64(2), True, 0])
+    assert k == (2, 1, 0)
+    assert all(type(e) is int for e in k)
+
+
 def test_index_text_roundtrip():
     assert parse_index("1,2,0") == (1, 2, 0)
     assert parse_index("-") == ()
