@@ -35,12 +35,17 @@ Only f_1 has a pole on [0, 1], so B_w(0) converges unless w starts with 1.
 Every value is this sum with each B_w(0) replaced by its shuffle
 regularization (see Evaluator._reg), which is B_w(0) itself where that
 converges, computed on panel splits 1 and 2; the gap between the two is its
-error estimate.
+error estimate.  The evaluator keeps every reg B_w(0) per (split, word), so
+a Chen sum over words already seen is a few dictionary reads.
 
 The backward pass integrates node to panel end as the panel integral minus
 the antiderivative collocation A.  Gauss-Legendre collocation satisfies
 W A + A^T W = w w^T (W = diag(w)), so this is the forward pass of the
-definition up to rounding.
+definition up to rounding.  The rule of each panel order (nodes, weights,
+A) is built once per process, without numpy.polynomial: the nodes are the
+eigenvalues of the Jacobi matrix, refined by two Newton steps on the
+three-term recurrence, and every grid of that order shares its read-only
+arrays.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ POLE_TOLERANCE = 1e-8
 NODE_CACHE_LENGTH = 2
 #: Evaluators that get_evaluator keeps, least recently used dropped first;
 #: each holds its letters, node values, head vectors (MAX_LETTER + 1 complex
-#: numbers per split and tail) and values while it is kept.
+#: numbers per split and tail), regularized B_w(0) and values while it is kept.
 EVALUATOR_CACHE_SIZE = 8
 
 
@@ -161,7 +166,7 @@ class NumericsConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not (1 <= self.panel_order <= 100):  # numpy's Gauss nodes are tested to 100
+        if not (1 <= self.panel_order <= 100):  # the Gauss-Legendre rule is tested to 100
             raise ArgumentError(f"panel_order must lie in 1..100, got {self.panel_order}")
         if not (0 < self.tolerance < math.inf):
             raise ArgumentError(f"tolerance must be finite and > 0, got {self.tolerance}")
@@ -369,10 +374,39 @@ def _lambert_letters(z: np.ndarray, tau: Tau, top: int, terms: int) -> np.ndarra
 # Gauss-Legendre panels
 
 
+def _legendre_table(x: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_0..P_degree (columns) at the points x, by the three-term recurrence;
+    P_degree' = degree (P_{degree-1} - x P_degree) / (1 - x^2) there; and
+    1 - x^2."""
+    rows = np.empty((degree + 1, len(x)))
+    rows[0] = 1.0
+    if degree:
+        rows[1] = x
+    for k in range(1, degree):
+        rows[k + 1] = ((2 * k + 1) * x * rows[k] - k * rows[k - 1]) / (k + 1)
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    return rows.T, degree * (rows[-2] - x * rows[-1]) / one_minus_x2, one_minus_x2
+
+
+@functools.lru_cache(maxsize=None)
 def _legendre_antiderivative_matrix(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, weights, and the matrix A with A[m, j] = int_{-1}^{x_m} ell_j."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    vander = np.polynomial.legendre.legvander(x, order)  # P_0..P_order at nodes
+    """Nodes, weights, and the matrix A with A[m, j] = int_{-1}^{x_m} ell_j.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence, refined by two Newton steps on P_order; the weights are
+    2 / ((1 - x^2) P_order'(x)^2), scaled to sum to 2.  Both are made
+    symmetric under x -> -x."""
+    k = np.arange(1.0, order)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+    for _ in range(2):
+        vander, slope, _ = _legendre_table(x, order)
+        x = x - vander[:, -1] / slope
+    x = (x - x[::-1]) / 2.0
+    vander, slope, one_minus_x2 = _legendre_table(x, order)  # P_0..P_order at the nodes
+    w = 2.0 / (one_minus_x2 * slope * slope)
+    w = w + w[::-1]
+    w *= 2.0 / w.sum()
     coeff = np.empty((order, order))
     for kdeg in range(order):
         coeff[kdeg, :] = (2 * kdeg + 1) / 2.0 * w * vander[:, kdeg]
@@ -380,7 +414,10 @@ def _legendre_antiderivative_matrix(order: int) -> tuple[np.ndarray, np.ndarray,
     qmat[:, 0] = x + 1.0
     for kdeg in range(1, order):
         qmat[:, kdeg] = (vander[:, kdeg + 1] - vander[:, kdeg - 1]) / (2 * kdeg + 1)
-    return x, w, qmat @ coeff
+    amat = qmat @ coeff
+    for shared in (x, w, amat):  # every grid of this order gets the same arrays
+        shared.flags.writeable = False
+    return x, w, amat
 
 
 class PanelGrid:
@@ -455,8 +492,7 @@ class Evaluator:
         self._nodes: dict[tuple[int, Index], np.ndarray] = {}
         # (split, tail s) -> the head vector of s: entry a is B_{a s}(0)
         self._heads: dict[tuple[int, Index], np.ndarray] = {}
-        # (split, word) -> the shuffle-regularized B_word(0) of a word that
-        # starts with 1
+        # (split, word) -> the shuffle-regularized B_word(0)
         self._regs: dict[tuple[int, Index], complex] = {}
 
     def grid(self, split: int = 1) -> PanelGrid:
@@ -527,7 +563,8 @@ class Evaluator:
         return head
 
     def _reg(self, word: Index, split: int, scratch: dict) -> complex:
-        """B_word(0), shuffle-regularized where word starts with 1.
+        """B_word(0), shuffle-regularized where word starts with 1, kept per
+        (split, word).
 
         reg B_1 = int_0^{1/2} (f_1(z) - 1/z) dz + log(pi) - i pi / 2, the
         constant term of B_1(x) in powers of log(-2 pi i x).  The rest
@@ -536,22 +573,25 @@ class Evaluator:
         reg B_{1^a y w} = sum_{i<=a} (reg B_1)^i / i! (-1)^(a-i)
         sum_{s in 1^(a-i) sh w} B_{y s}(0), whose words all converge at 0.
         """
-        if not word:
-            return 1.0
-        if word[0] != 1:
-            _check_letter(word[0])
-            return self._head(word[1:], split, scratch)[word[0]]
         key = (split, word)
-        if key not in self._regs:
+        value = self._regs.get(key)
+        if value is not None:
+            return value
+        if not word:
+            value = 1.0
+        elif word[0] != 1:
+            _check_letter(word[0])
+            value = self._head(word[1:], split, scratch)[word[0]]
+        elif word == (1,):
+            grid = self.grid(split)
+            cut = grid.weights @ (self.letters(1, split) - 1.0 / grid.lower_nodes)
+            value = complex(cut) + complex(math.log(math.pi), -math.pi / 2)
+        else:
             ones = next((i for i, n in enumerate(word) if n != 1), len(word))
-            if word == (1,):
-                grid = self.grid(split)
-                cut = grid.weights @ (self.letters(1, split) - 1.0 / grid.lower_nodes)
-                value = complex(cut) + complex(math.log(math.pi), -math.pi / 2)
-            elif ones == len(word):
-                value = self._reg((1,), split, scratch) ** ones / math.factorial(ones)
+            c = self._reg((1,), split, scratch)
+            if ones == len(word):
+                value = c**ones / math.factorial(ones)
             else:
-                c = self._reg((1,), split, scratch)
                 y, rest = word[ones : ones + 1], word[ones + 1 :]
                 value = 0.0
                 for i in range(ones + 1):
@@ -560,27 +600,36 @@ class Evaluator:
                         for s, n in shuffle((1,) * (ones - i), rest).numerators()
                     )
                     value += c**i / math.factorial(i) * (-1) ** (ones - i) * inner
-            self._regs[key] = value
-        return self._regs[key]
+        self._regs[key] = value
+        return value
 
-    def _chen(self, k: Index, at) -> complex:
-        """Chen's identity at 1/2 with the reflection f_n(1 - z) = (-1)^n
-        f_n(z): sum_j at(k[:j]) (-1)^{|k[j:]|} at(rev(k[j:]))."""
+    def _chen_sum(self, k: Index, split: int) -> complex:
+        """I(k) on one panel split: Chen's identity at 1/2 with the reflection
+        f_n(1 - z) = (-1)^n f_n(z),
+
+          sum_j reg B_{k[:j]}(0) (-1)^{|k[j:]|} reg B_{rev(k[j:])}(0),
+
+        each factor read from the memo of _reg before it is computed."""
+        regs = self._regs
+        scratch: dict[tuple[int, Index], np.ndarray] = {}
         total = 0.0
         for j in range(len(k) + 1):
-            sign = -1.0 if sum(k[j:]) % 2 else 1.0
-            total += at(k[:j]) * (sign * at(k[j:][::-1]))
-        return total
+            head, tail = k[:j], k[j:][::-1]
+            left = regs.get((split, head))
+            if left is None:
+                left = self._reg(head, split, scratch)
+            right = regs.get((split, tail))
+            if right is None:
+                right = self._reg(tail, split, scratch)
+            sign = -1.0 if sum(tail) % 2 else 1.0
+            total += left * (sign * right)
+        return complex(total)
 
     def _value(self, k: Index) -> tuple[complex, float]:
         """I(k) from the regularized tails on splits 1 and 2, and their gap."""
         if len(k) > MAX_IINT_LENGTH:
             raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
-        values = []
-        for split in (1, 2):
-            scratch: dict[tuple[int, Index], np.ndarray] = {}
-            values.append(complex(self._chen(k, lambda w: self._reg(w, split, scratch))))
-        coarse, fine = values
+        coarse, fine = self._chen_sum(k, 1), self._chen_sum(k, 2)
         gap = abs(coarse - fine)
         if gap > self.cfg.tolerance:
             raise ToleranceError(f"refinement moved I{k} by {gap:.3e}")
@@ -613,11 +662,13 @@ class Evaluator:
     def eval_expression(self, expr: Expression) -> complex:
         total = 0.0 + 0.0j
         den = expr.den
+        values = self._values
         # int / int is correctly rounded, so this equals complex(Fraction).
         for mon, n in expr.numerators():
             prod = complex(n / den)
             for atom in mon:
-                prod *= self.value(atom)
+                value = values.get(atom)
+                prod *= self.value(atom) if value is None else value
             total += prod
         return total
 
