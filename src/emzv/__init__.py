@@ -50,10 +50,6 @@ _NUMERICS = (
     "Evaluator",
     "NumericsConfig",
     "Tau",
-    "emzv_admissible",
-    "emzv_regularized",
-    "eval_expression",
-    "f_n",
     "get_evaluator",
     "kronecker_f",
     "parse_tau",

@@ -21,7 +21,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .faypoly import compositions
-from .reduction import FuelExhausted, reduce_index, verify_reduction
+from .reduction import DEFAULT_FUEL, FuelExhausted, reduce_index, verify_reduction
 from .relations import (
     atom_json,
     fay_identity,
@@ -86,6 +86,14 @@ def _load_config(args) -> NumericsConfig:
 def _check_tol(tol: float) -> None:
     if not 0 <= tol < math.inf:
         raise ArgumentError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _open_out(path: str):
+    """`path` opened for writing text; an argument error if it cannot be."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _indices_within(max_weight: int, max_length: int, min_length: int = 1):
@@ -288,7 +296,7 @@ def cmd_verify(args) -> int:
     else:
         lines = [json.dumps(rep, sort_keys=True) + "\n" for rep in reports]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.writelines(lines)
     else:
         sys.stdout.writelines(lines)
@@ -320,7 +328,7 @@ def cmd_table(args) -> int:
             )
         rows.seek(0)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with _open_out(args.out) as fh:
                 shutil.copyfileobj(rows, fh)
         else:
             shutil.copyfileobj(rows, sys.stdout)
@@ -340,15 +348,13 @@ def cmd_selftest(args) -> int:
 
     def check_simplex() -> bool:
         ev = get_evaluator(parse_tau("0+1i"), cfg)
-        return all(
-            abs(ev.admissible((0,) * r) - 1 / math.factorial(r)) < 1e-10 for r in range(1, 5)
-        )
+        return all(abs(ev.value((0,) * r) - 1 / math.factorial(r)) < 1e-10 for r in range(1, 5))
 
     checks.append(("simplex volumes", check_simplex))
 
     def check_length_one() -> bool:
         ev = get_evaluator(parse_tau("0+1i"), cfg)
-        return abs(ev.admissible((2,)) + math.pi**2 / 3) < 1e-8 and abs(ev.admissible((3,))) < 1e-8
+        return abs(ev.value((2,)) + math.pi**2 / 3) < 1e-8 and abs(ev.value((3,))) < 1e-8
 
     checks.append(("length-1 values", check_length_one))
 
@@ -380,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="rewrite an index into terminal generators")
     p.add_argument("--index", required=True, help="comma-separated entries, '-' for empty")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--verify", action="store_true")
@@ -404,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("--out")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.add_argument("--config")
     p.set_defaults(func=cmd_verify)
 
@@ -412,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, required=True)
     p.add_argument("--max-length", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--fuel", type=int, default=10_000)
+    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("selftest", help="quick internal battery")

@@ -4,14 +4,16 @@ The building blocks:
 
   theta           odd Jacobi theta series  sum_n (-1)^n q^{(n+1/2)^2/2} w^{n+1/2}
   kronecker_f     F(alpha, z) = theta(z + alpha) theta'(0) / (theta(z) theta(alpha))
-  f_n             Laurent coefficients of F in alpha (F = sum_n f_n(z) alpha^{n-1}),
+  Evaluator.f_n   Laurent coefficients of F in alpha (F = sum_n f_n(z) alpha^{n-1}),
                   summed from their closed-form Lambert series in q (see
                   _lambert_letters); theta and kronecker_f are the independent
                   check of them
-  emzv_admissible iterated integral of the letters f_{k_i} over the ordered
-                  simplex in [0, 1]
-  emzv_regularized the same integral, shuffle-regularized at the endpoints
-                  (I(1) = 0)
+  Evaluator.regularized
+                  iterated integral of the letters f_{k_i} over the ordered
+                  simplex in [0, 1], shuffle-regularized at the endpoints
+                  (I(1) = 0) where it diverges, with its split gap: the one
+                  entry that computes a value
+  Evaluator.value the same value, cached per evaluator
 
 All evaluation shares one dyadically graded panel grid per (tau, config),
 symmetric under z -> 1 - z, and every integral is assembled from the lower
@@ -61,7 +63,7 @@ from typing import Iterable
 import numpy as np
 
 from .relations import Expression
-from .words import ArgumentError, Index, PreconditionError, as_index, is_admissible, shuffle
+from .words import ArgumentError, Index, PreconditionError, as_index, shuffle
 
 TWO_PI_I = 2j * math.pi
 
@@ -625,8 +627,10 @@ class Evaluator:
             total += left * (sign * right)
         return complex(total)
 
-    def _value(self, k: Index) -> tuple[complex, float]:
-        """I(k) from the regularized tails on splits 1 and 2, and their gap."""
+    def regularized(self, k: Index) -> tuple[complex, float]:
+        """I(k), shuffle-regularized (I(1) = 0) where k is not admissible,
+        from the regularized tails on splits 1 and 2, and their gap."""
+        k = as_index(k)
         if len(k) > MAX_IINT_LENGTH:
             raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
         coarse, fine = self._chen_sum(k, 1), self._chen_sum(k, 2)
@@ -635,28 +639,17 @@ class Evaluator:
             raise ToleranceError(f"refinement moved I{k} by {gap:.3e}")
         return fine, gap
 
-    def admissible(self, k: Index) -> complex:
-        """Iterated integral over the full simplex; admissible indices only."""
-        k = as_index(k)
-        if not is_admissible(k):
-            raise PreconditionError(f"{k} is not admissible")
-        return self._value(k)[0]
-
-    def regularized(self, k: Index) -> tuple[complex, float]:
-        """Shuffle-regularized value (I(1) = 0) and its split gap."""
-        return self._value(as_index(k))
-
     # -- values and expressions
 
     def value(self, k: Index) -> complex:
-        """Value of one atom, shuffle-regularized if not admissible, cached."""
+        """The value of `regularized(k)`, cached."""
         if isinstance(k, tuple):  # only validated indices are ever cached
             cached = self._values.get(k)
             if cached is not None:
                 return cached
         k = as_index(k)
         if k not in self._values:
-            self._values[k] = self._value(k)[0]
+            self._values[k] = self.regularized(k)[0]
         return self._values[k]
 
     def eval_expression(self, expr: Expression) -> complex:
@@ -685,24 +678,7 @@ def get_evaluator(tau, cfg: NumericsConfig | None = None) -> Evaluator:
 
 
 # ---------------------------------------------------------------------------
-# public operation wrappers
-
-
-def f_n(n: int, z, tau, cfg: NumericsConfig | None = None):
-    return get_evaluator(tau, cfg).f_n(n, z)
-
-
-def emzv_admissible(k: Iterable[int], tau, cfg: NumericsConfig | None = None) -> complex:
-    return get_evaluator(tau, cfg).admissible(as_index(k))
-
-
-def emzv_regularized(k: Iterable[int], tau, cfg: NumericsConfig | None = None) -> complex:
-    value, _ = get_evaluator(tau, cfg).regularized(as_index(k))
-    return value
-
-
-def eval_expression(expr: Expression, tau, cfg: NumericsConfig | None = None) -> complex:
-    return get_evaluator(tau, cfg).eval_expression(expr)
+# zeta values
 
 
 def zeta(s: int) -> float:

@@ -101,7 +101,6 @@ class ReductionStep:
 class ReductionTrace:
     start: Index
     steps: list[ReductionStep]
-    final: Expression
 
     def replay(self) -> Expression:
         """Re-apply the recorded identities from the starting atom."""
@@ -197,13 +196,13 @@ def _discover(start: Index, atom: Index, immediate: dict[Index, ReductionStep], 
     if len(immediate) >= fuel:
         raise FuelExhausted(
             f"fuel exhausted after {len(immediate)} rule applications reducing {start}",
-            ReductionTrace(start, _ordered_steps(immediate), Expression.atom(start)),
+            ReductionTrace(start, _ordered_steps(immediate)),
         )
     step = rewrite_step(atom)
     if step.violation is not None:
         raise FuelExhausted(
             f"termination measure did not decrease at {atom} -> {step.violation}",
-            ReductionTrace(start, _ordered_steps(immediate), Expression.atom(start)),
+            ReductionTrace(start, _ordered_steps(immediate)),
         )
     immediate[atom] = step
     for child in step.children:
@@ -244,8 +243,7 @@ def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, Reduct
     # is k itself.
     for step in reversed(steps):
         final = reduced_atom(step.index)
-    trace = ReductionTrace(k, steps, final)
-    return final, trace
+    return final, ReductionTrace(k, steps)
 
 
 @functools.lru_cache(maxsize=None)

@@ -37,10 +37,6 @@ from .words import (
 Monomial = tuple[Index, ...]
 
 
-class DegenerateError(ValueError):
-    """The requested identity degenerates to an unusable form."""
-
-
 def monomial(atoms: Iterator[Index]) -> Monomial:
     """Canonical monomial: atoms sorted, empty indices (unit factors) dropped."""
     return tuple(sorted((tuple(a) for a in atoms if len(a) > 0), key=word_key))
@@ -61,11 +57,6 @@ def pair_monomial(a: Index, b: Index, keep_odd: bool = False) -> Monomial | None
 
 def monomial_sort_key(mon: Monomial):
     return (len(mon), tuple(map(word_key, mon)))
-
-
-def has_odd_singleton(mon: Monomial) -> bool:
-    """True when a factor is a length-1 index of odd weight (that value vanishes)."""
-    return any(len(a) == 1 and a[0] % 2 for a in mon)
 
 
 def coef_text(n: int, den: int) -> str:
@@ -147,12 +138,6 @@ class Expression(Combo):
             self._den * den,
         )
 
-    def drop_odd_singletons(self) -> "Expression":
-        """Remove monomials with a length-1 odd-weight factor (those values vanish)."""
-        return Expression._sum(
-            ((m, n) for m, n in self._terms.items() if not has_odd_singleton(m)), self._den
-        )
-
     def to_json_dict(self) -> dict:
         den = self._den
         return {
@@ -200,9 +185,6 @@ class Identity:
     lhs: Expression
     rhs: Expression
     provenance: str
-
-    def residual(self) -> Expression:
-        return self.lhs - self.rhs
 
 
 def shuffle_identity(v: Index, w: Index) -> Identity:
@@ -284,7 +266,7 @@ def parity_split(k: Index) -> Identity:
     if len(k) == 0:
         raise PreconditionError("parity split needs a non-empty index")
     if len(k) == 1:
-        raise DegenerateError("length-1 indices have no non-trivial split")
+        raise PreconditionError("length-1 indices have no non-trivial split")
     rhs = Expression._sum(
         ((pair_monomial(k[:i], k[i:], keep_odd=True), -split_sign(k, i)) for i in range(1, len(k))),
         2,

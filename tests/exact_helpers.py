@@ -2,7 +2,8 @@
 
 The shuffle Hopf algebra's deconcatenation coproduct and antipode, whose
 convolution identity underlies `emzv.relations.parity_split`; the weight of
-a monomial and of an expression; and the inverse of
+a monomial and of an expression; the residual of an identity; the filter
+of monomials with a vanishing length-1 factor; and the inverse of
 `Expression.to_json_dict`.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from emzv.relations import Expression, Monomial, monomial
+from emzv.relations import Expression, Identity, Monomial, monomial
 from emzv.words import Index, WordCombo, as_index, shuffle, weight
 
 
@@ -53,6 +54,20 @@ def homogeneous_weight(expr: Expression) -> int | None:
 
 def is_weight_homogeneous(expr: Expression) -> bool:
     return len({monomial_weight(m) for m, _ in expr.items()}) <= 1
+
+
+def residual(ident: Identity) -> Expression:
+    return ident.lhs - ident.rhs
+
+
+def has_odd_singleton(mon: Monomial) -> bool:
+    """True when a factor is a length-1 index of odd weight (that value vanishes)."""
+    return any(len(a) == 1 and a[0] % 2 for a in mon)
+
+
+def drop_odd_singletons(expr: Expression) -> Expression:
+    """Remove monomials with a length-1 odd-weight factor (those values vanish)."""
+    return Expression.collect((m, c) for m, c in expr.items() if not has_odd_singleton(m))
 
 
 def expression_from_json_dict(data: dict) -> Expression:

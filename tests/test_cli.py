@@ -373,6 +373,21 @@ def test_table_fuel_exit_code_writes_nothing(tmp_path, capsys):
     assert code == 3 and out == "" and "fuel" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--max-weight", "2", "--max-length", "2"),
+        ("verify", "--family", "prop-mat", "--max-weight", "3"),
+    ],
+)
+def test_unwritable_out_exit_code(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.jsonl"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -479,10 +494,6 @@ NUMERIC_NAMES = (
     "Evaluator",
     "NumericsConfig",
     "Tau",
-    "emzv_admissible",
-    "emzv_regularized",
-    "eval_expression",
-    "f_n",
     "get_evaluator",
     "kronecker_f",
     "parse_tau",
@@ -490,6 +501,9 @@ NUMERIC_NAMES = (
     "theta_prime0",
     "zeta",
 )
+
+# One-line wrappers over get_evaluator(tau, cfg) that the package no longer ships.
+REMOVED_NUMERIC_NAMES = ("emzv_admissible", "emzv_regularized", "eval_expression", "f_n")
 
 
 def test_package_serves_numeric_names_from_numerics():
@@ -501,5 +515,7 @@ def test_package_serves_numeric_names_from_numerics():
     assert all(namespace[name] is getattr(emzv, name) for name in emzv.__all__)
     assert {"reduce_index", "Expression", "shuffle", "c_coeff"} <= set(namespace)
     assert not {"SparsePoly", "p_poly", "antipode", "coproduct"} & set(namespace)
+    for name in REMOVED_NUMERIC_NAMES:
+        assert name not in emzv.__all__ and not hasattr(emzv.numerics, name), name
     with pytest.raises(AttributeError):
         emzv.no_such_name

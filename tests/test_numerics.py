@@ -26,9 +26,6 @@ from emzv.numerics import (
     PreconditionError,
     Tau,
     ToleranceError,
-    emzv_admissible,
-    emzv_regularized,
-    eval_expression,
     get_evaluator,
     kronecker_f,
     lattice_distance,
@@ -368,24 +365,23 @@ def test_f_n_pole():
 
 def test_simplex_volumes():
     for r in range(1, 5):
-        v = emzv_admissible((0,) * r, TAU)
+        v = get_evaluator(TAU).value((0,) * r)
         assert abs(v - 1 / math.factorial(r)) < 1e-10
 
 
 def test_length_one_values():
     for tau in (TAU, TAU2):
-        assert abs(emzv_admissible((2,), tau) + math.pi**2 / 3) < 1e-8
-        assert abs(emzv_admissible((3,), tau)) < 1e-8
-        assert abs(emzv_admissible((4,), tau) + 2 * zeta(4)) < 1e-8
-    assert abs(emzv_admissible((), TAU) - 1) < 1e-15
+        ev = get_evaluator(tau)
+        assert abs(ev.value((2,)) + math.pi**2 / 3) < 1e-8
+        assert abs(ev.value((3,))) < 1e-8
+        assert abs(ev.value((4,)) + 2 * zeta(4)) < 1e-8
+    assert abs(get_evaluator(TAU).regularized(())[0] - 1) < 1e-15
     assert get_evaluator(TAU).value(()) == 1
 
 
 def test_admissible_preconditions():
     with pytest.raises(PreconditionError):
-        emzv_admissible((1, 2), TAU)
-    with pytest.raises(PreconditionError):
-        emzv_admissible((0,) * 9, TAU)
+        get_evaluator(TAU).regularized((0,) * 9)
 
 
 def test_quadrature_refinement_agreement():
@@ -395,7 +391,7 @@ def test_quadrature_refinement_agreement():
 
 
 def chen_sum(ev, k, split):
-    """The Chen sum at x = 0 on one panel split, as Evaluator._value
+    """The Chen sum at x = 0 on one panel split, as Evaluator.regularized
     computes it before comparing the two splits."""
     return ev._chen_sum(k, split)
 
@@ -458,7 +454,7 @@ def test_evaluator_cache_is_bounded():
     refs = []
     for i in range(40):
         tau = complex(0.01 * i, 1.0)
-        emzv_admissible((2, 0, 2), tau)
+        get_evaluator(tau).value((2, 0, 2))
         refs.append(weakref.ref(get_evaluator(tau)))
         assert get_evaluator(Tau(tau), DEFAULT_CONFIG) is refs[-1]()
     gc.collect()
@@ -582,7 +578,7 @@ def test_head_vectors_match_a_direct_sweep():
 
 def test_value_validates_what_it_has_not_cached():
     ev = Evaluator(TAU)
-    assert ev.value([2, 0, 3]) == ev.value((2, 0, 3)) == ev.admissible((2, 0, 3))
+    assert ev.value([2, 0, 3]) == ev.value((2, 0, 3)) == ev.regularized((2, 0, 3))[0]
     with pytest.raises(ArgumentError):
         ev.value((-1,))
     with pytest.raises(ArgumentError):
@@ -665,18 +661,11 @@ def test_split_below_one_is_rejected():
             PanelGrid(DEFAULT_CONFIG.panel_order, 4, split)
 
 
-def test_regularized_matches_admissible():
-    for k in [(2,), (0, 2), (0, 0), (2, 0, 2)]:
-        direct = emzv_admissible(k, TAU)
-        reg = emzv_regularized(k, TAU)
-        assert abs(direct - reg) < 1e-6, k
-
-
 def test_regularized_zero_values():
     # I(1) = 0 exactly: reg B_1 enters Chen's sum once with each sign.
     for tau in (TAU, TAU2, 0.5 + 0.8j, 0.1j):
         assert Evaluator(tau).regularized((1,)) == (0, 0)
-    assert abs(emzv_regularized((1, 1), TAU)) < 1e-6
+    assert abs(get_evaluator(TAU).regularized((1, 1))[0]) < 1e-6
 
 
 def test_regularized_shuffle_and_reflection():
@@ -686,8 +675,8 @@ def test_regularized_shuffle_and_reflection():
     # reflection through the regularized path only, weights <= 4
     for k in [(1, 2), (0, 1), (1, 1, 2), (1, 0, 2), (1, 2, 1)]:
         sign = (-1) ** sum(k)
-        lhs = emzv_regularized(k[::-1], TAU)
-        rhs = sign * emzv_regularized(k, TAU)
+        lhs = ev.regularized(k[::-1])[0]
+        rhs = sign * ev.regularized(k)[0]
         assert abs(lhs - rhs) < 1e-6, k
     # reported error estimates are small
     _, est = ev.regularized((1, 2))
@@ -754,13 +743,14 @@ def test_zeta():
 
 
 def test_eval_expression():
-    assert eval_expression(Expression.unit(), TAU) == 1
+    ev = get_evaluator(TAU)
+    assert ev.eval_expression(Expression.unit()) == 1
     ident = parity_split((0, 2))
-    lhs = eval_expression(ident.lhs, TAU)
-    rhs = eval_expression(ident.rhs, TAU)
+    lhs = ev.eval_expression(ident.lhs)
+    rhs = ev.eval_expression(ident.rhs)
     assert abs(lhs - rhs) < 1e-10
     ident = shuffle_identity((1,), (0, 2))
-    res = eval_expression(ident.lhs - ident.rhs, TAU)
+    res = ev.eval_expression(ident.lhs - ident.rhs)
     assert abs(res) < 1e-6
 
 

@@ -34,7 +34,7 @@ from emzv.words import (
     weight,
     word_sort_key,
 )
-from exact_helpers import monomial_weight
+from exact_helpers import drop_odd_singletons, monomial_weight
 
 
 def A(*entries, coeff=1):
@@ -368,7 +368,7 @@ def _reference_rhs(step: ReductionStep) -> Expression:
         ext = (0,) + k
         pairs = [(monomial([ext]), 2)]
         pairs += [(monomial((ext[:i], ext[i:])), split_sign(ext, i)) for i in range(2, r + 1)]
-    return Expression.collect(pairs).drop_odd_singletons()
+    return drop_odd_singletons(Expression.collect(pairs))
 
 
 def _canonical_monomial_key(mon):
