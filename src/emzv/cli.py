@@ -11,8 +11,10 @@ numbers are computed: `eval`, `verify`, `selftest` and `reduce --verify`.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import re
 import shutil
 import sys
@@ -94,6 +96,23 @@ def _open_out(path: str):
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_out(path: str) -> None:
+    """The argument error of `_open_out`, raised before any work when the
+    directory of `path` is missing or not writable, or `path` is a
+    directory or a file that cannot be written.  Creates and truncates
+    nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ArgumentError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _indices_within(max_weight: int, max_length: int, min_length: int = 1):
@@ -263,6 +282,8 @@ def _family_instances(family: str, args, cfg: NumericsConfig):
 
 def cmd_verify(args) -> int:
     _check_tol(args.tol)
+    if args.out:
+        _check_out(args.out)
     cfg = _load_config(args)
     instances = list(_family_instances(args.family, args, cfg))
 
@@ -317,7 +338,9 @@ def cmd_table(args) -> int:
     `json.dumps({"expression", "index", "terminal", "trace_len"},
     sort_keys=True)`.  Rows stream into an anonymous temporary file, which
     is copied out only once the table completes, so a failure writes
-    nothing."""
+    nothing; an `--out` that cannot be written is refused before any row."""
+    if args.out:
+        _check_out(args.out)
     with tempfile.TemporaryFile("w+", encoding="utf-8") as rows:
         for k in _indices_within(args.max_weight, args.max_length, min_length=0):
             expr, trace = reduce_index(k, fuel=args.fuel)

@@ -22,23 +22,25 @@ half [0, 1/2].  A sweep of a word w is
   B_w(x) = int_{x < z_1 < ... < z_m < 1/2} f_{w_1}(z_1) ... f_{w_m}(z_m),
 
 computed from B_{w[1:]} on the nodes by one backward pass of composite
-Gauss-Legendre panels.  The evaluator keeps one head vector per (split,
-tail s): the letters times the weighted node values of s, whose entry a is
-B_{a s}(0) for every letter a at once.  So a word is swept only when its
-node values feed a longer word or a head vector.  The node values are kept
-per (split, word) only for words of length <= NODE_CACHE_LENGTH, the tails
-that most words end in; those of longer words are rebuilt from them when a
-Chen sum needs them.  Chen's identity at 1/2 and the reflection
-f_n(1 - z) = (-1)^n f_n(z) give the integral over the whole simplex:
+Gauss-Legendre panels.  Every value is computed on panel splits 1 and 2,
+and each memo of the evaluator holds one entry per word for both splits.
+The evaluator keeps one head vector per tail s, both splits: the letters
+times the weighted node values of s, whose entry a is B_{a s}(0) for every
+letter a at once.  So a word is swept only when its node values feed a
+longer word or a head vector.  The node values are kept only for words of
+length <= NODE_CACHE_LENGTH, the tails that most words end in; those of
+longer words are rebuilt from them when a Chen sum needs them.  Chen's
+identity at 1/2 and the reflection f_n(1 - z) = (-1)^n f_n(z) give the
+integral over the whole simplex:
 
   I(k) = sum_{j=0..r} B_{k[:j]}(0) (-1)^{|k[j:]|} B_{rev(k[j:])}(0).
 
 Only f_1 has a pole on [0, 1], so B_w(0) converges unless w starts with 1.
 Every value is this sum with each B_w(0) replaced by its shuffle
 regularization (see Evaluator._reg), which is B_w(0) itself where that
-converges, computed on panel splits 1 and 2; the gap between the two is its
-error estimate.  The evaluator keeps every reg B_w(0) per (split, word), so
-a Chen sum over words already seen is a few dictionary reads.
+converges; the gap between the sums on the two splits is its error
+estimate.  The evaluator keeps every reg B_w(0), so a Chen sum over words
+already seen is a few dictionary reads.
 
 The backward pass integrates node to panel end as the panel integral minus
 the antiderivative collocation A.  Gauss-Legendre collocation satisfies
@@ -453,8 +455,10 @@ class PanelGrid:
         assert self.n_panels % 2 == 0
         lower = self.breakpoints[: self.n_panels // 2 + 1]
         self._half = (lower[1:] - lower[:-1]) / 2.0
+        self._half_col = self._half[:, None]
+        self._amat_t = self._amat.T
         mid = (lower[1:] + lower[:-1]) / 2.0
-        self.lower_nodes = (mid[:, None] + self._half[:, None] * xg[None, :]).ravel()
+        self.lower_nodes = (mid[:, None] + self._half_col * xg[None, :]).ravel()
         #: quadrature weights of the lower-half nodes: int_0^{1/2} g = weights @ g
         self.weights = (self._half[:, None] * self._wg[None, :]).ravel()
 
@@ -466,8 +470,8 @@ class PanelGrid:
         """
         h = (letter * inner).reshape(-1, self.order)
         panel_ints = self._half * (h @ self._wg)
-        tails = np.cumsum(panel_ints[::-1])[::-1]  # from each panel's start to 1/2
-        nodes = (tails[:, None] - self._half[:, None] * (h @ self._amat.T)).ravel()
+        tails = panel_ints[::-1].cumsum()[::-1]  # from each panel's start to 1/2
+        nodes = (tails[:, None] - self._half_col * (h @ self._amat_t)).ravel()
         return complex(tails[0]), nodes
 
 
@@ -481,7 +485,10 @@ def _check_letter(n: int) -> None:
 
 
 class Evaluator:
-    """All numerics for one (tau, config): letters, integrals, value cache."""
+    """All numerics for one (tau, config): letters, integrals, value cache.
+
+    Every value is computed on panel splits 1 and 2, so each memo of
+    integrals holds one entry per word: the pair (split 1, split 2)."""
 
     def __init__(self, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
         self.tau = as_tau(tau)
@@ -489,31 +496,44 @@ class Evaluator:
         self._grids: dict[int, PanelGrid] = {}
         # split -> letters f_0..f_MAX_LETTER (rows) on the lower-half nodes
         self._letters: dict[int, np.ndarray] = {}
+        # (grid, letters) of splits 1 and 2, once both are built
+        self._pair: tuple[tuple[PanelGrid, np.ndarray], ...] | None = None
         self._values: dict[Index, complex] = {}
-        # (split, word) -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
-        self._nodes: dict[tuple[int, Index], np.ndarray] = {}
-        # (split, tail s) -> the head vector of s: entry a is B_{a s}(0)
-        self._heads: dict[tuple[int, Index], np.ndarray] = {}
-        # (split, word) -> the shuffle-regularized B_word(0)
-        self._regs: dict[tuple[int, Index], complex] = {}
+        # word -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
+        self._nodes: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
+        # tail s -> the head vectors of s: entry a is B_{a s}(0)
+        self._heads: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
+        # word -> the shuffle-regularized B_word(0)
+        self._regs: dict[Index, tuple[complex, complex]] = {}
 
     def grid(self, split: int = 1) -> PanelGrid:
         if split not in self._grids:
-            grid = PanelGrid(self.cfg.panel_order, GRADING_DEPTH, split)
-            self._grids[split] = grid
-            self._nodes[(split, ())] = np.ones(len(grid.lower_nodes), dtype=complex)
+            self._grids[split] = PanelGrid(self.cfg.panel_order, GRADING_DEPTH, split)
         return self._grids[split]
 
-    def letters(self, n: int, split: int = 1) -> np.ndarray:
-        """Values of the letter f_n on the lower-half grid nodes.  All letters
-        of a split are built at its first use, in one pass."""
-        _check_letter(n)
+    def _letter_table(self, split: int) -> np.ndarray:
+        """Letters f_0..f_MAX_LETTER (rows) on the lower-half nodes of
+        `split`, all built at its first use, in one pass."""
         if split not in self._letters:
             # refuses a tau that needs too many terms before any table is built
             terms = _lambert_terms(2 * math.pi * self.tau.tau.imag)
             nodes = self.grid(split).lower_nodes
             self._letters[split] = _lambert_letters(nodes, self.tau, MAX_LETTER, terms)
-        return self._letters[split][n]
+        return self._letters[split]
+
+    def letters(self, n: int, split: int = 1) -> np.ndarray:
+        """Values of the letter f_n on the lower-half grid nodes.  All letters
+        of a split are built at its first use, in one pass."""
+        _check_letter(n)
+        return self._letter_table(split)[n]
+
+    def _splits(self) -> tuple[tuple[PanelGrid, np.ndarray], ...]:
+        """(grid, letter table) of splits 1 and 2.  The first call builds
+        them and keeps the empty word's node values, all ones."""
+        if self._pair is None:
+            self._pair = tuple((self.grid(s), self._letter_table(s)) for s in (1, 2))
+            self._nodes[()] = tuple(np.ones(len(g.lower_nodes), dtype=complex) for g, _ in self._pair)
+        return self._pair
 
     def f_n(self, n: int, z):
         """Letter f_n at arbitrary points z.  Re z is taken mod 1, and Im z
@@ -536,37 +556,43 @@ class Evaluator:
 
     # -- iterated integrals
 
-    def _sweep(self, word: Index, split: int, scratch: dict) -> np.ndarray:
-        """B_word on the lower-half nodes, from B_word[1:] by one backward
-        pass.  Node values of words up to NODE_CACHE_LENGTH are kept by the
-        evaluator, so each of them is swept once; `scratch` holds those of
-        longer words for one Chen sum and is dropped with it."""
-        key = (split, word)
-        grid = self.grid(split)  # seeds the empty word's node values
+    def _sweep(self, word: Index, scratch: dict) -> tuple[np.ndarray, np.ndarray]:
+        """B_word on the lower-half nodes of splits 1 and 2, from B_word[1:]
+        by one backward pass each.  Node values of words up to
+        NODE_CACHE_LENGTH are kept by the evaluator, so each of them is swept
+        once; `scratch` holds those of longer words for one Chen sum and is
+        dropped with it.  The empty word's are kept by _splits, which every
+        caller has run."""
         store = self._nodes if len(word) <= NODE_CACHE_LENGTH else scratch
-        if key not in store:
-            inner = self._sweep(word[1:], split, scratch)
-            _, store[key] = grid.sweep(self.letters(word[0], split), inner)
-        return store[key]
+        nodes = store.get(word)
+        if nodes is None:
+            n = word[0]
+            _check_letter(n)
+            inner = self._sweep(word[1:], scratch)
+            nodes = store[word] = tuple(
+                grid.sweep(letters[n], b)[1] for (grid, letters), b in zip(self._pair, inner)
+            )
+        return nodes
 
-    def _head(self, tail: Index, split: int, scratch: dict) -> np.ndarray:
-        """The head vector of `tail`: entry a is B_{a tail}(0) =
-        int_0^{1/2} f_a B_tail for every letter a at once, one weighted
-        product of the letters with the node values of `tail`.  Entry 1,
-        where B_{1 tail}(0) diverges, is NaN."""
-        key = (split, tail)
-        head = self._heads.get(key)
-        if head is None:
-            weighted = self.grid(split).weights * self._sweep(tail, split, scratch)
-            self.letters(1, split)  # builds the split's letters
-            head = self._letters[split] @ weighted
-            head[1] = math.nan
-            self._heads[key] = head
-        return head
+    def _head(self, tail: Index, scratch: dict) -> tuple[np.ndarray, np.ndarray]:
+        """The head vectors of `tail` on splits 1 and 2: entry a is
+        B_{a tail}(0) = int_0^{1/2} f_a B_tail for every letter a at once,
+        one weighted product of the letters with the node values of `tail`.
+        Entry 1, where B_{1 tail}(0) diverges, is NaN."""
+        heads = self._heads.get(tail)
+        if heads is None:
+            splits = self._splits()
+            heads = []
+            for (grid, letters), nodes in zip(splits, self._sweep(tail, scratch)):
+                head = letters @ (grid.weights * nodes)
+                head[1] = math.nan
+                heads.append(head)
+            heads = self._heads[tail] = tuple(heads)
+        return heads
 
-    def _reg(self, word: Index, split: int, scratch: dict) -> complex:
-        """B_word(0), shuffle-regularized where word starts with 1, kept per
-        (split, word).
+    def _reg(self, word: Index, scratch: dict) -> tuple[complex, complex]:
+        """B_word(0) on splits 1 and 2, shuffle-regularized where word starts
+        with 1, kept per word.
 
         reg B_1 = int_0^{1/2} (f_1(z) - 1/z) dz + log(pi) - i pi / 2, the
         constant term of B_1(x) in powers of log(-2 pi i x).  The rest
@@ -575,57 +601,64 @@ class Evaluator:
         reg B_{1^a y w} = sum_{i<=a} (reg B_1)^i / i! (-1)^(a-i)
         sum_{s in 1^(a-i) sh w} B_{y s}(0), whose words all converge at 0.
         """
-        key = (split, word)
-        value = self._regs.get(key)
+        value = self._regs.get(word)
         if value is not None:
             return value
         if not word:
-            value = 1.0
+            value = (1.0, 1.0)
         elif word[0] != 1:
             _check_letter(word[0])
-            value = self._head(word[1:], split, scratch)[word[0]]
+            # exact copies as Python complex: the Chen sums then multiply them
+            # in the same order, several times faster than numpy scalars
+            value = tuple(complex(head[word[0]]) for head in self._head(word[1:], scratch))
         elif word == (1,):
-            grid = self.grid(split)
-            cut = grid.weights @ (self.letters(1, split) - 1.0 / grid.lower_nodes)
-            value = complex(cut) + complex(math.log(math.pi), -math.pi / 2)
+            value = tuple(
+                complex(grid.weights @ (letters[1] - 1.0 / grid.lower_nodes))
+                + complex(math.log(math.pi), -math.pi / 2)
+                for grid, letters in self._splits()
+            )
         else:
             ones = next((i for i, n in enumerate(word) if n != 1), len(word))
-            c = self._reg((1,), split, scratch)
+            c = self._reg((1,), scratch)
             if ones == len(word):
-                value = c**ones / math.factorial(ones)
+                value = tuple(cs**ones / math.factorial(ones) for cs in c)
             else:
                 y, rest = word[ones : ones + 1], word[ones + 1 :]
-                value = 0.0
+                total = [0.0, 0.0]
                 for i in range(ones + 1):
-                    inner = sum(
-                        n * self._reg(y + s, split, scratch)
-                        for s, n in shuffle((1,) * (ones - i), rest).numerators()
-                    )
-                    value += c**i / math.factorial(i) * (-1) ** (ones - i) * inner
-        self._regs[key] = value
+                    inner = [0, 0]
+                    for s, n in shuffle((1,) * (ones - i), rest).numerators():
+                        r = self._reg(y + s, scratch)
+                        inner[0] += n * r[0]
+                        inner[1] += n * r[1]
+                    for p in (0, 1):
+                        total[p] += c[p] ** i / math.factorial(i) * (-1) ** (ones - i) * inner[p]
+                value = tuple(total)
+        self._regs[word] = value
         return value
 
-    def _chen_sum(self, k: Index, split: int) -> complex:
-        """I(k) on one panel split: Chen's identity at 1/2 with the reflection
+    def _chen_sums(self, k: Index) -> tuple[complex, complex]:
+        """I(k) on splits 1 and 2: Chen's identity at 1/2 with the reflection
         f_n(1 - z) = (-1)^n f_n(z),
 
           sum_j reg B_{k[:j]}(0) (-1)^{|k[j:]|} reg B_{rev(k[j:])}(0),
 
-        each factor read from the memo of _reg before it is computed."""
+        each factor pair read from the memo of _reg before it is computed."""
         regs = self._regs
-        scratch: dict[tuple[int, Index], np.ndarray] = {}
-        total = 0.0
+        scratch: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
+        coarse = fine = 0.0
         for j in range(len(k) + 1):
             head, tail = k[:j], k[j:][::-1]
-            left = regs.get((split, head))
+            left = regs.get(head)
             if left is None:
-                left = self._reg(head, split, scratch)
-            right = regs.get((split, tail))
+                left = self._reg(head, scratch)
+            right = regs.get(tail)
             if right is None:
-                right = self._reg(tail, split, scratch)
+                right = self._reg(tail, scratch)
             sign = -1.0 if sum(tail) % 2 else 1.0
-            total += left * (sign * right)
-        return complex(total)
+            coarse += left[0] * (sign * right[0])
+            fine += left[1] * (sign * right[1])
+        return complex(coarse), complex(fine)
 
     def regularized(self, k: Index) -> tuple[complex, float]:
         """I(k), shuffle-regularized (I(1) = 0) where k is not admissible,
@@ -633,7 +666,7 @@ class Evaluator:
         k = as_index(k)
         if len(k) > MAX_IINT_LENGTH:
             raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
-        coarse, fine = self._chen_sum(k, 1), self._chen_sum(k, 2)
+        coarse, fine = self._chen_sums(k)
         gap = abs(coarse - fine)
         if gap > self.cfg.tolerance:
             raise ToleranceError(f"refinement moved I{k} by {gap:.3e}")

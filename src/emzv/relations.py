@@ -4,10 +4,11 @@ An Expression is a Q-linear combination of monomials, each monomial a
 multiset of index atoms standing for a formal product of values; the empty
 monomial is the unit 1.  A monomial is the tuple of its atoms in
 `word_sort_key` order, sorted through the per-process memo `word_key`, and
-`items()` lists monomials by length and then by those keys, so the JSON and
-text output and the evaluation order do not depend on how an expression was
-built.  An Identity pairs two expressions with a provenance tag.  Identities
-are emitted verbatim from their defining formulas; no normalization (such as
+`items()` lists monomials by length and then by those keys, read from the
+per-process memo `monomial_key`, so the JSON and text output and the
+evaluation order do not depend on how an expression was built.  An
+Identity pairs two expressions with a provenance tag.  Identities are
+emitted verbatim from their defining formulas; no normalization (such as
 rewriting an atom via reflection) is applied here, so each identity can be
 audited against its source and validated numerically.
 """
@@ -59,6 +60,20 @@ def monomial_sort_key(mon: Monomial):
     return (len(mon), tuple(map(word_key, mon)))
 
 
+class _MonomialKeys(dict):
+    def __missing__(self, mon: Monomial):
+        key = self[mon] = monomial_sort_key(mon)
+        return key
+
+
+#: The per-process memo behind `monomial_key`; `clear()` empties it.
+MONOMIAL_KEYS = _MonomialKeys()
+
+#: `monomial_sort_key` of a monomial, computed once per process, as
+#: `word_key` is for a word.
+monomial_key = MONOMIAL_KEYS.__getitem__
+
+
 def coef_text(n: int, den: int) -> str:
     """`str(Fraction(n, den))` for `den > 0`, without building the Fraction."""
     if den == 1:
@@ -85,7 +100,7 @@ class Expression(Combo):
     """Exact Q-linear combination of monomials of index atoms."""
 
     __slots__ = ()
-    _sort_key = staticmethod(monomial_sort_key)
+    _sort_key = staticmethod(monomial_key)
 
     @classmethod
     def unit(cls, coeff: Fraction | int = 1) -> "Expression":

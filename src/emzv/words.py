@@ -158,8 +158,10 @@ class Combo:
         return self._den
 
     def numerators(self) -> list[tuple[Hashable, int]]:
-        """(key, numerator over `den`) pairs in the order of `items`."""
-        return sorted(self._terms.items(), key=lambda t: self._sort_key(t[0]))
+        """(key, numerator over `den`) pairs in the order of `items`.  The
+        keys are distinct, so sorting them alone gives that order."""
+        terms = self._terms
+        return [(k, terms[k]) for k in sorted(terms, key=self._sort_key)]
 
     def items(self) -> list[tuple[Hashable, Fraction]]:
         return [(k, Fraction(n, self._den)) for k, n in self.numerators()]

@@ -393,7 +393,7 @@ def test_quadrature_refinement_agreement():
 def chen_sum(ev, k, split):
     """The Chen sum at x = 0 on one panel split, as Evaluator.regularized
     computes it before comparing the two splits."""
-    return ev._chen_sum(k, split)
+    return ev._chen_sums(k)[split - 1]
 
 
 def forward_integral(ev, k, split, magnitude=False):
@@ -506,26 +506,28 @@ def test_short_words_are_swept_once(monkeypatch):
     active, swept, heads = [], Counter(), {}
     evaluator_sweep, evaluator_head, grid_sweep = Evaluator._sweep, Evaluator._head, PanelGrid.sweep
 
-    def tracked_sweep(self, word, split, scratch):
-        active.append((split, word))
+    def tracked_sweep(self, word, scratch):
+        active.append(word)
         try:
-            return evaluator_sweep(self, word, split, scratch)
+            return evaluator_sweep(self, word, scratch)
         finally:
             active.pop()
 
     def counted_sweep(self, letter, inner):
-        swept[active[-1] if active else None] += 1
+        swept[(split_of[self], active[-1]) if active else None] += 1
         return grid_sweep(self, letter, inner)
 
-    def tracked_head(self, tail, split, scratch):
-        head = evaluator_head(self, tail, split, scratch)
-        assert heads.setdefault((split, tail), head) is head, (split, tail)
-        return head
+    def tracked_head(self, tail, scratch):
+        pair = evaluator_head(self, tail, scratch)
+        for split, head in zip((1, 2), pair):
+            assert heads.setdefault((split, tail), head) is head, (split, tail)
+        return pair
 
     monkeypatch.setattr(Evaluator, "_sweep", tracked_sweep)
     monkeypatch.setattr(Evaluator, "_head", tracked_head)
     monkeypatch.setattr(PanelGrid, "sweep", counted_sweep)
     ev = Evaluator(TAU)
+    split_of = {ev.grid(split): split for split in (1, 2)}
     for r in range(5):
         for w in range(7):
             for k in compositions(w, r):
@@ -550,9 +552,10 @@ def test_head_vectors_leave_the_divergent_entry_nan():
     for k in (k for r in range(5) for w in range(7) for k in compositions(w, r)):
         assert cmath.isfinite(ev.value(k)), k
     assert ev._heads
-    for key, head in ev._heads.items():
-        assert cmath.isnan(head[1]), key
-        assert all(cmath.isfinite(v) for a, v in enumerate(head) if a != 1), key
+    for tail, pair in ev._heads.items():
+        for key, head in zip(((1, tail), (2, tail)), pair):
+            assert cmath.isnan(head[1]), key
+            assert all(cmath.isfinite(v) for a, v in enumerate(head) if a != 1), key
 
 
 def test_head_vectors_match_a_direct_sweep():
@@ -572,7 +575,7 @@ def test_head_vectors_match_a_direct_sweep():
             for a in (0, 2, 3, 4):
                 expected, _ = grid.sweep(ev.letters(a, split), direct)
                 scale, _ = grid.sweep(np.abs(ev.letters(a, split)), magnitude)
-                got = ev._reg((a,) + s, split, {})
+                got = ev._reg((a,) + s, {})[split - 1]
                 assert abs(got - expected) <= 1e-13 * abs(scale), (split, a, s)
 
 
@@ -705,7 +708,7 @@ def test_reg_b1_is_the_log_of_theta_at_one_half(tau, turns, tol):
     closed = (
         cmath.log(theta(0.5, tau) / theta_prime0(tau)) + math.log(2 * math.pi) - 0.5j * math.pi
     )
-    c = Evaluator(tau)._reg((1,), 2, {})
+    c = Evaluator(tau)._reg((1,), {})[1]
     assert abs(c - closed - 2j * math.pi * turns) < tol, tau
 
 

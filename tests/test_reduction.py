@@ -22,7 +22,7 @@ from emzv.reduction import (
     simplify_zero_one,
     verify_reduction,
 )
-from emzv.relations import Expression, Identity, monomial, split_sign
+from emzv.relations import MONOMIAL_KEYS, Expression, Identity, monomial, split_sign
 from emzv.words import (
     WORD_KEYS,
     WordCombo,
@@ -256,6 +256,7 @@ def test_cold_population_digest():
         reduced_atom.cache_clear()
         shuffle.cache_clear()
         WORD_KEYS.clear()
+        MONOMIAL_KEYS.clear()
         expr, _ = reduce_index(k)
         digest = hashlib.sha256(json.dumps(expr.to_json_dict(), sort_keys=True).encode())
         lines.append(f"{','.join(map(str, k))}\t{digest.hexdigest()}\n")
@@ -275,6 +276,7 @@ def test_cold_reductions_leave_no_reference_cycles():
             reduced_atom.cache_clear()
             shuffle.cache_clear()
             WORD_KEYS.clear()
+            MONOMIAL_KEYS.clear()
             reduce_index(k)
         assert gc.collect() == 0
     finally:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emzv.relations import Expression, monomial
+from emzv.relations import MONOMIAL_KEYS, Expression, monomial, monomial_sort_key
 from emzv.words import (
+    WORD_KEYS,
     ArgumentError,
     WordCombo,
     as_index,
@@ -203,6 +204,22 @@ def test_collect_matches_dict_reference(cls, data):
     assert all(type(c) is Fraction for _, c in combo.items())
     other = cls.collect(data.draw(st.lists(st.tuples(KEYS[cls], COEFFS), max_size=6)))
     assert combo + other - other == combo
+
+
+MONOMIALS = st.lists(WORDS, max_size=3).map(monomial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([WordCombo, Expression]), st.data())
+def test_numerators_sort_through_the_key_memos(cls, data):
+    keys, sort_key = (WORDS, word_sort_key) if cls is WordCombo else (MONOMIALS, monomial_sort_key)
+    combo = cls(data.draw(st.dictionaries(keys, RULE_COEFFS, max_size=8)))
+    expected = sorted(combo._terms.items(), key=lambda t: sort_key(t[0]))
+    WORD_KEYS.clear()
+    MONOMIAL_KEYS.clear()
+    assert combo.numerators() == expected  # cold memos
+    assert combo.numerators() == expected  # warm memos
+    assert all(MONOMIAL_KEYS[m] == monomial_sort_key(m) for m in list(MONOMIAL_KEYS))
 
 
 def test_combo_equality_is_type_strict():
