@@ -22,16 +22,27 @@ half [0, 1/2].  A sweep of a word w is
   B_w(x) = int_{x < z_1 < ... < z_m < 1/2} f_{w_1}(z_1) ... f_{w_m}(z_m),
 
 computed from B_{w[1:]} on the nodes by one backward pass of composite
-Gauss-Legendre panels.  Every value is computed on panel splits 1 and 2,
-and each memo of the evaluator holds one entry per word for both splits.
-The evaluator keeps one head vector per tail s, both splits: the letters
-times the weighted node values of s, whose entry a is B_{a s}(0) for every
-letter a at once.  So a word is swept only when its node values feed a
-longer word or a head vector.  The node values are kept only for words of
-length <= NODE_CACHE_LENGTH, the tails that most words end in; those of
-longer words are rebuilt from them when a Chen sum needs them.  Chen's
-identity at 1/2 and the reflection f_n(1 - z) = (-1)^n f_n(z) give the
-integral over the whole simplex:
+Gauss-Legendre panels.  Its mirror, the prefix integral
+
+  A_w(x) = int_{0 < z_1 < ... < z_m < x} f_{w_1}(z_1) ... f_{w_m}(z_m),
+
+comes from A_{w[:-1]} by one forward pass.  Every value is computed on
+panel splits 1 and 2, and each memo of the evaluator holds one entry per
+word for both splits.
+
+Only tails s of length <= NODE_CACHE_LENGTH are ever swept, once each.  A
+word a s up to one letter longer is read from the head vector of s, the
+letters times the weighted node values of s, whose entry a is B_{a s}(0)
+for every letter a at once.  A longer word w = p a s, s its last
+NODE_CACHE_LENGTH letters, is split at the letter a by Chen's identity at
+every node,
+
+  B_w(0) = int_0^{1/2} A_p(z) f_a(z) B_s(z) dz,
+
+one weighted product on each split.  The node values of prefixes p up to
+NODE_CACHE_LENGTH are kept like those of tails; longer ones are rebuilt
+from them for one Chen sum.  Chen's identity at 1/2 and the reflection
+f_n(1 - z) = (-1)^n f_n(z) give the integral over the whole simplex:
 
   I(k) = sum_{j=0..r} B_{k[:j]}(0) (-1)^{|k[j:]|} B_{rev(k[j:])}(0).
 
@@ -42,14 +53,15 @@ converges; the gap between the sums on the two splits is its error
 estimate.  The evaluator keeps every reg B_w(0), so a Chen sum over words
 already seen is a few dictionary reads.
 
-The backward pass integrates node to panel end as the panel integral minus
-the antiderivative collocation A.  Gauss-Legendre collocation satisfies
-W A + A^T W = w w^T (W = diag(w)), so this is the forward pass of the
-definition up to rounding.  The rule of each panel order (nodes, weights,
-A) is built once per process, without numpy.polynomial: the nodes are the
-eigenvalues of the Jacobi matrix, refined by two Newton steps on the
-three-term recurrence, and every grid of that order shares its read-only
-arrays.
+The forward pass integrates panel start to node by the antiderivative
+collocation A, and the backward pass node to panel end as the panel
+integral minus it.  Gauss-Legendre collocation satisfies
+W A + A^T W = w w^T (W = diag(w)), so the backward pass is the forward
+pass of the definition up to rounding.  The rule of each panel order
+(nodes, weights, A) is built once per process, without numpy.polynomial:
+the nodes are the eigenvalues of the Jacobi matrix, refined by two Newton
+steps on the three-term recurrence, and every grid of that order shares
+its read-only arrays.
 """
 
 from __future__ import annotations
@@ -88,13 +100,17 @@ MIN_IM_TAU = 0.00659
 GRADING_DEPTH = 45
 #: Points closer than this to a lattice point are refused as poles.
 POLE_TOLERANCE = 1e-8
-#: Longest word whose sweep node values the evaluator keeps, one complex
-#: value per lower-half node each.  Short words are the tails that many
-#: longer words share; longer ones are reused far less for the memory they hold.
+#: Longest word whose node values the evaluator keeps, one complex value per
+#: lower-half node each, as a tail (backward) and as a prefix (forward).
+#: Short words are the tails and prefixes that many longer words share; a
+#: word longer than NODE_CACHE_LENGTH + 1 is split at the letter before its
+#: last NODE_CACHE_LENGTH, so no longer tail is ever swept, and a longer
+#: prefix is kept for one Chen sum only.
 NODE_CACHE_LENGTH = 2
 #: Evaluators that get_evaluator keeps, least recently used dropped first;
-#: each holds its letters, node values, head vectors (MAX_LETTER + 1 complex
-#: numbers per split and tail), regularized B_w(0) and values while it is kept.
+#: each holds its letters, tail and prefix node values, head vectors
+#: (MAX_LETTER + 1 complex numbers per split and tail), regularized B_w(0)
+#: and values while it is kept.
 EVALUATOR_CACHE_SIZE = 8
 
 
@@ -433,7 +449,9 @@ class PanelGrid:
     z -> 1 - z, so nodes are kept on the lower half [0, 1/2] only; the upper
     half enters through the reflection of the letters.  That keeps full
     relative accuracy near z = 1, where the distance 1 - z would otherwise
-    drown in rounding.
+    drown in rounding.  An iterated integral on the lower half grows by one
+    letter per pass: `sweep` integrates backward from 1/2, `forward`
+    forward from 0.
     """
 
     def __init__(self, order: int, depth: int, split: int = 1):
@@ -474,6 +492,15 @@ class PanelGrid:
         nodes = (tails[:, None] - self._half_col * (h @ self._amat_t)).ravel()
         return complex(tails[0]), nodes
 
+    def forward(self, letter: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """One forward pass over the lower half, the mirror of `sweep`:
+        int_0^x letter * inner at every lower-half node."""
+        h = (letter * inner).reshape(-1, self.order)
+        panel_ints = self._half * (h @ self._wg)
+        starts = np.zeros_like(panel_ints)  # from 0 to each panel's start
+        np.cumsum(panel_ints[:-1], out=starts[1:])
+        return (starts[:, None] + self._half_col * (h @ self._amat_t)).ravel()
+
 
 # ---------------------------------------------------------------------------
 # the evaluator
@@ -501,6 +528,8 @@ class Evaluator:
         self._values: dict[Index, complex] = {}
         # word -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
         self._nodes: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
+        # word -> A_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
+        self._prefixes: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
         # tail s -> the head vectors of s: entry a is B_{a s}(0)
         self._heads: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
         # word -> the shuffle-regularized B_word(0)
@@ -529,10 +558,12 @@ class Evaluator:
 
     def _splits(self) -> tuple[tuple[PanelGrid, np.ndarray], ...]:
         """(grid, letter table) of splits 1 and 2.  The first call builds
-        them and keeps the empty word's node values, all ones."""
+        them and keeps the empty word's node values, all ones, in both
+        directions."""
         if self._pair is None:
             self._pair = tuple((self.grid(s), self._letter_table(s)) for s in (1, 2))
-            self._nodes[()] = tuple(np.ones(len(g.lower_nodes), dtype=complex) for g, _ in self._pair)
+            ones = tuple(np.ones(len(g.lower_nodes), dtype=complex) for g, _ in self._pair)
+            self._nodes[()] = self._prefixes[()] = ones
         return self._pair
 
     def f_n(self, n: int, z):
@@ -556,25 +587,40 @@ class Evaluator:
 
     # -- iterated integrals
 
-    def _sweep(self, word: Index, scratch: dict) -> tuple[np.ndarray, np.ndarray]:
+    def _sweep(self, word: Index) -> tuple[np.ndarray, np.ndarray]:
         """B_word on the lower-half nodes of splits 1 and 2, from B_word[1:]
-        by one backward pass each.  Node values of words up to
-        NODE_CACHE_LENGTH are kept by the evaluator, so each of them is swept
-        once; `scratch` holds those of longer words for one Chen sum and is
-        dropped with it.  The empty word's are kept by _splits, which every
-        caller has run."""
-        store = self._nodes if len(word) <= NODE_CACHE_LENGTH else scratch
-        nodes = store.get(word)
+        by one backward pass each, kept by the evaluator: only words up to
+        NODE_CACHE_LENGTH are swept, each once.  The empty word's are kept by
+        _splits, which every caller has run."""
+        nodes = self._nodes.get(word)
         if nodes is None:
             n = word[0]
             _check_letter(n)
-            inner = self._sweep(word[1:], scratch)
-            nodes = store[word] = tuple(
+            inner = self._sweep(word[1:])
+            nodes = self._nodes[word] = tuple(
                 grid.sweep(letters[n], b)[1] for (grid, letters), b in zip(self._pair, inner)
             )
         return nodes
 
-    def _head(self, tail: Index, scratch: dict) -> tuple[np.ndarray, np.ndarray]:
+    def _prefix(self, word: Index, scratch: dict) -> tuple[np.ndarray, np.ndarray]:
+        """A_word(x) = int_{0 < z_1 < ... < z_m < x} f_{w_1}(z_1) ... f_{w_m}(z_m)
+        on the lower-half nodes of splits 1 and 2, from A_word[:-1] by one
+        forward pass each.  Node values of words up to NODE_CACHE_LENGTH are
+        kept by the evaluator; `scratch` holds those of longer words for one
+        Chen sum and is dropped with it.  The empty word's are kept by
+        _splits, which every caller has run."""
+        store = self._prefixes if len(word) <= NODE_CACHE_LENGTH else scratch
+        nodes = store.get(word)
+        if nodes is None:
+            n = word[-1]
+            _check_letter(n)
+            inner = self._prefix(word[:-1], scratch)
+            nodes = store[word] = tuple(
+                grid.forward(letters[n], a) for (grid, letters), a in zip(self._pair, inner)
+            )
+        return nodes
+
+    def _head(self, tail: Index) -> tuple[np.ndarray, np.ndarray]:
         """The head vectors of `tail` on splits 1 and 2: entry a is
         B_{a tail}(0) = int_0^{1/2} f_a B_tail for every letter a at once,
         one weighted product of the letters with the node values of `tail`.
@@ -583,7 +629,7 @@ class Evaluator:
         if heads is None:
             splits = self._splits()
             heads = []
-            for (grid, letters), nodes in zip(splits, self._sweep(tail, scratch)):
+            for (grid, letters), nodes in zip(splits, self._sweep(tail)):
                 head = letters @ (grid.weights * nodes)
                 head[1] = math.nan
                 heads.append(head)
@@ -593,6 +639,11 @@ class Evaluator:
     def _reg(self, word: Index, scratch: dict) -> tuple[complex, complex]:
         """B_word(0) on splits 1 and 2, shuffle-regularized where word starts
         with 1, kept per word.
+
+        A convergent word w up to NODE_CACHE_LENGTH + 1 letters is read from
+        the head vector of w[1:].  A longer one is split at the letter a
+        before its last NODE_CACHE_LENGTH letters s, w = p a s, by Chen's
+        identity at every node: B_w(0) = int_0^{1/2} A_p f_a B_s.
 
         reg B_1 = int_0^{1/2} (f_1(z) - 1/z) dz + log(pi) - i pi / 2, the
         constant term of B_1(x) in powers of log(-2 pi i x).  The rest
@@ -606,11 +657,21 @@ class Evaluator:
             return value
         if not word:
             value = (1.0, 1.0)
-        elif word[0] != 1:
+        elif word[0] != 1 and len(word) <= NODE_CACHE_LENGTH + 1:
             _check_letter(word[0])
             # exact copies as Python complex: the Chen sums then multiply them
             # in the same order, several times faster than numpy scalars
-            value = tuple(complex(head[word[0]]) for head in self._head(word[1:], scratch))
+            value = tuple(complex(head[word[0]]) for head in self._head(word[1:]))
+        elif word[0] != 1:
+            cut = len(word) - NODE_CACHE_LENGTH
+            a = word[cut - 1]
+            _check_letter(a)
+            value = tuple(
+                complex((grid.weights * prefix * tail) @ letters[a])
+                for (grid, letters), prefix, tail in zip(
+                    self._splits(), self._prefix(word[: cut - 1], scratch), self._sweep(word[cut:])
+                )
+            )
         elif word == (1,):
             value = tuple(
                 complex(grid.weights @ (letters[1] - 1.0 / grid.lower_nodes))
@@ -663,7 +724,10 @@ class Evaluator:
     def regularized(self, k: Index) -> tuple[complex, float]:
         """I(k), shuffle-regularized (I(1) = 0) where k is not admissible,
         from the regularized tails on splits 1 and 2, and their gap."""
-        k = as_index(k)
+        return self._regularized(as_index(k))
+
+    def _regularized(self, k: Index) -> tuple[complex, float]:
+        """regularized(k) for an index that as_index has validated."""
         if len(k) > MAX_IINT_LENGTH:
             raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
         coarse, fine = self._chen_sums(k)
@@ -681,9 +745,10 @@ class Evaluator:
             if cached is not None:
                 return cached
         k = as_index(k)
-        if k not in self._values:
-            self._values[k] = self.regularized(k)[0]
-        return self._values[k]
+        value = self._values.get(k)
+        if value is None:
+            value = self._values[k] = self._regularized(k)[0]
+        return value
 
     def eval_expression(self, expr: Expression) -> complex:
         total = 0.0 + 0.0j

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from emzv.numerics import (
     DEFAULT_CONFIG,
     EVALUATOR_CACHE_SIZE,
+    MAX_IINT_LENGTH,
     MAX_LETTER,
     MIN_IM_TAU,
+    NODE_CACHE_LENGTH,
     Evaluator,
     NonConvergence,
     NumericsConfig,
@@ -364,9 +366,31 @@ def test_f_n_pole():
 
 
 def test_simplex_volumes():
-    for r in range(1, 5):
+    # from r = 2 NODE_CACHE_LENGTH + 2 on, the prefix of the full word is scratch
+    for r in range(1, MAX_IINT_LENGTH + 1):
         v = get_evaluator(TAU).value((0,) * r)
-        assert abs(v - 1 / math.factorial(r)) < 1e-10
+        assert abs(v - 1 / math.factorial(r)) < 1e-10, r
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        (4, 0, 0, 1, 0, 1),
+        (1, 2, 0, 0, 3, 1),
+        (1, 1, 2, 0, 2, 0, 1),
+        (1, 0, 0, 0, 0, 0, 0, 3),
+        (3, 0, 1, 0, 0, 2, 1, 1),
+    ],
+)
+def test_long_indices_match_their_reduction(k):
+    """Indices of length 6 to 8, whose longest words are split at a letter
+    with a prefix kept only for one Chen sum, against their reductions."""
+    from emzv.reduction import reduce_index
+
+    ev = get_evaluator(0.5 + 0.8j)
+    expr = reduce_index(k)[0]
+    assert expr != Expression.atom(k)
+    assert abs(ev.value(k) - ev.eval_expression(expr)) <= 1e-12, k
 
 
 def test_length_one_values():
@@ -396,10 +420,11 @@ def chen_sum(ev, k, split):
     return ev._chen_sums(k)[split - 1]
 
 
-def forward_integral(ev, k, split, magnitude=False):
+def forward_reference(ev, k, split, magnitude=False):
     """Reference I(k): one forward nested Gauss-Legendre pass over the
-    panels of [0, 1], letters on the upper half by reflection.  With
-    `magnitude`, the same pass over |f_n|, the scale of its rounding error."""
+    panels of [0, 1], letters on the upper half by reflection, with its
+    node values A_k(x) on every node of [0, 1].  With `magnitude`, the same
+    pass over |f_n|, the scale of its rounding error."""
     grid = ev.grid(split)
     _, wg, amat = _legendre_antiderivative_matrix(grid.order)
     half = np.diff(grid.breakpoints) / 2.0
@@ -415,13 +440,13 @@ def forward_integral(ev, k, split, magnitude=False):
         starts = np.concatenate(([0.0], np.cumsum(panel_ints)[:-1]))
         g = (starts[:, None] + half[:, None] * (h @ amat.T)).ravel()
         total = complex(panel_ints.sum())
-    return total
+    return total, g
 
 
 def assert_matches_forward(ev, k, split, scale=None):
     """1e-12 relative to `scale` (by default the reference value), or 1e-13
     absolute when it is below 1."""
-    ref = forward_integral(ev, k, split)
+    ref = forward_reference(ev, k, split)[0]
     scale = abs(ref) if scale is None else scale
     tol = 1e-12 * scale if scale >= 1 else 1e-13
     assert abs(chen_sum(ev, k, split) - ref) <= tol, (k, split)
@@ -446,7 +471,7 @@ def test_cut_integral_matches_forward_quadrature_random(k, split):
     # so the error is measured against the integral of the magnitudes, not
     # against the value.
     ev = get_evaluator(TAU)
-    scale = abs(forward_integral(ev, k, split, magnitude=True))
+    scale = abs(forward_reference(ev, k, split, magnitude=True)[0])
     assert_matches_forward(ev, k, split, scale)
 
 
@@ -475,8 +500,9 @@ def bits(z: complex) -> tuple[str, str]:
 
 
 def test_cut_integrals_do_not_depend_on_cache_order_at_length_four():
-    # Length-3 tails of these words are rebuilt from the length-2 node
-    # values that the warm evaluator has kept from earlier words.
+    # These words are split at a letter, between a one-letter prefix and a
+    # two-letter tail whose node values the warm evaluator has kept from
+    # earlier words.
     indices = list(itertools.product(range(4), repeat=4))
     warm = Evaluator(TAU)
     for k in reversed(indices):
@@ -494,38 +520,48 @@ def test_cut_integrals_do_not_depend_on_cache_order_at_length_four():
 
 def test_short_words_are_swept_once(monkeypatch):
     """One evaluator over the W<=6/L<=4 population sweeps each word of length
-    <= 2 once per split and builds the head vector of each tail once per
-    split; reg B_1 is a weighted sum and runs no sweep.  A length-3 word is
-    swept to build its head vector, and again only when a longer word's
-    sweep needs its node values (892 sweeps when every B_w(0) was read from
-    a sweep of w, 1156 when a log-power fit read every cut of two profiles,
-    2388 when no node values were kept)."""
+    <= NODE_CACHE_LENGTH at most once per direction and split: backward as a
+    tail, forward as a prefix.  It builds the head vector of each tail once
+    per split, and none for a longer tail, since a longer word is split at
+    a letter; reg B_1 is a weighted sum and runs no sweep.  That takes 92
+    sweeps (290 when length-3 tails were swept for head vectors, 892 when
+    every B_w(0) was read from a sweep of w, 1156 when a log-power fit read
+    every cut of two profiles, 2388 when no node values were kept)."""
     from emzv.faypoly import compositions
     from emzv.reduction import reduce_index
 
     active, swept, heads = [], Counter(), {}
-    evaluator_sweep, evaluator_head, grid_sweep = Evaluator._sweep, Evaluator._head, PanelGrid.sweep
+    originals = {name: getattr(Evaluator, name) for name in ("_sweep", "_prefix", "_head")}
+    grid_passes = {name: getattr(PanelGrid, name) for name in ("sweep", "forward")}
 
-    def tracked_sweep(self, word, scratch):
-        active.append(word)
-        try:
-            return evaluator_sweep(self, word, scratch)
-        finally:
-            active.pop()
+    def tracked(name):
+        def method(self, word, *scratch):
+            active.append((name, word))
+            try:
+                return originals[name](self, word, *scratch)
+            finally:
+                active.pop()
 
-    def counted_sweep(self, letter, inner):
-        swept[(split_of[self], active[-1]) if active else None] += 1
-        return grid_sweep(self, letter, inner)
+        return method
 
-    def tracked_head(self, tail, scratch):
-        pair = evaluator_head(self, tail, scratch)
+    def counted(name):
+        def method(self, letter, inner):
+            swept[(split_of[self], *active[-1]) if active else None] += 1
+            return grid_passes[name](self, letter, inner)
+
+        return method
+
+    def tracked_head(self, tail):
+        pair = originals["_head"](self, tail)
         for split, head in zip((1, 2), pair):
             assert heads.setdefault((split, tail), head) is head, (split, tail)
         return pair
 
-    monkeypatch.setattr(Evaluator, "_sweep", tracked_sweep)
+    monkeypatch.setattr(Evaluator, "_sweep", tracked("_sweep"))
+    monkeypatch.setattr(Evaluator, "_prefix", tracked("_prefix"))
     monkeypatch.setattr(Evaluator, "_head", tracked_head)
-    monkeypatch.setattr(PanelGrid, "sweep", counted_sweep)
+    monkeypatch.setattr(PanelGrid, "sweep", counted("sweep"))
+    monkeypatch.setattr(PanelGrid, "forward", counted("forward"))
     ev = Evaluator(TAU)
     split_of = {ev.grid(split): split for split in (1, 2)}
     for r in range(5):
@@ -534,12 +570,14 @@ def test_short_words_are_swept_once(monkeypatch):
                 ev.value(k)
                 ev.eval_expression(reduce_index(k)[0])
     assert None not in swept
-    repeated = {key: n for key, n in swept.items() if len(key[1]) <= 2 and n > 1}
+    assert {name for _, name, _ in swept} == {"_sweep", "_prefix"}
+    assert all(len(word) <= NODE_CACHE_LENGTH for _, _, word in swept)
+    repeated = {key: n for key, n in swept.items() if n > 1}
     assert not repeated
     tails = {split: {tail for s, tail in heads if s == split} for split in (1, 2)}
     assert tails[1] == tails[2]
-    assert sum(len(tail) == 3 for tail in tails[1]) == 84
-    assert sum(swept.values()) <= 290
+    assert all(len(tail) <= NODE_CACHE_LENGTH for tail in tails[1])
+    assert sum(swept.values()) <= 92
 
 
 def test_head_vectors_leave_the_divergent_entry_nan():
@@ -559,9 +597,10 @@ def test_head_vectors_leave_the_divergent_entry_nan():
 
 
 def test_head_vectors_match_a_direct_sweep():
-    """B_{a s}(0) read from the head vector of s matches the x = 0 value of a
-    direct chain of backward passes, to 1e-13 of the same chain over the
-    magnitudes of the letters."""
+    """B_{a s}(0) matches the x = 0 value of a direct chain of backward
+    passes, to 1e-13 of the same chain over the magnitudes of the letters.
+    It is read from the head vector of s where s is at most
+    NODE_CACHE_LENGTH long, and split at a letter for the longer tails."""
     ev = Evaluator(TAU)
     for split in (1, 2):
         grid = ev.grid(split)
@@ -577,6 +616,71 @@ def test_head_vectors_match_a_direct_sweep():
                 scale, _ = grid.sweep(np.abs(ev.letters(a, split)), magnitude)
                 got = ev._reg((a,) + s, {})[split - 1]
                 assert abs(got - expected) <= 1e-13 * abs(scale), (split, a, s)
+
+
+@pytest.mark.parametrize("tau", [TAU, 0.5 + 0.8j])
+def test_long_words_split_at_a_letter_match_a_direct_sweep(tau):
+    """B_w(0) of every convergent word of weight <= 6 and length 4 to 5, read
+    as int_0^{1/2} A_p f_a B_s with w = p a s, matches the x = 0 value of a
+    direct chain of backward passes over w[1:] read at letter w[0], to
+    1e-12 of the same chain over the magnitudes of the letters."""
+    from emzv.faypoly import compositions
+
+    ev = Evaluator(tau)
+    words = [w for r in (4, 5) for n in range(7) for w in compositions(n, r) if w[0] != 1]
+    assert all(len(w) > NODE_CACHE_LENGTH + 1 for w in words)
+    for split in (1, 2):
+        grid = ev.grid(split)
+        chains = {(): (np.ones(len(grid.lower_nodes), dtype=complex),) * 2}
+
+        def chain(s):  # B_s on the nodes, and the same chain over magnitudes
+            if s not in chains:
+                direct, magnitude = chain(s[1:])
+                letter = ev.letters(s[0], split)
+                chains[s] = (grid.sweep(letter, direct)[1], grid.sweep(np.abs(letter), magnitude)[1])
+            return chains[s]
+
+        for w in words:
+            direct, magnitude = chain(w[1:])
+            expected, _ = grid.sweep(ev.letters(w[0], split), direct)
+            scale, _ = grid.sweep(np.abs(ev.letters(w[0], split)), magnitude)
+            got = ev._reg(w, {})[split - 1]
+            assert abs(got - expected) <= 1e-12 * abs(scale), (split, w)
+
+
+def test_forward_pass_matches_the_forward_reference():
+    """A chain of PanelGrid.forward passes gives A_p on the lower-half nodes
+    as the forward pass over [0, 1] does, to 1e-13 of the same pass over the
+    magnitudes of the letters at each node, and A_{0^m}(x) = x^m / m!."""
+    ev = Evaluator(TAU)
+    for split in (1, 2):
+        grid = ev.grid(split)
+        lower = len(grid.lower_nodes)
+        for r in range(1, 4):
+            for p in itertools.product(range(4), repeat=r):
+                if p[0] == 1:  # A_1 diverges at 0
+                    continue
+                got = np.ones(lower, dtype=complex)
+                for n in p:
+                    got = grid.forward(ev.letters(n, split), got)
+                expected = forward_reference(ev, p, split)[1][:lower]
+                scale = np.abs(forward_reference(ev, p, split, magnitude=True)[1][:lower])
+                assert np.all(np.abs(got - expected) <= 1e-13 * scale), (split, p)
+                if set(p) == {0}:
+                    volume = grid.lower_nodes**r / math.factorial(r)
+                    assert np.max(np.abs(got - volume)) <= 1e-16, (split, p)
+
+
+def test_a_letter_above_max_letter_is_refused_at_every_position():
+    warm = Evaluator(TAU)
+    for r in range(1, 6):
+        for base in ((0,) * r, (1,) * r, (2,) * r):
+            warm.value(base)
+            for i in range(r):
+                k = base[:i] + (MAX_LETTER + 1,) + base[i + 1 :]
+                for ev in (warm, Evaluator(TAU)):
+                    with pytest.raises(ArgumentError):
+                        ev.regularized(k)
 
 
 def test_value_validates_what_it_has_not_cached():
