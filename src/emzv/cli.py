@@ -388,10 +388,10 @@ def cmd_selftest(args) -> int:
 
     failures = 0
     for name, run in checks:
-        ok = False
         try:
             ok = run()
-        except Exception as exc:  # pragma: no cover - defensive
+        except (ArithmeticError, PreconditionError) as exc:
+            # A typed numeric failure fails this check only, as in cmd_verify.
             print(f"FAIL {name}: {exc}")
             failures += 1
             continue

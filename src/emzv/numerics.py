@@ -27,8 +27,9 @@ Gauss-Legendre panels.  Its mirror, the prefix integral
   A_w(x) = int_{0 < z_1 < ... < z_m < x} f_{w_1}(z_1) ... f_{w_m}(z_m),
 
 comes from A_{w[:-1]} by one forward pass.  Every value is computed on
-panel splits 1 and 2, and each memo of the evaluator holds one entry per
-word for both splits.
+panel splits 1 and 2: Evaluator._splits, the one place that builds them,
+makes both grids and their letter tables together at the first value, and
+each memo of the evaluator holds one entry per word for both splits.
 
 Only tails s of length <= NODE_CACHE_LENGTH are ever swept, once each.  A
 word a s up to one letter longer is read from the head vector of s, the
@@ -506,11 +507,6 @@ class PanelGrid:
 # the evaluator
 
 
-def _check_letter(n: int) -> None:
-    if not 0 <= n <= MAX_LETTER:
-        raise ArgumentError(f"letter order {n} outside 0..{MAX_LETTER}")
-
-
 class Evaluator:
     """All numerics for one (tau, config): letters, integrals, value cache.
 
@@ -520,10 +516,7 @@ class Evaluator:
     def __init__(self, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
         self.tau = as_tau(tau)
         self.cfg = cfg
-        self._grids: dict[int, PanelGrid] = {}
-        # split -> letters f_0..f_MAX_LETTER (rows) on the lower-half nodes
-        self._letters: dict[int, np.ndarray] = {}
-        # (grid, letters) of splits 1 and 2, once both are built
+        # (grid, letter table) of splits 1 and 2, built by _splits
         self._pair: tuple[tuple[PanelGrid, np.ndarray], ...] | None = None
         self._values: dict[Index, complex] = {}
         # word -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
@@ -535,34 +528,20 @@ class Evaluator:
         # word -> the shuffle-regularized B_word(0)
         self._regs: dict[Index, tuple[complex, complex]] = {}
 
-    def grid(self, split: int = 1) -> PanelGrid:
-        if split not in self._grids:
-            self._grids[split] = PanelGrid(self.cfg.panel_order, GRADING_DEPTH, split)
-        return self._grids[split]
-
-    def _letter_table(self, split: int) -> np.ndarray:
-        """Letters f_0..f_MAX_LETTER (rows) on the lower-half nodes of
-        `split`, all built at its first use, in one pass."""
-        if split not in self._letters:
-            # refuses a tau that needs too many terms before any table is built
-            terms = _lambert_terms(2 * math.pi * self.tau.tau.imag)
-            nodes = self.grid(split).lower_nodes
-            self._letters[split] = _lambert_letters(nodes, self.tau, MAX_LETTER, terms)
-        return self._letters[split]
-
-    def letters(self, n: int, split: int = 1) -> np.ndarray:
-        """Values of the letter f_n on the lower-half grid nodes.  All letters
-        of a split are built at its first use, in one pass."""
-        _check_letter(n)
-        return self._letter_table(split)[n]
-
     def _splits(self) -> tuple[tuple[PanelGrid, np.ndarray], ...]:
-        """(grid, letter table) of splits 1 and 2.  The first call builds
-        them and keeps the empty word's node values, all ones, in both
+        """(grid, letter table) of splits 1 and 2, the table holding the
+        letters f_0..f_MAX_LETTER as rows on the grid's lower-half nodes:
+        the one place that builds them.  The first call builds both splits
+        together and keeps the empty word's node values, all ones, in both
         directions."""
         if self._pair is None:
-            self._pair = tuple((self.grid(s), self._letter_table(s)) for s in (1, 2))
-            ones = tuple(np.ones(len(g.lower_nodes), dtype=complex) for g, _ in self._pair)
+            # refuses a tau that needs too many terms before any grid is built
+            terms = _lambert_terms(2 * math.pi * self.tau.tau.imag)
+            grids = [PanelGrid(self.cfg.panel_order, GRADING_DEPTH, s) for s in (1, 2)]
+            self._pair = tuple(
+                (g, _lambert_letters(g.lower_nodes, self.tau, MAX_LETTER, terms)) for g in grids
+            )
+            ones = tuple(np.ones(len(g.lower_nodes), dtype=complex) for g in grids)
             self._nodes[()] = self._prefixes[()] = ones
         return self._pair
 
@@ -570,7 +549,8 @@ class Evaluator:
         """Letter f_n at arbitrary points z.  Re z is taken mod 1, and Im z
         is brought within Im tau / 2 by b = round(Im z / Im tau) periods:
         f_n(z + b tau) = sum_{i=0..n} (-2 pi i b)^i / i! f_{n-i}(z)."""
-        _check_letter(n)
+        if not 0 <= n <= MAX_LETTER:
+            raise ArgumentError(f"letter order {n} outside 0..{MAX_LETTER}")
         zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         _check_poles(zz, self.tau, "z")
         t = self.tau.tau
@@ -590,12 +570,12 @@ class Evaluator:
     def _sweep(self, word: Index) -> tuple[np.ndarray, np.ndarray]:
         """B_word on the lower-half nodes of splits 1 and 2, from B_word[1:]
         by one backward pass each, kept by the evaluator: only words up to
-        NODE_CACHE_LENGTH are swept, each once.  The empty word's are kept by
-        _splits, which every caller has run."""
+        NODE_CACHE_LENGTH are swept, each once.  The grids, the letters and
+        the empty word's node values come from _splits, the one place that
+        builds them, which every caller has run."""
         nodes = self._nodes.get(word)
         if nodes is None:
             n = word[0]
-            _check_letter(n)
             inner = self._sweep(word[1:])
             nodes = self._nodes[word] = tuple(
                 grid.sweep(letters[n], b)[1] for (grid, letters), b in zip(self._pair, inner)
@@ -607,13 +587,13 @@ class Evaluator:
         on the lower-half nodes of splits 1 and 2, from A_word[:-1] by one
         forward pass each.  Node values of words up to NODE_CACHE_LENGTH are
         kept by the evaluator; `scratch` holds those of longer words for one
-        Chen sum and is dropped with it.  The empty word's are kept by
-        _splits, which every caller has run."""
+        Chen sum and is dropped with it.  The grids, the letters and the
+        empty word's node values come from _splits, the one place that
+        builds them, which every caller has run."""
         store = self._prefixes if len(word) <= NODE_CACHE_LENGTH else scratch
         nodes = store.get(word)
         if nodes is None:
             n = word[-1]
-            _check_letter(n)
             inner = self._prefix(word[:-1], scratch)
             nodes = store[word] = tuple(
                 grid.forward(letters[n], a) for (grid, letters), a in zip(self._pair, inner)
@@ -623,8 +603,9 @@ class Evaluator:
     def _head(self, tail: Index) -> tuple[np.ndarray, np.ndarray]:
         """The head vectors of `tail` on splits 1 and 2: entry a is
         B_{a tail}(0) = int_0^{1/2} f_a B_tail for every letter a at once,
-        one weighted product of the letters with the node values of `tail`.
-        Entry 1, where B_{1 tail}(0) diverges, is NaN."""
+        one weighted product of the letters with the node values of `tail`,
+        on the grids and letters of _splits, the one place that builds
+        them.  Entry 1, where B_{1 tail}(0) diverges, is NaN."""
         heads = self._heads.get(tail)
         if heads is None:
             splits = self._splits()
@@ -658,14 +639,12 @@ class Evaluator:
         if not word:
             value = (1.0, 1.0)
         elif word[0] != 1 and len(word) <= NODE_CACHE_LENGTH + 1:
-            _check_letter(word[0])
             # exact copies as Python complex: the Chen sums then multiply them
             # in the same order, several times faster than numpy scalars
             value = tuple(complex(head[word[0]]) for head in self._head(word[1:]))
         elif word[0] != 1:
             cut = len(word) - NODE_CACHE_LENGTH
             a = word[cut - 1]
-            _check_letter(a)
             value = tuple(
                 complex((grid.weights * prefix * tail) @ letters[a])
                 for (grid, letters), prefix, tail in zip(
@@ -730,6 +709,8 @@ class Evaluator:
         """regularized(k) for an index that as_index has validated."""
         if len(k) > MAX_IINT_LENGTH:
             raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
+        if k and max(k) > MAX_LETTER:
+            raise PreconditionError(f"letter order {max(k)} exceeds the limit {MAX_LETTER}")
         coarse, fine = self._chen_sums(k)
         gap = abs(coarse - fine)
         if gap > self.cfg.tolerance:

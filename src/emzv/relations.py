@@ -25,6 +25,7 @@ from .faypoly import enumerate_support
 from .words import (
     Combo,
     Index,
+    Memo,
     PreconditionError,
     WordCombo,
     as_index,
@@ -60,14 +61,8 @@ def monomial_sort_key(mon: Monomial):
     return (len(mon), tuple(map(word_key, mon)))
 
 
-class _MonomialKeys(dict):
-    def __missing__(self, mon: Monomial):
-        key = self[mon] = monomial_sort_key(mon)
-        return key
-
-
-#: The per-process memo behind `monomial_key`; `clear()` empties it.
-MONOMIAL_KEYS = _MonomialKeys()
+#: The per-process memo behind `monomial_key`.
+MONOMIAL_KEYS = Memo(monomial_sort_key)
 
 #: `monomial_sort_key` of a monomial, computed once per process, as
 #: `word_key` is for a word.
@@ -82,14 +77,8 @@ def coef_text(n: int, den: int) -> str:
     return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
-class _AtomTexts(dict):
-    def __missing__(self, a: Index) -> str:
-        text = self[a] = json.dumps(list(a))
-        return text
-
-
-#: The per-process memo behind `atom_json`; `clear()` empties it.
-ATOM_TEXTS = _AtomTexts()
+#: The per-process memo behind `atom_json`.
+ATOM_TEXTS = Memo(lambda a: json.dumps(list(a)))
 
 #: `json.dumps(list(a))` of an index a, such as "[1, 2]", computed once per
 #: process.

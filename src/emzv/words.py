@@ -73,14 +73,24 @@ def word_sort_key(k: Index) -> tuple[int, int, Index]:
     return (len(k), sum(k), k)
 
 
-class _SortKeys(dict):
-    def __missing__(self, k: Index) -> tuple[int, int, Index]:
-        key = self[k] = word_sort_key(k)
-        return key
+class Memo(dict):
+    """A per-process memo of one function: `memo[x]` is `fn(x)`, computed on
+    the first lookup of x and stored; `clear()` empties it.  Its bound
+    `__getitem__` reads a stored result by one C-level dict lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
 
 
-#: The per-process memo behind `word_key`; `clear()` empties it.
-WORD_KEYS = _SortKeys()
+#: The per-process memo behind `word_key`.
+WORD_KEYS = Memo(word_sort_key)
 
 #: `word_sort_key` of a word (a tuple), computed once per process.  Sorting
 #: with it gives exactly the canonical order, one dict lookup per word.

@@ -250,6 +250,25 @@ def test_verify_reports_every_instance_when_some_raise(tmp_path, capsys):
     assert err.strip() == "# family=reduction: 18/21 passed, 3 raised"
 
 
+def test_a_letter_above_max_letter_is_a_numeric_failure(tmp_path, capsys):
+    # I(29) needs the letter f_29, one above MAX_LETTER: the sweep reports
+    # it as raised and still reports the 29 instances before it.
+    out = tmp_path / "r.jsonl"
+    argv = ["verify", "--family", "reflection", "--max-weight", "29", "--max-length", "1"]
+    code, _, err = run(capsys, *argv, "--tau", "0+1i", "--out", str(out))
+    assert (code, err.strip()) == (4, "# family=reflection: 29/30 passed, 1 raised")
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [rep["instance"] for rep in reports] == [str(n) for n in range(30)]
+    assert all(rep["passed"] for rep in reports[:29])
+    assert reports[29]["error"] == "PreconditionError: letter order 29 exceeds the limit 28"
+    for argv in (
+        ["eval", "--index", "29", "--tau", "0+1i"],
+        ["eval", "--index", "2,29,0,3", "--tau", "0+1i"],
+        ["reduce", "--index", "29,1", "--verify"],
+    ):
+        assert run(capsys, *argv) == (4, "", "error: letter order 29 exceeds the limit 28\n"), argv
+
+
 def test_verify_reduction_passes_at_small_im_tau(capsys):
     argv = ["verify", "--family", "reduction", "--max-weight", "4", "--max-length", "3"]
     for tau in ("0+0.05i", "0+0.01i"):
@@ -416,6 +435,26 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_selftest_fails_a_check_on_a_typed_numeric_failure(capsys, monkeypatch):
+    def raise_tolerance(*args, **kwargs):
+        raise emzv.numerics.ToleranceError("refinement moved I(2, 1)")
+
+    monkeypatch.setattr(cli, "verify_reduction", raise_tolerance)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 5
+    assert out.splitlines()[-1] == "FAIL reduce and verify (2,1): refinement moved I(2, 1)"
+    assert out.count("FAIL") == 1
+
+
+def test_selftest_lets_a_bug_in_a_check_propagate(capsys, monkeypatch):
+    def raise_type_error(*args, **kwargs):
+        raise TypeError("a bug in the check")
+
+    monkeypatch.setattr(cli, "verify_reduction", raise_type_error)
+    with pytest.raises(TypeError, match="a bug in the check"):
+        main(["selftest"])
 
 
 @pytest.mark.parametrize("taus", [("1.5+1i", "-0.5+1i"), ("1e300+1i", "0+1i")])

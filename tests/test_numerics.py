@@ -147,8 +147,6 @@ def test_grid_alignment_guard():
     ev = get_evaluator(TAU)
     for n in (MAX_LETTER + 1, -1):
         with pytest.raises(ArgumentError, match=f"letter order {n} outside 0..28"):
-            ev.letters(n)
-        with pytest.raises(ArgumentError):
             ev.f_n(n, 0.3)
 
 
@@ -272,11 +270,11 @@ def lambert_reference(nodes, tau, top):
 def test_letters_match_a_40_digit_lambert_reference(tau):
     """f_0..f_28 on split-1 nodes (every tenth, and the last), each within
     1e-13 of its largest magnitude there."""
-    ev = Evaluator(tau)
-    picked = np.r_[0 : len(ev.grid(1).lower_nodes) : 10, -1]
-    ref = lambert_reference(ev.grid(1).lower_nodes[picked], tau, MAX_LETTER)
+    grid, letters = Evaluator(tau)._splits()[0]
+    picked = np.r_[0 : len(grid.lower_nodes) : 10, -1]
+    ref = lambert_reference(grid.lower_nodes[picked], tau, MAX_LETTER)
     for n in range(MAX_LETTER + 1):
-        got = ev.letters(n)[picked]
+        got = letters[n][picked]
         assert np.max(np.abs(got - ref[n])) <= 1e-13 * np.max(np.abs(ref[n])), n
 
 
@@ -313,22 +311,22 @@ def test_letters_refuse_an_im_tau_below_the_term_cap_before_allocating():
     import tracemalloc
 
     ev = Evaluator(MIN_IM_TAU * 1j)
-    ev.letters(2)
+    ev._splits()
     with pytest.raises(NonConvergence, match="LAMBERT_MAX_TERMS"):
-        Evaluator((MIN_IM_TAU - 1e-5) * 1j).letters(2)
+        Evaluator((MIN_IM_TAU - 1e-5) * 1j)._splits()
     assert ev.f_n(2, 0.3) == pytest.approx(ev.f_n(2, 1.3), rel=1e-12)
     tiny = Evaluator(1e-5j)
     tracemalloc.start()
     try:
         with pytest.raises(NonConvergence, match="LAMBERT_MAX_TERMS"):
-            tiny.letters(2)
+            tiny._splits()
         with pytest.raises(NonConvergence, match="LAMBERT_MAX_TERMS"):
             tiny.f_n(2, 0.3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    assert not tiny._letters and not tiny._grids
+    assert tiny._pair is None
 
 
 def test_values_at_large_im_tau_reach_the_constant_letter_limit():
@@ -425,13 +423,13 @@ def forward_reference(ev, k, split, magnitude=False):
     panels of [0, 1], letters on the upper half by reflection, with its
     node values A_k(x) on every node of [0, 1].  With `magnitude`, the same
     pass over |f_n|, the scale of its rounding error."""
-    grid = ev.grid(split)
+    grid, letters = ev._splits()[split - 1]
     _, wg, amat = _legendre_antiderivative_matrix(grid.order)
     half = np.diff(grid.breakpoints) / 2.0
     g = np.ones(half.size * grid.order, dtype=complex)
     total = 1.0 + 0.0j
     for n in k:
-        lower = ev.letters(n, split)
+        lower = letters[n]
         values = np.concatenate([lower, (-1) ** n * lower[::-1]])
         if magnitude:
             values = np.abs(values)
@@ -563,7 +561,7 @@ def test_short_words_are_swept_once(monkeypatch):
     monkeypatch.setattr(PanelGrid, "sweep", counted("sweep"))
     monkeypatch.setattr(PanelGrid, "forward", counted("forward"))
     ev = Evaluator(TAU)
-    split_of = {ev.grid(split): split for split in (1, 2)}
+    split_of = {grid: split for split, (grid, _) in zip((1, 2), ev._splits())}
     for r in range(5):
         for w in range(7):
             for k in compositions(w, r):
@@ -603,17 +601,17 @@ def test_head_vectors_match_a_direct_sweep():
     NODE_CACHE_LENGTH long, and split at a letter for the longer tails."""
     ev = Evaluator(TAU)
     for split in (1, 2):
-        grid = ev.grid(split)
+        grid, letters = ev._splits()[split - 1]
         tails = [s for r in range(4) for s in itertools.product(range(4), repeat=r)]
         for s in tails:
             direct = np.ones(len(grid.lower_nodes), dtype=complex)
             magnitude = direct.copy()
             for n in reversed(s):
-                _, direct = grid.sweep(ev.letters(n, split), direct)
-                _, magnitude = grid.sweep(np.abs(ev.letters(n, split)), magnitude)
+                _, direct = grid.sweep(letters[n], direct)
+                _, magnitude = grid.sweep(np.abs(letters[n]), magnitude)
             for a in (0, 2, 3, 4):
-                expected, _ = grid.sweep(ev.letters(a, split), direct)
-                scale, _ = grid.sweep(np.abs(ev.letters(a, split)), magnitude)
+                expected, _ = grid.sweep(letters[a], direct)
+                scale, _ = grid.sweep(np.abs(letters[a]), magnitude)
                 got = ev._reg((a,) + s, {})[split - 1]
                 assert abs(got - expected) <= 1e-13 * abs(scale), (split, a, s)
 
@@ -630,20 +628,20 @@ def test_long_words_split_at_a_letter_match_a_direct_sweep(tau):
     words = [w for r in (4, 5) for n in range(7) for w in compositions(n, r) if w[0] != 1]
     assert all(len(w) > NODE_CACHE_LENGTH + 1 for w in words)
     for split in (1, 2):
-        grid = ev.grid(split)
+        grid, letters = ev._splits()[split - 1]
         chains = {(): (np.ones(len(grid.lower_nodes), dtype=complex),) * 2}
 
         def chain(s):  # B_s on the nodes, and the same chain over magnitudes
             if s not in chains:
                 direct, magnitude = chain(s[1:])
-                letter = ev.letters(s[0], split)
+                letter = letters[s[0]]
                 chains[s] = (grid.sweep(letter, direct)[1], grid.sweep(np.abs(letter), magnitude)[1])
             return chains[s]
 
         for w in words:
             direct, magnitude = chain(w[1:])
-            expected, _ = grid.sweep(ev.letters(w[0], split), direct)
-            scale, _ = grid.sweep(np.abs(ev.letters(w[0], split)), magnitude)
+            expected, _ = grid.sweep(letters[w[0]], direct)
+            scale, _ = grid.sweep(np.abs(letters[w[0]]), magnitude)
             got = ev._reg(w, {})[split - 1]
             assert abs(got - expected) <= 1e-12 * abs(scale), (split, w)
 
@@ -654,7 +652,7 @@ def test_forward_pass_matches_the_forward_reference():
     magnitudes of the letters at each node, and A_{0^m}(x) = x^m / m!."""
     ev = Evaluator(TAU)
     for split in (1, 2):
-        grid = ev.grid(split)
+        grid, letters = ev._splits()[split - 1]
         lower = len(grid.lower_nodes)
         for r in range(1, 4):
             for p in itertools.product(range(4), repeat=r):
@@ -662,7 +660,7 @@ def test_forward_pass_matches_the_forward_reference():
                     continue
                 got = np.ones(lower, dtype=complex)
                 for n in p:
-                    got = grid.forward(ev.letters(n, split), got)
+                    got = grid.forward(letters[n], got)
                 expected = forward_reference(ev, p, split)[1][:lower]
                 scale = np.abs(forward_reference(ev, p, split, magnitude=True)[1][:lower])
                 assert np.all(np.abs(got - expected) <= 1e-13 * scale), (split, p)
@@ -672,15 +670,22 @@ def test_forward_pass_matches_the_forward_reference():
 
 
 def test_a_letter_above_max_letter_is_refused_at_every_position():
+    """The letter limit is a domain error, checked once per index before
+    any grid is built: a cold evaluator that refuses an index has built no
+    split."""
     warm = Evaluator(TAU)
-    for r in range(1, 6):
+    for r in range(1, MAX_IINT_LENGTH + 1):
         for base in ((0,) * r, (1,) * r, (2,) * r):
             warm.value(base)
             for i in range(r):
                 k = base[:i] + (MAX_LETTER + 1,) + base[i + 1 :]
-                for ev in (warm, Evaluator(TAU)):
-                    with pytest.raises(ArgumentError):
+                cold = Evaluator(TAU)
+                for ev in (warm, cold):
+                    with pytest.raises(PreconditionError, match="letter order 29"):
                         ev.regularized(k)
+                    with pytest.raises(PreconditionError, match="letter order 29"):
+                        ev.value(k)
+                assert cold._pair is None, k
 
 
 def test_value_validates_what_it_has_not_cached():
@@ -753,17 +758,13 @@ def test_every_grid_of_an_order_shares_one_read_only_rule():
     rule = _legendre_antiderivative_matrix(DEFAULT_CONFIG.panel_order)
     for tau in (TAU, 0.5 + 0.8j):
         ev = Evaluator(tau)
-        for split in (1, 2):
-            grid = ev.grid(split)
+        for split, (grid, _) in zip((1, 2), ev._splits()):
             assert grid._wg is rule[1] and grid._amat is rule[2], (tau, split)
     assert not any(array.flags.writeable for array in rule)
 
 
 def test_split_below_one_is_rejected():
     for split in (0, -1):
-        ev = Evaluator(TAU)
-        with pytest.raises(ArgumentError):
-            ev.grid(split)
         with pytest.raises(ArgumentError):
             PanelGrid(DEFAULT_CONFIG.panel_order, 4, split)
 
