@@ -11,9 +11,7 @@ and with it numpy, on first use.
 """
 
 from .words import (
-    Combo,
     Index,
-    WordCombo,
     as_index,
     format_index,
     is_admissible,
@@ -22,7 +20,6 @@ from .words import (
     parse_index,
     reflection_sign,
     shuffle,
-    shuffle_combo,
     weight,
 )
 from .faypoly import c_coeff, enumerate_support

@@ -38,7 +38,6 @@ from .words import (
     PreconditionError,
     format_index,
     parse_index,
-    parity_is_even,
     weight,
 )
 
@@ -70,6 +69,15 @@ FAMILIES = (
     "reduction",
     "kronecker",
 )
+
+# The families of one-index identities.  Each covers the indices its builder
+# accepts: those where it raises no PreconditionError.
+IDENTITY_BUILDERS = {
+    "reflection": reflection_identity,
+    "fay": fay_identity,
+    "parity": parity_split,
+    "trailing-ones": trailing_ones,
+}
 
 
 def _complex_json(value: complex) -> dict:
@@ -211,31 +219,21 @@ def _family_instances(family: str, args, cfg: NumericsConfig):
 
         return run
 
-    if family in ("shuffle", "reflection", "fay", "parity", "trailing-ones", "reduction") and ev is None:
+    if family in ("shuffle", "reduction", *IDENTITY_BUILDERS) and ev is None:
         raise ArgumentError(f"family {family} needs --tau")
 
     if family == "shuffle":
         for v in _indices_within(mw, ml - 1):
             for w in _indices_within(mw - weight(v), ml - len(v)):
                 yield f"{format_index(v)}|{format_index(w)}", identity_check(shuffle_identity(v, w))
-    elif family == "reflection":
+    elif family in IDENTITY_BUILDERS:
+        build = IDENTITY_BUILDERS[family]
         for k in _indices_within(mw, ml):
-            yield format_index(k), identity_check(reflection_identity(k))
-    elif family == "fay":
-        for k in _indices_within(mw, ml):
-            if len(k) > 1 and k[-1] == 1:
+            try:
+                ident = build(k)
+            except PreconditionError:
                 continue
-            yield format_index(k), identity_check(fay_identity(k))
-    elif family == "parity":
-        for k in _indices_within(mw, ml):
-            if len(k) < 2 or not parity_is_even(k):
-                continue
-            yield format_index(k), identity_check(parity_split(k))
-    elif family == "trailing-ones":
-        for k in _indices_within(mw, ml):
-            if k[-1] != 1 or all(e == 1 for e in k):
-                continue
-            yield format_index(k), identity_check(trailing_ones(k))
+            yield format_index(k), identity_check(ident)
     elif family == "prop-mat":
         for r, s in _prop_mat_indices(mw):
 

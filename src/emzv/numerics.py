@@ -549,8 +549,10 @@ class Evaluator:
         """Letter f_n at arbitrary points z.  Re z is taken mod 1, and Im z
         is brought within Im tau / 2 by b = round(Im z / Im tau) periods:
         f_n(z + b tau) = sum_{i=0..n} (-2 pi i b)^i / i! f_{n-i}(z)."""
-        if not 0 <= n <= MAX_LETTER:
-            raise ArgumentError(f"letter order {n} outside 0..{MAX_LETTER}")
+        if n < 0:
+            raise ArgumentError(f"negative letter order {n}")
+        if n > MAX_LETTER:
+            raise PreconditionError(f"letter order {n} exceeds the limit {MAX_LETTER}")
         zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         _check_poles(zz, self.tau, "z")
         t = self.tau.tau
@@ -667,7 +669,7 @@ class Evaluator:
                 total = [0.0, 0.0]
                 for i in range(ones + 1):
                     inner = [0, 0]
-                    for s, n in shuffle((1,) * (ones - i), rest).numerators():
+                    for s, n in shuffle((1,) * (ones - i), rest):
                         r = self._reg(y + s, scratch)
                         inner[0] += n * r[0]
                         inner[1] += n * r[1]

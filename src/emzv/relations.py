@@ -1,38 +1,39 @@
 """Exact identities among formal values I(k) attached to indices.
 
-An Expression is a Q-linear combination of monomials, each monomial a
-multiset of index atoms standing for a formal product of values; the empty
-monomial is the unit 1.  A monomial is the tuple of its atoms in
-`word_sort_key` order, sorted through the per-process memo `word_key`, and
-`items()` lists monomials by length and then by those keys, read from the
-per-process memo `monomial_key`, so the JSON and text output and the
-evaluation order do not depend on how an expression was built.  An
-Identity pairs two expressions with a provenance tag.  Identities are
-emitted verbatim from their defining formulas; no normalization (such as
-rewriting an atom via reflection) is applied here, so each identity can be
-audited against its source and validated numerically.
+An Expression, the package's one exact Q-linear combination class, is a
+combination of monomials, each monomial a multiset of index atoms standing
+for a formal product of values; the empty monomial is the unit 1.  Its
+coefficients are integer numerators over one common denominator, so sums,
+products and substitutions are plain integer arithmetic.  A monomial is the
+tuple of its atoms in `word_sort_key` order, sorted through the per-process
+memo `word_key`, and `items()` lists monomials by length and then by those
+keys, read from the per-process memo `monomial_key`, so the JSON and text
+output and the evaluation order do not depend on how an expression was
+built.  An Identity pairs two expressions with a provenance tag.
+Identities are emitted verbatim from their defining formulas; no
+normalization (such as rewriting an atom via reflection) is applied here,
+so each identity can be audited against its source and validated
+numerically.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .faypoly import enumerate_support
 from .words import (
-    Combo,
     Index,
     Memo,
     PreconditionError,
-    WordCombo,
     as_index,
     parity_is_even,
     reflection_sign,
     shuffle,
-    shuffle_combo,
     word_key,
 )
 
@@ -85,11 +86,103 @@ ATOM_TEXTS = Memo(lambda a: json.dumps(list(a)))
 atom_json = ATOM_TEXTS.__getitem__
 
 
-class Expression(Combo):
-    """Exact Q-linear combination of monomials of index atoms."""
+class Expression:
+    """Exact Q-linear combination of monomials of index atoms.
 
-    __slots__ = ()
-    _sort_key = staticmethod(monomial_key)
+    Coefficients are stored as integer numerators (`_terms`, monomial ->
+    nonzero int) over one common denominator `_den > 0`, in lowest terms:
+    gcd(_den, *numerators) == 1.  That form is unique, so two expressions
+    are equal when they have the same numerators and denominator.  Every
+    arithmetic path ends in `_sum`, which restores the form; `items` and
+    `coeff` return `Fraction`s.  Instances are treated as immutable values.
+    """
+
+    __slots__ = ("_terms", "_den")
+
+    def __init__(self, terms: dict | None = None):
+        expr = self.collect((terms or {}).items())
+        self._terms, self._den = expr._terms, expr._den
+
+    @classmethod
+    def zero(cls) -> "Expression":
+        return cls()
+
+    @classmethod
+    def _sum(cls, pairs: Iterable[tuple[Monomial, int]], den: int) -> "Expression":
+        """Sum (monomial, integer numerator) pairs over the denominator `den`
+        into canonical form: zero numerators dropped, common factors divided
+        out."""
+        nums: dict = {}
+        for key, n in pairs:
+            nums[key] = nums.get(key, 0) + n
+        nums = {k: n for k, n in nums.items() if n}
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: n // g for k, n in nums.items()}
+                den //= g
+        out = cls.__new__(cls)
+        out._terms, out._den = nums, den
+        return out
+
+    @classmethod
+    def collect(cls, pairs: Iterable[tuple[Monomial, Fraction | int]]) -> "Expression":
+        """Sum (monomial, int or Fraction coefficient) pairs into one expression."""
+        pairs = list(pairs)
+        den = math.lcm(*(c.denominator for _, c in pairs))
+        return cls._sum(((k, c.numerator * (den // c.denominator)) for k, c in pairs), den)
+
+    @property
+    def den(self) -> int:
+        """Common denominator of the coefficients (1 for the zero expression)."""
+        return self._den
+
+    def numerators(self) -> list[tuple[Monomial, int]]:
+        """(monomial, numerator over `den`) pairs in the order of `items`.
+        The monomials are distinct, so sorting them alone gives that order."""
+        terms = self._terms
+        return [(m, terms[m]) for m in sorted(terms, key=monomial_key)]
+
+    def items(self) -> list[tuple[Monomial, Fraction]]:
+        return [(m, Fraction(n, self._den)) for m, n in self.numerators()]
+
+    def coeff(self, mon: Monomial) -> Fraction:
+        return Fraction(self._terms.get(mon, 0), self._den)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._den, frozenset(self._terms.items())))
+
+    def __add__(self, other: "Expression") -> "Expression":
+        if type(other) is not type(self):
+            return NotImplemented
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        return self._sum(
+            itertools.chain(
+                ((k, a * n) for k, n in self._terms.items()),
+                ((k, b * n) for k, n in other._terms.items()),
+            ),
+            den,
+        )
+
+    def __sub__(self, other: "Expression") -> "Expression":
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + other.scale(-1)
+
+    def scale(self, scalar: Fraction | int) -> "Expression":
+        s = Fraction(scalar)
+        return self._sum(
+            ((k, s.numerator * n) for k, n in self._terms.items()), s.denominator * self._den
+        )
 
     @classmethod
     def unit(cls, coeff: Fraction | int = 1) -> "Expression":
@@ -195,7 +288,7 @@ def shuffle_identity(v: Index, w: Index) -> Identity:
     """Product of two values equals the sum over their shuffles."""
     v, w = as_index(v), as_index(w)
     lhs = Expression.atom(v) * Expression.atom(w)
-    rhs = Expression.collect((monomial([word]), c) for word, c in shuffle(v, w).items())
+    rhs = Expression._sum(((monomial([word]), c) for word, c in shuffle(v, w)), 1)
     return Identity(lhs, rhs, "shuffle")
 
 
@@ -281,9 +374,11 @@ def parity_split(k: Index) -> Identity:
 def trailing_ones(k: Index) -> Identity:
     """Shuffle trailing ones into the prefix:
 
-        I(k_1..k_n, 1^m) = ((-1)^m / m!) I(1^{sh m} sh (k_1..k_{n-1}), k_n)
+        I(k_1..k_n, 1^m) = (-1)^m I(1^m sh (k_1..k_{n-1}), k_n)
 
-    for k_n != 1 and m >= 1.  Every emitted atom ends with k_n.
+    for k_n != 1 and m >= 1: the m-fold shuffle 1 sh ... sh 1 = m! 1^m
+    cancels the 1/m! of the transform, so every coefficient is an integer.
+    Every emitted atom ends with k_n.
     """
     k = as_index(k)
     m = 0
@@ -295,11 +390,8 @@ def trailing_ones(k: Index) -> Identity:
         raise PreconditionError("all-ones indices are not transformed")
     n = len(k) - m
     prefix, last = k[: n - 1], k[n - 1]
-    combo = WordCombo.word(prefix)
-    for _ in range(m):
-        combo = shuffle_combo(WordCombo.word((1,)), combo)
+    sign = (-1) ** m
     rhs = Expression._sum(
-        ((monomial([word + (last,)]), (-1) ** m * n) for word, n in combo.numerators()),
-        combo.den * math.factorial(m),
+        (((word + (last,),), sign * c) for word, c in shuffle((1,) * m, prefix)), 1
     )
     return Identity(Expression.atom(k), rhs, "trailing_ones")

@@ -2,20 +2,15 @@
 
 An index (k_1, ..., k_r) of non-negative integers doubles as the word
 e_{k_1} ... e_{k_r}.  This module provides the index bookkeeping (weight,
-length, parity, admissibility) together with the shuffle product, with
-exact rational coefficients.  `Combo`, the one exact Q-linear combination
-class, keeps those coefficients as integer numerators over one common
-denominator, so sums and products are plain integer arithmetic.
+length, parity, admissibility) together with the shuffle product, whose
+coefficients are positive integers.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 import operator
-from fractions import Fraction
-from typing import Hashable, Iterable
+from typing import Iterable
 
 Index = tuple[int, ...]
 
@@ -116,157 +111,22 @@ def format_index(k: Index) -> str:
     return ",".join(str(e) for e in k) if k else "-"
 
 
-class Combo:
-    """Exact Q-linear combination of hashable keys.
-
-    Coefficients are stored as integer numerators (`_terms`, key -> nonzero
-    int) over one common denominator `_den > 0`, in lowest terms:
-    gcd(_den, *numerators) == 1.  That form is unique, so two combinations
-    are equal when they have the same class, numerators and denominator.
-    Every arithmetic path ends in `_sum`, which restores the form; `items`
-    and `coeff` return `Fraction`s.  Instances are treated as immutable
-    values.  Subclasses fix the key type and its `_sort_key`.
-    """
-
-    __slots__ = ("_terms", "_den")
-
-    def __init__(self, terms: dict | None = None):
-        combo = self.collect((terms or {}).items())
-        self._terms, self._den = combo._terms, combo._den
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def _sum(cls, pairs: Iterable[tuple[Hashable, int]], den: int):
-        """Sum (key, integer numerator) pairs over the denominator `den` into
-        canonical form: zero numerators dropped, common factors divided out."""
-        nums: dict = {}
-        for key, n in pairs:
-            nums[key] = nums.get(key, 0) + n
-        nums = {k: n for k, n in nums.items() if n}
-        if den != 1:
-            g = math.gcd(den, *nums.values())
-            if g != 1:
-                nums = {k: n // g for k, n in nums.items()}
-                den //= g
-        out = cls.__new__(cls)
-        out._terms, out._den = nums, den
-        return out
-
-    @classmethod
-    def collect(cls, pairs: Iterable[tuple[Hashable, Fraction | int]]):
-        """Sum (key, int or Fraction coefficient) pairs into one combination."""
-        pairs = list(pairs)
-        den = math.lcm(*(c.denominator for _, c in pairs))
-        return cls._sum(((k, c.numerator * (den // c.denominator)) for k, c in pairs), den)
-
-    @property
-    def den(self) -> int:
-        """Common denominator of the coefficients (1 for the zero combination)."""
-        return self._den
-
-    def numerators(self) -> list[tuple[Hashable, int]]:
-        """(key, numerator over `den`) pairs in the order of `items`.  The
-        keys are distinct, so sorting them alone gives that order."""
-        terms = self._terms
-        return [(k, terms[k]) for k in sorted(terms, key=self._sort_key)]
-
-    def items(self) -> list[tuple[Hashable, Fraction]]:
-        return [(k, Fraction(n, self._den)) for k, n in self.numerators()]
-
-    def coeff(self, key: Hashable) -> Fraction:
-        return Fraction(self._terms.get(key, 0), self._den)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._den == other._den and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((type(self), self._den, frozenset(self._terms.items())))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        den = math.lcm(self._den, other._den)
-        a, b = den // self._den, den // other._den
-        return self._sum(
-            itertools.chain(
-                ((k, a * n) for k, n in self._terms.items()),
-                ((k, b * n) for k, n in other._terms.items()),
-            ),
-            den,
-        )
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def scale(self, scalar: Fraction | int):
-        s = Fraction(scalar)
-        return self._sum(
-            ((k, s.numerator * n) for k, n in self._terms.items()), s.denominator * self._den
-        )
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*{k}" for k, c in self.items()] or ["0"]
-        return f"{type(self).__name__}(" + " + ".join(parts) + ")"
-
-
-class WordCombo(Combo):
-    """Exact Q-linear combination of words."""
-
-    __slots__ = ()
-    _sort_key = staticmethod(word_key)
-
-    @classmethod
-    def word(cls, w: Index, coeff: Fraction | int = 1) -> "WordCombo":
-        return cls({tuple(w): Fraction(coeff)})
-
-
 @functools.lru_cache(maxsize=None)
-def shuffle(v: Index, w: Index) -> WordCombo:
-    """Shuffle product of two words as a WordCombo.
+def shuffle(v: Index, w: Index) -> tuple[tuple[Index, int], ...]:
+    """Shuffle product of two words: its (word, coefficient) pairs, each
+    coefficient a positive integer, in `word_sort_key` order.  The words all
+    share one length and one weight, so that order is the lexicographic one.
 
     Recursive rule: e_i v' sh e_j w' = e_i (v' sh e_j w') + e_j (e_i v' sh w'),
     with the empty word as unit.
     """
-    v = tuple(v)
-    w = tuple(w)
-    if not v:
-        return WordCombo.word(w)
-    if not w:
-        return WordCombo.word(v)
-    # Shuffle coefficients are integers: every result has denominator 1.
-    return WordCombo._sum(
-        itertools.chain(
-            (((v[0],) + u, n) for u, n in shuffle(v[1:], w)._terms.items()),
-            (((w[0],) + u, n) for u, n in shuffle(v, w[1:])._terms.items()),
-        ),
-        1,
-    )
-
-
-def shuffle_combo(a: WordCombo, b: WordCombo) -> WordCombo:
-    """Bilinear extension of the shuffle product to combinations."""
-    return WordCombo._sum(
-        (
-            (u, nv * nw * n)
-            for v, nv in a._terms.items()
-            for w, nw in b._terms.items()
-            for u, n in shuffle(v, w)._terms.items()
-        ),
-        a._den * b._den,
-    )
+    if not v or not w:
+        return ((v + w, 1),)
+    counts = {(v[0],) + u: n for u, n in shuffle(v[1:], w)}
+    for u, n in shuffle(v, w[1:]):
+        u = (w[0],) + u
+        counts[u] = counts.get(u, 0) + n
+    return tuple(sorted(counts.items()))
 
 
 def reflection_sign(k: Index) -> int:

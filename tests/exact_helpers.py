@@ -1,7 +1,8 @@
 """Exact-algebra helpers that only the tests use.
 
 The shuffle Hopf algebra's deconcatenation coproduct and antipode, whose
-convolution identity underlies `emzv.relations.parity_split`; the weight of
+convolution identity underlies `emzv.relations.parity_split`; the bilinear
+extension of the shuffle product to combinations of words; the weight of
 a monomial and of an expression; the residual of an identity; the filter
 of monomials with a vanishing length-1 factor; and the inverse of
 `Expression.to_json_dict`.
@@ -9,10 +10,11 @@ of monomials with a vanishing length-1 factor; and the inverse of
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from emzv.relations import Expression, Identity, Monomial, monomial
-from emzv.words import Index, WordCombo, as_index, shuffle, weight
+from emzv.words import Index, as_index, shuffle, weight
 
 
 def antipode(w: Index) -> tuple[int, Index]:
@@ -27,18 +29,35 @@ def coproduct(w: Index) -> list[tuple[Index, Index]]:
     return [(w[:j], w[j:]) for j in range(len(w) + 1)]
 
 
-def antipode_convolution(w: Index) -> WordCombo:
+def nonzero(combo: Counter) -> Counter:
+    """`combo` without its zero coefficients (unary + would also drop the
+    negative ones)."""
+    return Counter({u: c for u, c in combo.items() if c})
+
+
+def shuffle_combo(a: Counter, b: Counter) -> Counter:
+    """Bilinear extension of `shuffle` to combinations of words, each a
+    Counter of word -> int or Fraction coefficient."""
+    out = Counter()
+    for v, cv in a.items():
+        for w, cw in b.items():
+            for u, n in shuffle(v, w):
+                out[u] += cv * cw * n
+    return nonzero(out)
+
+
+def antipode_convolution(w: Index) -> Counter:
     """Sum over splits of prefix shuffled with antipode of suffix.
 
     Vanishes identically for every non-empty word; this is the Hopf-algebra
     identity behind the parity splitting of values.
     """
-    return WordCombo.collect(
-        (u, sign * c)
-        for pre, suf in coproduct(w)
-        for sign, rev in [antipode(suf)]
-        for u, c in shuffle(pre, rev).items()
-    )
+    out = Counter()
+    for pre, suf in coproduct(w):
+        sign, rev = antipode(suf)
+        for u, c in shuffle(pre, rev):
+            out[u] += sign * c
+    return nonzero(out)
 
 
 def monomial_weight(mon: Monomial) -> int:

@@ -144,10 +144,17 @@ def test_theta_nonconvergence_guard():
 
 
 def test_grid_alignment_guard():
+    # the letter limit is a domain limit, as for an index entry in regularized
     ev = get_evaluator(TAU)
-    for n in (MAX_LETTER + 1, -1):
-        with pytest.raises(ArgumentError, match=f"letter order {n} outside 0..28"):
-            ev.f_n(n, 0.3)
+    with pytest.raises(PreconditionError, match=f"letter order {MAX_LETTER + 1} exceeds the limit 28"):
+        ev.f_n(MAX_LETTER + 1, 0.3)
+    with pytest.raises(PreconditionError, match=f"letter order {MAX_LETTER + 1} exceeds the limit 28"):
+        ev.regularized((2, MAX_LETTER + 1))
+
+
+def test_negative_letter_order_is_an_argument_error():
+    with pytest.raises(ArgumentError, match="negative letter order -1"):
+        get_evaluator(TAU).f_n(-1, 0.3)
 
 
 def test_theta_prime0():
@@ -791,6 +798,20 @@ def test_regularized_shuffle_and_reflection():
     assert est < 1e-6
 
 
+@pytest.mark.parametrize("tau", [1j, 2j, 0.3j, 0.15j, 0.5 + 0.8j, -0.21 + 0.6j, 0.37 + 0.35j])
+def test_i01_matches_its_q_expansion(tau):
+    """I(0,1) = i pi/2 + 2 sum_{m>=1} log(1 - q^m) with q = exp(2 pi i tau).
+    Its Chen sum reads reg B_{1,0} = reg B_1 B_0(0) - B_{0,1}(0) from the
+    shuffle loop of _reg, so this pins that loop and reg B_1 exactly."""
+    q = cmath.exp(2j * math.pi * tau)
+    series, qm = 0j, q
+    while abs(qm) > 1e-20:
+        series += cmath.log(1 - qm)
+        qm *= q
+    closed = 0.5j * math.pi + 2 * series
+    assert abs(Evaluator(tau).regularized((0, 1))[0] - closed) < 1e-14
+
+
 # tau, the multiple of 2 pi i by which reg B_1 differs from its closed
 # form, and the tolerance.  Near Re tau = -+0.1 at Im tau = 0.1 the argument
 # of theta(1/2) / theta'(0) reaches -+pi, so the principal log jumps there.
@@ -828,7 +849,7 @@ NON_ADMISSIBLE = (
 @given(NON_ADMISSIBLE, NON_ADMISSIBLE)
 def test_regularized_values_multiply_by_shuffle(u, v):
     ev = get_evaluator(TAU)
-    rhs = sum(n * ev.value(w) for w, n in shuffle(u, v).numerators())
+    rhs = sum(n * ev.value(w) for w, n in shuffle(u, v))
     assert abs(ev.value(u) * ev.value(v) - rhs) < 1e-12
 
 

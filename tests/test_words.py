@@ -11,7 +11,6 @@ from emzv.relations import MONOMIAL_KEYS, Expression, monomial, monomial_sort_ke
 from emzv.words import (
     WORD_KEYS,
     ArgumentError,
-    WordCombo,
     as_index,
     format_index,
     is_admissible,
@@ -20,11 +19,10 @@ from emzv.words import (
     parse_index,
     reflection_sign,
     shuffle,
-    shuffle_combo,
     weight,
     word_sort_key,
 )
-from exact_helpers import antipode, antipode_convolution, coproduct
+from exact_helpers import antipode, antipode_convolution, coproduct, shuffle_combo
 
 
 def brute_shuffle(v, w):
@@ -40,7 +38,30 @@ def brute_shuffle(v, w):
             if word[i] is None:
                 word[i] = next(rest)
         out[tuple(word)] += 1
-    return WordCombo({k: Fraction(c) for k, c in out.items()})
+    return out
+
+
+def ref_shuffle(v, w):
+    """Shuffle product as a Counter of words, by the recursive rule."""
+    if not v or not w:
+        return Counter({v + w: 1})
+    out = Counter()
+    for u, c in ref_shuffle(v[1:], w).items():
+        out[(v[0],) + u] += c
+    for u, c in ref_shuffle(v, w[1:]).items():
+        out[(w[0],) + u] += c
+    return out
+
+
+def assert_shuffle_matches_oracles(v, w):
+    """shuffle(v, w) equals both Counter oracles, lists each word once in
+    `word_sort_key` order, and has positive int coefficients."""
+    pairs = shuffle(v, w)
+    assert type(pairs) is tuple
+    assert Counter(dict(pairs)) == brute_shuffle(v, w) == ref_shuffle(v, w), (v, w)
+    words = [u for u, _ in pairs]
+    assert words == sorted(set(words), key=word_sort_key), (v, w)
+    assert all(type(n) is int and n > 0 for _, n in pairs), (v, w)
 
 
 def words_up_to(max_len, max_entry):
@@ -97,11 +118,11 @@ def test_index_text_roundtrip():
 
 
 def test_shuffle_base_cases():
-    assert shuffle((0,), (1,)) == WordCombo({(0, 1): Fraction(1), (1, 0): Fraction(1)})
-    assert shuffle((1,), (1,)) == WordCombo({(1, 1): Fraction(2)})
-    assert shuffle((1,), (2, 3)) == WordCombo(
-        {(1, 2, 3): Fraction(1), (2, 1, 3): Fraction(1), (2, 3, 1): Fraction(1)}
-    )
+    assert shuffle((), ()) == (((), 1),)
+    assert shuffle((), (2, 3)) == shuffle((2, 3), ()) == (((2, 3), 1),)
+    assert shuffle((0,), (1,)) == (((0, 1), 1), ((1, 0), 1))
+    assert shuffle((1,), (1,)) == (((1, 1), 2),)
+    assert shuffle((1,), (2, 3)) == (((1, 2, 3), 1), ((2, 1, 3), 1), ((2, 3, 1), 1))
 
 
 def test_shuffle_against_brute_force():
@@ -110,7 +131,7 @@ def test_shuffle_against_brute_force():
         for w in words:
             if len(v) + len(w) > 5:
                 continue
-            assert shuffle(v, w) == brute_shuffle(v, w), (v, w)
+            assert_shuffle_matches_oracles(v, w)
 
 
 def test_shuffle_mass_is_binomial():
@@ -118,25 +139,21 @@ def test_shuffle_mass_is_binomial():
 
     for v in words_up_to(3, 2):
         for w in words_up_to(2, 2):
-            combo = shuffle(v, w)
-            assert sum(c for _, c in combo.items()) == comb(len(v) + len(w), len(v))
-            for word, coeff in combo.items():
+            pairs = shuffle(v, w)
+            assert sum(c for _, c in pairs) == comb(len(v) + len(w), len(v))
+            for word, coeff in pairs:
                 assert coeff > 0
                 assert sum(word) == weight(v) + weight(w)
                 assert len(word) == len(v) + len(w)
 
 
 def test_shuffle_combo_bilinear():
-    zero = WordCombo.zero()
-    w = WordCombo.word((2, 3))
-    assert shuffle_combo(zero, w).is_zero()
-    assert shuffle_combo(WordCombo.word(()), w) == w
-    a = WordCombo.word((0,)) + WordCombo.word((1,))
-    b = WordCombo.word((0,))
-    expected = WordCombo(
-        {(0, 0): Fraction(2), (0, 1): Fraction(1), (1, 0): Fraction(1)}
-    )
-    assert shuffle_combo(a, b) == expected
+    w = Counter([(2, 3)])
+    assert not shuffle_combo(Counter(), w)
+    assert shuffle_combo(Counter([()]), w) == w
+    a = Counter([(0,), (1,)])
+    b = Counter([(0,)])
+    assert shuffle_combo(a, b) == Counter({(0, 0): 2, (0, 1): 1, (1, 0): 1})
 
 
 def test_shuffle_commutative_exhaustive():
@@ -149,28 +166,29 @@ def test_shuffle_commutative_exhaustive():
 def test_shuffle_associative():
     small = words_up_to(2, 2)
     for a, b, c in itertools.product(small, repeat=3):
-        left = shuffle_combo(shuffle(a, b), WordCombo.word(c))
-        right = shuffle_combo(WordCombo.word(a), shuffle(b, c))
+        left = shuffle_combo(Counter(dict(shuffle(a, b))), Counter([c]))
+        right = shuffle_combo(Counter([a]), Counter(dict(shuffle(b, c))))
         assert left == right, (a, b, c)
     binary = words_up_to(3, 1)
     for a, b, c in itertools.product(binary, repeat=3):
-        left = shuffle_combo(shuffle(a, b), WordCombo.word(c))
-        right = shuffle_combo(WordCombo.word(a), shuffle(b, c))
+        left = shuffle_combo(Counter(dict(shuffle(a, b))), Counter([c]))
+        right = shuffle_combo(Counter([a]), Counter(dict(shuffle(b, c))))
         assert left == right, (a, b, c)
 
 
 WORDS = st.lists(st.integers(0, 6), max_size=3).map(tuple)
 COMBOS = st.dictionaries(
     WORDS, st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=3
-).map(WordCombo)
+).map(Counter)
 
 
 @settings(max_examples=100, deadline=None)
 @given(WORDS, WORDS, WORDS)
 def test_shuffle_commutative_and_associative(a, b, c):
+    assert_shuffle_matches_oracles(a, b)
     assert shuffle(a, b) == shuffle(b, a)
-    left = shuffle_combo(shuffle(a, b), WordCombo.word(c))
-    right = shuffle_combo(WordCombo.word(a), shuffle(b, c))
+    left = shuffle_combo(Counter(dict(shuffle(a, b))), Counter([c]))
+    right = shuffle_combo(Counter([a]), Counter(dict(shuffle(b, c))))
     assert left == right
 
 
@@ -181,28 +199,25 @@ def test_shuffle_combo_commutative_and_associative(a, b, c):
     assert shuffle_combo(shuffle_combo(a, b), c) == shuffle_combo(a, shuffle_combo(b, c))
 
 
-KEYS = {
-    WordCombo: st.sampled_from([(), (0,), (1,), (2, 1), (1, 2), (0, 0, 3)]),
-    Expression: st.sampled_from(
-        [(), ((0,),), ((2,),), ((1,), (2,)), ((2,), (2,)), ((1, 0), (3,))]
-    ).map(monomial),
-}
+KEYS = st.sampled_from(
+    [(), ((0,),), ((2,),), ((1,), (2,)), ((2,), (2,)), ((1, 0), (3,))]
+).map(monomial)
 COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([WordCombo, Expression]), st.data())
-def test_collect_matches_dict_reference(cls, data):
-    pairs = data.draw(st.lists(st.tuples(KEYS[cls], COEFFS), max_size=12))
+@given(st.data())
+def test_collect_matches_dict_reference(data):
+    pairs = data.draw(st.lists(st.tuples(KEYS, COEFFS), max_size=12))
     # exact cancellations: repeat a prefix of the pairs negated
     pairs += [(k, -c) for k, c in pairs[: data.draw(st.integers(0, len(pairs)))]]
     sums = {k: sum(c for key, c in pairs if key == k) for k, _ in pairs}
     reference = {k: c for k, c in sums.items() if c != 0}
-    combo = cls.collect(pairs)
+    combo = Expression.collect(pairs)
     assert dict(combo.items()) == reference
-    assert len(combo) == len(reference) and combo.is_zero() == (not reference)
+    assert len(combo) == len(reference) and (not combo) == (not reference)
     assert all(type(c) is Fraction for _, c in combo.items())
-    other = cls.collect(data.draw(st.lists(st.tuples(KEYS[cls], COEFFS), max_size=6)))
+    other = Expression.collect(data.draw(st.lists(st.tuples(KEYS, COEFFS), max_size=6)))
     assert combo + other - other == combo
 
 
@@ -210,11 +225,10 @@ MONOMIALS = st.lists(WORDS, max_size=3).map(monomial)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([WordCombo, Expression]), st.data())
-def test_numerators_sort_through_the_key_memos(cls, data):
-    keys, sort_key = (WORDS, word_sort_key) if cls is WordCombo else (MONOMIALS, monomial_sort_key)
-    combo = cls(data.draw(st.dictionaries(keys, RULE_COEFFS, max_size=8)))
-    expected = sorted(combo._terms.items(), key=lambda t: sort_key(t[0]))
+@given(st.data())
+def test_numerators_sort_through_the_key_memos(data):
+    combo = Expression(data.draw(st.dictionaries(MONOMIALS, RULE_COEFFS, max_size=8)))
+    expected = sorted(combo._terms.items(), key=lambda t: monomial_sort_key(t[0]))
     WORD_KEYS.clear()
     MONOMIAL_KEYS.clear()
     assert combo.numerators() == expected  # cold memos
@@ -222,15 +236,10 @@ def test_numerators_sort_through_the_key_memos(cls, data):
     assert all(MONOMIAL_KEYS[m] == monomial_sort_key(m) for m in list(MONOMIAL_KEYS))
 
 
-def test_combo_equality_is_type_strict():
-    assert WordCombo.zero() != Expression.zero()
-    assert WordCombo.word(()) != Expression.unit()
+# Integer core: every Expression holds integer numerators over one
+# denominator.  The references below work on plain dicts of Fractions.
 
-
-# Integer core: every Combo holds integer numerators over one denominator.
-# The references below work on plain dicts of Fractions.
-
-# denominators of the rewrite rules: 2 (parity_split) and m! (trailing_ones)
+# coefficients over denominators 1 to 720, with shared and distinct prime factors
 RULE_COEFFS = st.builds(
     Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 6, 24, 120, 720])
 )
@@ -258,25 +267,13 @@ def ref_linear(*scaled):
     return {k: c for k, c in out.items() if c != 0}
 
 
-def ref_shuffle(v, w):
-    """Shuffle product as a Counter of words, by the recursive rule."""
-    if not v or not w:
-        return Counter({v + w: 1})
-    out = Counter()
-    for u, c in ref_shuffle(v[1:], w).items():
-        out[(v[0],) + u] += c
-    for u, c in ref_shuffle(v, w[1:]).items():
-        out[(w[0],) + u] += c
-    return out
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([WordCombo, Expression]), st.data())
-def test_combo_arithmetic_matches_fraction_reference(cls, data):
-    da = data.draw(st.dictionaries(KEYS[cls], RULE_COEFFS, max_size=5))
-    db = data.draw(st.dictionaries(KEYS[cls], RULE_COEFFS, max_size=5))
+@given(st.data())
+def test_combo_arithmetic_matches_fraction_reference(data):
+    da = data.draw(st.dictionaries(KEYS, RULE_COEFFS, max_size=5))
+    db = data.draw(st.dictionaries(KEYS, RULE_COEFFS, max_size=5))
     s = data.draw(SCALARS)
-    a, b = cls(da), cls(db)
+    a, b = Expression(da), Expression(db)
     cases = [
         (a, ref_linear((1, da))),
         (a + b, ref_linear((1, da), (1, db))),
@@ -289,8 +286,7 @@ def test_combo_arithmetic_matches_fraction_reference(cls, data):
         assert dict(combo.items()) == reference
         assert all(type(c) is Fraction for _, c in combo.items())
         assert all(combo.coeff(k) == reference.get(k, 0) for k in set(da) | set(db))
-    if cls is WordCombo:
-        assert sum(c for _, c in a.items()) == sum(da.values(), Fraction(0))
+    assert sum(c for _, c in a.items()) == sum(da.values(), Fraction(0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,21 +300,20 @@ def test_shuffle_combo_with_denominators_matches_reference(da, db):
         for w, cw in db.items():
             for u, c in ref_shuffle(v, w).items():
                 reference[u] += cv * cw * c
-    product = shuffle_combo(WordCombo(da), WordCombo(db))
-    assert_canonical(product)
-    assert dict(product.items()) == {u: c for u, c in reference.items() if c != 0}
+    product = shuffle_combo(Counter(da), Counter(db))
+    assert product == {u: c for u, c in reference.items() if c != 0}
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([WordCombo, Expression]), st.data())
-def test_equal_values_along_different_paths_are_equal_and_hash_alike(cls, data):
-    pairs = data.draw(st.lists(st.tuples(KEYS[cls], RULE_COEFFS), max_size=8))
-    b = cls(data.draw(st.dictionaries(KEYS[cls], RULE_COEFFS, max_size=4)))
+@given(st.data())
+def test_equal_values_along_different_paths_are_equal_and_hash_alike(data):
+    pairs = data.draw(st.lists(st.tuples(KEYS, RULE_COEFFS), max_size=8))
+    b = Expression(data.draw(st.dictionaries(KEYS, RULE_COEFFS, max_size=4)))
     s = data.draw(SCALARS.filter(lambda x: x != 0))
-    a = cls.collect(pairs)
+    a = Expression.collect(pairs)
     paths = [
-        cls.collect(reversed(pairs)),
-        cls(ref_linear(*((1, {k: c}) for k, c in pairs))),
+        Expression.collect(reversed(pairs)),
+        Expression(ref_linear(*((1, {k: c}) for k, c in pairs))),
         a.scale(s).scale(1 / Fraction(s)),
         a.scale(2).scale(Fraction(1, 2)),
         a + b - b,
@@ -329,7 +324,8 @@ def test_equal_values_along_different_paths_are_equal_and_hash_alike(cls, data):
         assert_canonical(other)
         assert other == a and hash(other) == hash(a)
     zero = a.scale(0)
-    assert zero == cls.zero() and hash(zero) == hash(cls.zero()) and zero.den == 1
+    zero_expr = Expression.zero()
+    assert zero == zero_expr and hash(zero) == hash(zero_expr) and zero.den == 1
 
 
 def test_antipode():
@@ -354,12 +350,12 @@ def test_antipode_convolution_vanishes():
     for w in words_up_to(4, 3):
         if not w:
             continue
-        assert antipode_convolution(w).is_zero(), w
+        assert not antipode_convolution(w), w
 
 
-def coproduct_combo(combo):
+def coproduct_combo(pairs):
     out = Counter()
-    for w, c in combo.items():
+    for w, c in pairs:
         for pre, suf in coproduct(w):
             out[(pre, suf)] += c
     return {k: v for k, v in out.items() if v != 0}
@@ -373,8 +369,8 @@ def test_coproduct_is_shuffle_morphism():
             right = Counter()
             for v1, v2 in coproduct(v):
                 for w1, w2 in coproduct(w):
-                    for p, cp in shuffle(v1, w1).items():
-                        for s, cs in shuffle(v2, w2).items():
+                    for p, cp in shuffle(v1, w1):
+                        for s, cs in shuffle(v2, w2):
                             right[(p, s)] += cp * cs
             right = {k: c for k, c in right.items() if c != 0}
             assert left == right, (v, w)
