@@ -37,7 +37,6 @@ from .reduction import (
     FuelExhausted,
     ReductionTrace,
     reduce_index,
-    simplify_zero_one,
     verify_reduction,
 )
 

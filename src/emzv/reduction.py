@@ -214,16 +214,12 @@ def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, Reduct
     """Rewrite I(k) into an expression over admissible and {0,1} atoms.
 
     Every distinct non-terminal atom is rewritten exactly once by its
-    dispatch rule and the results are combined bottom-up; since the rule per
-    atom is a function of the atom alone, this reproduces the expression the
-    naive one-substitution-at-a-time loop would produce, and each atom's
-    reduced expression is cached across calls (`reduced_atom`).  The rule
-    discovery below still walks the atom's steps on every call, reading each
-    step's cached children and measure check, so the trace, the fuel count
-    and the measure check do not depend on the cache.  The recorded trace
-    lists each atom's identity in decreasing measure order, which makes a
-    sequential replay of the substitutions reproduce the final expression
-    exactly.
+    dispatch rule; since the rule per atom is a function of the atom alone,
+    `reduced_atom` combines the results bottom-up and caches them across
+    calls.  The rule discovery below runs first on every call, so the trace,
+    the fuel count and the measure check do not depend on that cache.  The
+    trace lists each atom's identity in decreasing measure order, so a
+    sequential replay of the substitutions reproduces the final expression.
 
     Raises FuelExhausted (with the partial trace attached) if the number of
     rule applications exceeds `fuel` or the termination measure fails to
@@ -236,14 +232,8 @@ def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, Reduct
     immediate: dict[Index, ReductionStep] = {}
     if not is_terminal(k):
         _discover(k, k, immediate, fuel)
-    steps = _ordered_steps(immediate)
-    final = Expression.atom(k)
-    # Increasing measure: every child is cached before its parent asks for
-    # it, so reduced_atom never recurses more than one level.  The last step
-    # is k itself.
-    for step in reversed(steps):
-        final = reduced_atom(step.index)
-    return final, ReductionTrace(k, steps)
+    final = reduced_atom(k) if immediate else Expression.atom(k)
+    return final, ReductionTrace(k, _ordered_steps(immediate))
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,25 +246,6 @@ def reduced_atom(k: Index) -> Expression:
     """
     step = rewrite_step(k)
     return step.identity.rhs.substitute({c: reduced_atom(c) for c in step.children})
-
-
-def simplify_zero_one(expr: Expression) -> Expression:
-    """Optional post-pass shrinking reducible {0,1} atoms.
-
-    Replaces I(1) by 0 and parity-splits even-parity {0,1} atoms (for
-    instance I(1,1) becomes a multiple of I(1)^2, hence 0).  Odd-parity
-    {0,1} atoms such as I(0,1) are genuine generators and stay.
-    """
-    while True:
-        mapping = {}
-        for atom in expr.atoms():
-            if atom == (1,):
-                mapping[atom] = Expression.zero()
-            elif is_zero_one(atom) and len(atom) >= 2 and parity_is_even(atom):
-                mapping[atom] = parity_split(atom).rhs
-        if not mapping:
-            return expr
-        expr = expr.substitute(mapping)
 
 
 def verify_reduction(k: Index, tau, tol: float = 1e-6, cfg=None, fuel: int = DEFAULT_FUEL) -> dict:

@@ -578,7 +578,7 @@ def test_package_serves_numeric_names_from_numerics():
     assert all(namespace[name] is getattr(emzv, name) for name in emzv.__all__)
     assert {"reduce_index", "Expression", "shuffle", "c_coeff"} <= set(namespace)
     assert not {"SparsePoly", "p_poly", "antipode", "coproduct"} & set(namespace)
-    for name in ("Combo", "WordCombo", "shuffle_combo"):
+    for name in ("Combo", "WordCombo", "shuffle_combo", "simplify_zero_one"):
         assert name not in emzv.__all__ and not hasattr(emzv, name), name
     for name in REMOVED_NUMERIC_NAMES:
         assert name not in emzv.__all__ and not hasattr(emzv.numerics, name), name

@@ -500,10 +500,6 @@ def test_values_do_not_depend_on_cache_order():
         assert Evaluator(TAU).value(k) == warm.value(k), k
 
 
-def bits(z: complex) -> tuple[str, str]:
-    return (z.real.hex(), z.imag.hex())
-
-
 def test_cut_integrals_do_not_depend_on_cache_order_at_length_four():
     # These words are split at a letter, between a one-letter prefix and a
     # two-letter tail whose node values the warm evaluator has kept from

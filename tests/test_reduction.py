@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import inspect
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +22,6 @@ from emzv.reduction import (
     reduce_index,
     reduced_atom,
     rewrite_step,
-    simplify_zero_one,
     verify_reduction,
 )
 from emzv.relations import MONOMIAL_KEYS, Expression, Identity, monomial, split_sign
@@ -156,6 +157,22 @@ def test_reduced_atom_cache_is_transparent():
         assert trace.steps == cold[k][1].steps, k
 
 
+def test_cold_reduction_recurses_within_a_small_stack():
+    # (1, 1, 3, 2, 1) has a rule DAG 12 atoms deep; reduced_atom reads the
+    # whole of it in one call, from a cold cache.
+    k = (1, 1, 3, 2, 1)
+    rewrite_step.cache_clear()
+    reduced_atom.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        expr, trace = reduce_index(k)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert expr == trace.replay()
+    assert reduce_index(k) == (expr, trace)
+
+
 def test_rewrite_step_dispatch():
     assert rewrite_step((2, 1)).rule == "reflect"
     assert rewrite_step((0, 2, 1)).rule == "trailing_ones"
@@ -220,18 +237,6 @@ def test_verify_reduction_generic_tau():
     for k in all_indices(4, 3):
         expr, _ = reduce_index(k)
         assert abs(ev.value(k) - ev.eval_expression(expr)) < 1e-6, k
-
-
-def test_simplify_zero_one():
-    assert not simplify_zero_one(A(1, 1))
-    assert not simplify_zero_one(A(1) * A(0, 2))
-    e = A(1, 0, coeff=3) + A(0, 2)
-    assert simplify_zero_one(e) == e
-    # I(0,1,1,0) has even parity: split to products, all further reducible
-    out = simplify_zero_one(A(0, 1, 1, 0))
-    for mon, _ in out.items():
-        for atom in mon:
-            assert len(atom) < 4
 
 
 # sha256 over "index<TAB>sha256(expression json)" lines of the cold population
