@@ -3,7 +3,8 @@
 The package rewrites any regularized value I(k_1, ..., k_r) into a rational
 polynomial in values with admissible indices and values whose indices use
 only the letters 0 and 1, and independently validates every emitted identity
-by evaluating theta-function integrals.
+by evaluating iterated integrals of the letters f_n, the Laurent
+coefficients of the Kronecker function in its first argument.
 
 The exact side (words, faypoly, relations, reduction) is pure Python.  The
 numeric names (Evaluator, get_evaluator, parse_tau, ...) load emzv.numerics,
@@ -47,10 +48,7 @@ _NUMERICS = (
     "NumericsConfig",
     "Tau",
     "get_evaluator",
-    "kronecker_f",
     "parse_tau",
-    "theta",
-    "theta_prime0",
     "zeta",
 )
 

@@ -2,12 +2,13 @@
 
 The building blocks:
 
-  theta           odd Jacobi theta series  sum_n (-1)^n q^{(n+1/2)^2/2} w^{n+1/2}
-  kronecker_f     F(alpha, z) = theta(z + alpha) theta'(0) / (theta(z) theta(alpha))
-  Evaluator.f_n   Laurent coefficients of F in alpha (F = sum_n f_n(z) alpha^{n-1}),
-                  summed from their closed-form Lambert series in q (see
-                  _lambert_letters); theta and kronecker_f are the independent
-                  check of them
+  Evaluator.f_n   Laurent coefficients of the Kronecker function
+                  F(alpha, z) = theta(z + alpha) theta'(0) / (theta(z) theta(alpha))
+                  in alpha (F = sum_n f_n(z) alpha^{n-1}), summed from their
+                  closed-form Lambert series in q (see _lambert_letters)
+  Evaluator.kronecker
+                  F summed from the letters at one point, well inside its
+                  radius in alpha: its identities check the letters
   Evaluator.regularized
                   iterated integral of the letters f_{k_i} over the ordered
                   simplex in [0, 1], shuffle-regularized at the endpoints
@@ -69,11 +70,9 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -84,10 +83,11 @@ TWO_PI_I = 2j * math.pi
 
 #: Longest index whose iterated integral is evaluated.
 MAX_IINT_LENGTH = 8
-#: Theta series terms summed before NonConvergence is raised.
-THETA_MAX_TERMS = 256
 #: Highest letter order n whose f_n is evaluated.
 MAX_LETTER = 28
+#: Evaluator.kronecker sums F(alpha, z) from its letters only where |alpha| is
+#: at most this fraction of Evaluator.kronecker_radius(z).
+KRONECKER_ALPHA_FRACTION = 0.4
 #: The Lambert series of the letters is cut where its tail falls below this
 #: fraction of its first term.
 LAMBERT_TARGET = 1e-17
@@ -228,91 +228,40 @@ def parse_config_file(path: str) -> NumericsConfig:
 
 
 # ---------------------------------------------------------------------------
-# theta and the Kronecker function
+# the lattice
 
 
-def _odd_series(tau: Tau, factors: Iterable):
-    """sum_n (-1)^n q^{(2n+1)^2/8} factors[n], truncated once two consecutive
-    terms fall below 1e-17 of the running sum (elementwise maximum for
-    arrays)."""
-    q = tau.q
-    total = 0
-    sign = 1.0
-    small = 0
-    for n, factor in zip(range(THETA_MAX_TERMS), factors):
-        term = sign * q ** ((2 * n + 1) ** 2 / 8.0) * factor
-        total = total + term
-        scale = float(np.max(np.abs(total))) or 1.0
-        if float(np.max(np.abs(term))) < 1e-17 * scale:
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        sign = -sign
-    raise NonConvergence("theta series did not reach its truncation target")
+def _reduced_basis(tau: Tau) -> tuple[complex, complex]:
+    """A Lagrange-Gauss reduced basis (u, v) of the lattice Z + Z tau: u is a
+    shortest nonzero period, and |u| <= |v|."""
+    u, v = 1.0 + 0j, tau.tau
+    while True:
+        if abs(v) < abs(u):
+            u, v = v, u
+        m = round((v / u).real)
+        if m == 0:
+            return u, v
+        v -= m * u
 
 
-def theta(z, tau):
-    """Odd Jacobi theta series at z (scalar or array), truncated adaptively."""
-    zz = np.asarray(z, dtype=complex)
-    w_half = np.exp(1j * math.pi * zz)
-    w_half_inv = np.exp(-1j * math.pi * zz)
-
-    def factors():
-        # pair terms n and -n-1: w^{n+1/2} - w^{-n-1/2}
-        u, v = w_half, w_half_inv
-        u_step, v_step = w_half**2, w_half_inv**2
-        while True:
-            yield u - v
-            u = u * u_step
-            v = v * v_step
-
-    total = _odd_series(as_tau(tau), factors())
-    return total if zz.shape else complex(total)
+def shortest_period(tau: Tau) -> float:
+    """Length of the shortest nonzero period m + n tau.  It is below
+    min(1, |tau|) where tau lies outside the fundamental domain, as at
+    0.5 + 0.1i (|2 tau - 1| = 0.2)."""
+    return abs(_reduced_basis(tau)[0])
 
 
-def theta_prime0(tau) -> complex:
-    """z-derivative of the theta series at z = 0."""
-    value = TWO_PI_I * complex(_odd_series(as_tau(tau), itertools.count(1, 2)))
-    if value == 0:
-        raise NonConvergence("theta'(0) evaluated to zero")
-    return value
-
-
-def lattice_distance(x: complex, tau: Tau) -> float:
-    """Distance from x to the lattice Z + Z tau."""
-    t = tau.tau
-    b = x.imag / t.imag
-    a = x.real - b * t.real
-    db = b - round(b)
-    da = a - round(a)
-    return abs(da + db * t)
-
-
-def _check_poles(points, tau: Tau, name: str) -> None:
-    """PoleError at the first point within POLE_TOLERANCE of the lattice."""
-    for x in np.ravel(points):
-        if lattice_distance(complex(x), tau) < POLE_TOLERANCE:
-            raise PoleError(f"{name} = {x} is within tolerance of a lattice point")
-
-
-def kronecker_f(alpha, z, tau):
-    """Eisenstein-Kronecker series F(alpha, z), scalars or arrays."""
-    tau = as_tau(tau)
-    alpha_arr, z_arr = np.broadcast_arrays(
-        np.asarray(alpha, dtype=complex), np.asarray(z, dtype=complex)
-    )
-    _check_poles(alpha_arr, tau, "alpha")
-    _check_poles(z_arr, tau, "z")
-    value = (
-        theta(z_arr + alpha_arr, tau)
-        * theta_prime0(tau)
-        / (theta(z_arr, tau) * theta(alpha_arr, tau))
-    )
-    if np.isscalar(alpha) and np.isscalar(z):
-        return complex(value)
-    return value
+def lattice_distance(x, tau: Tau):
+    """Distance from x (scalar or array) to the lattice Z + Z tau: to the
+    nearest of the nine lattice points whose coordinates in the reduced
+    basis (u, v) are within 1 of those of x, rounded."""
+    u, v = _reduced_basis(tau)
+    x = np.asarray(x, dtype=complex)
+    det = (u.conjugate() * v).imag
+    a = np.round((x.conjugate() * v).imag / det)
+    b = np.round((u.conjugate() * x).imag / det)
+    near = [np.abs(x - (a + i) * u - (b + j) * v) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    return np.min(near, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -545,27 +494,59 @@ class Evaluator:
             self._nodes[()] = self._prefixes[()] = ones
         return self._pair
 
-    def f_n(self, n: int, z):
-        """Letter f_n at arbitrary points z.  Re z is taken mod 1, and Im z
-        is brought within Im tau / 2 by b = round(Im z / Im tau) periods:
-        f_n(z + b tau) = sum_{i=0..n} (-2 pi i b)^i / i! f_{n-i}(z)."""
-        if n < 0:
-            raise ArgumentError(f"negative letter order {n}")
-        if n > MAX_LETTER:
-            raise PreconditionError(f"letter order {n} exceeds the limit {MAX_LETTER}")
+    def _letter_rows(self, z, top: int) -> np.ndarray:
+        """Rows f_0..f_top at the points z, flattened.  Re z is taken mod 1,
+        and Im z is brought within Im tau / 2 by b = round(Im z / Im tau)
+        periods: f_n(z + b tau) = sum_{i=0..n} (-2 pi i b)^i / i! f_{n-i}(z)."""
         zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-        _check_poles(zz, self.tau, "z")
+        poles = zz[lattice_distance(zz, self.tau) < POLE_TOLERANCE]
+        if len(poles):
+            raise PoleError(f"z = {poles[0]} is within tolerance of a lattice point")
         t = self.tau.tau
         b = np.round(zz.imag / t.imag)
         w = zz - b * t
         w -= np.round(w.real)
         terms = _lambert_terms(2 * math.pi * (t.imag - float(np.max(np.abs(w.imag)))))
-        rows = _lambert_letters(w, self.tau, n, terms)
+        rows = _lambert_letters(w, self.tau, top, terms)
         shift = -TWO_PI_I * b
-        value = sum(shift**i / math.factorial(i) * rows[n - i] for i in range(n + 1))
+        out = np.zeros_like(rows)
+        for i in range(top + 1):
+            out[i:] += shift**i / math.factorial(i) * rows[: top + 1 - i]
+        return out
+
+    def f_n(self, n: int, z):
+        """Letter f_n at arbitrary points z (scalar or array)."""
+        if n < 0:
+            raise ArgumentError(f"negative letter order {n}")
+        if n > MAX_LETTER:
+            raise PreconditionError(f"letter order {n} exceeds the limit {MAX_LETTER}")
+        value = self._letter_rows(z, n)[n]
         if np.isscalar(z):
             return complex(value[0])
         return value
+
+    def kronecker_radius(self, z: complex) -> float:
+        """R = min(shortest period, distance from z to the lattice), the
+        scale of the alpha that kronecker accepts at z."""
+        return min(shortest_period(self.tau), float(lattice_distance(z, self.tau)))
+
+    def kronecker(self, alpha: complex, z: complex) -> complex:
+        """F(alpha, z) = sum_{n <= MAX_LETTER} f_n(z) alpha^{n-1}, from one
+        letter table at z.  The cut series is wrong near its radius in alpha,
+        the shortest period, so an alpha beyond KRONECKER_ALPHA_FRACTION of
+        kronecker_radius(z) is a PreconditionError; z at a lattice point, or
+        alpha at 0, is a PoleError."""
+        letters = self._letter_rows(z, MAX_LETTER)[:, 0]
+        alpha = complex(alpha)
+        limit = KRONECKER_ALPHA_FRACTION * self.kronecker_radius(z)
+        if not abs(alpha) <= limit:
+            raise PreconditionError(
+                f"|alpha| = {abs(alpha):.3e} exceeds {limit:.3e}, where the series of F"
+                f" in alpha, cut after f_{MAX_LETTER}, is no longer accurate"
+            )
+        if abs(alpha) < POLE_TOLERANCE:
+            raise PoleError(f"alpha = {alpha} is within tolerance of a lattice point")
+        return complex(np.polyval(letters[::-1], alpha)) / alpha
 
     # -- iterated integrals
 

@@ -203,14 +203,52 @@ def test_verify_families_small(capsys):
         assert reports and all(rep["passed"] for rep in reports), family
 
 
-def test_verify_kronecker(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--family", "kronecker", "--tau", "0+1i", "--tol", "1e-9"
-    )
+def check_kronecker_family(capsys, tau):
+    code, out, err = run(capsys, "verify", "--family", "kronecker", "--tau", tau, "--tol", "1e-9")
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines() if line]
-    assert len(reports) == 20
-    assert all(rep["passed"] for rep in reports)
+    assert [rep["instance"] for rep in reports] == [f"point-{i}" for i in range(20)]
+    assert all(rep["passed"] and rep["tau"] == tau for rep in reports)
+    assert err == "# family=kronecker: 20/20 passed\n"
+
+
+def test_verify_kronecker(capsys):
+    check_kronecker_family(capsys, "0+1i")
+
+
+@pytest.mark.parametrize("tau", ["0.5+0.8i", "0+0.1i"])
+def test_verify_kronecker_off_axis_and_at_small_im_tau(capsys, tau):
+    check_kronecker_family(capsys, tau)
+
+
+def test_verify_kronecker_reports_the_tau_it_used(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "kronecker", "--tol", "1e-9")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines() if line]
+    assert len(reports) == 20 and all(rep["tau"] == "0+1i" for rep in reports)
+
+
+def test_verify_kronecker_catches_a_wrong_letter(capsys, monkeypatch):
+    """One flipped sign in the Lambert factors (j = 3, so f_4 and the letters
+    above it) fails the family: its identities are evaluated on the letters."""
+    original = emzv.numerics._lambert_constants
+
+    def flipped(top):
+        eulerian, scale, zetas = original(top)
+        scale = scale.copy()
+        scale[3] = -scale[3]
+        return eulerian, scale, zetas
+
+    monkeypatch.setattr(emzv.numerics, "_lambert_constants", flipped)
+    emzv.numerics._evaluator.cache_clear()  # no evaluator keeps letters across the patch
+    try:
+        code, out, err = run(capsys, "verify", "--family", "kronecker", "--tol", "1e-9")
+    finally:
+        emzv.numerics._evaluator.cache_clear()
+    reports = [json.loads(line) for line in out.splitlines() if line]
+    assert code == cli.EXIT_VERIFY, err
+    assert len(reports) == 20 and not all(rep["passed"] for rep in reports)
+    assert max(rep["residual"] for rep in reports) > 1e-4
 
 
 def test_verify_reports_every_instance_when_some_raise(tmp_path, capsys):
@@ -558,15 +596,15 @@ NUMERIC_NAMES = (
     "NumericsConfig",
     "Tau",
     "get_evaluator",
-    "kronecker_f",
     "parse_tau",
-    "theta",
-    "theta_prime0",
     "zeta",
 )
 
 # One-line wrappers over get_evaluator(tau, cfg) that the package no longer ships.
 REMOVED_NUMERIC_NAMES = ("emzv_admissible", "emzv_regularized", "eval_expression", "f_n")
+# The double-precision theta series, which the letter-built
+# Evaluator.kronecker replaced.
+REMOVED_THETA_NAMES = ("kronecker_f", "theta", "theta_prime0", "THETA_MAX_TERMS", "_odd_series")
 
 
 def test_package_serves_numeric_names_from_numerics():
@@ -582,5 +620,9 @@ def test_package_serves_numeric_names_from_numerics():
         assert name not in emzv.__all__ and not hasattr(emzv, name), name
     for name in REMOVED_NUMERIC_NAMES:
         assert name not in emzv.__all__ and not hasattr(emzv.numerics, name), name
+    for name in REMOVED_THETA_NAMES:
+        assert name not in emzv.__all__ and not hasattr(emzv.numerics, name), name
+        with pytest.raises(AttributeError):
+            getattr(emzv, name)
     with pytest.raises(AttributeError):
         emzv.no_such_name

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from emzv.numerics import (
     DEFAULT_CONFIG,
     EVALUATOR_CACHE_SIZE,
+    KRONECKER_ALPHA_FRACTION,
     MAX_IINT_LENGTH,
     MAX_LETTER,
     MIN_IM_TAU,
@@ -29,12 +30,10 @@ from emzv.numerics import (
     Tau,
     ToleranceError,
     get_evaluator,
-    kronecker_f,
     lattice_distance,
     parse_config_file,
     parse_tau,
-    theta,
-    theta_prime0,
+    shortest_period,
     _legendre_antiderivative_matrix,
     zeta,
 )
@@ -128,21 +127,6 @@ def test_readme_config_example_lists_every_field_at_its_default(tmp_path):
     assert parse_config_file(str(path)) == DEFAULT_CONFIG
 
 
-def test_theta_basic_symmetries():
-    assert theta(0.0, TAU) == 0
-    z = 0.31 + 0.07j
-    assert abs(theta(-z, TAU) + theta(z, TAU)) < 1e-15
-    assert abs(theta(z + 1, TAU) + theta(z, TAU)) < 1e-14
-    zs = np.array([0.1, 0.5 + 0.2j, -0.3 + 0.1j])
-    vals = theta(zs, TAU)
-    assert vals.shape == (3,)
-
-
-def test_theta_nonconvergence_guard():
-    with pytest.raises(NonConvergence):
-        theta(0.3, 1e-4j)
-
-
 def test_grid_alignment_guard():
     # the letter limit is a domain limit, as for an index entry in regularized
     ev = get_evaluator(TAU)
@@ -157,76 +141,109 @@ def test_negative_letter_order_is_an_argument_error():
         get_evaluator(TAU).f_n(-1, 0.3)
 
 
-def test_theta_prime0():
-    tp = theta_prime0(TAU)
-    assert tp != 0 and np.isfinite(tp.real) and np.isfinite(tp.imag)
-    h = 1e-5
-    fd = (theta(h, TAU) - theta(-h, TAU)) / (2 * h)
-    assert abs(fd - tp) < 1e-8
-    z = 1e-4
-    assert abs(theta(z, TAU) / (tp * z) - 1) < 1e-6
+def mp_theta(tau):
+    """x -> jtheta(1, pi x, e^{i pi tau}) from mpmath, the odd theta function
+    up to a constant factor that the quotients here cancel, and its
+    derivative at 0.  Call under mpmath.workdps."""
+    import mpmath
+
+    nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+
+    def theta(x):
+        return mpmath.jtheta(1, mpmath.pi * mpmath.mpc(x), nome)
+
+    return theta, mpmath.pi * mpmath.jtheta(1, 0, nome, 1)
+
+
+def mp_kronecker(alpha, z, tau) -> complex:
+    """F(alpha, z) = theta(z + alpha) theta'(0) / (theta(z) theta(alpha)) at 30
+    digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        theta, prime = mp_theta(tau)
+        return complex(theta(z + alpha) * prime / (theta(z) * theta(alpha)))
 
 
 def test_kronecker_properties():
-    rng = np.random.default_rng(20240817)
-    tp_checks = 0
-    for _ in range(20):
-        a = complex(rng.uniform(0.05, 0.45), rng.uniform(-0.2, 0.2))
-        z = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-        f = kronecker_f(a, z, TAU)
-        assert abs(f + kronecker_f(-a, -z, TAU)) < 1e-10
-        assert abs(kronecker_f(a, z + 1, TAU) - f) < 1e-10
-        assert abs(kronecker_f(a, z + TAU, TAU) - np.exp(-2j * np.pi * a) * f) < 1e-9
-        a2 = complex(rng.uniform(0.05, 0.4), rng.uniform(-0.15, 0.15))
-        z2 = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-        fay = (
-            f * kronecker_f(a2, z2, TAU)
-            - kronecker_f(a + a2, z, TAU) * kronecker_f(a2, z2 - z, TAU)
-            - kronecker_f(a + a2, z2, TAU) * kronecker_f(a, z - z2, TAU)
-        )
-        assert abs(fay) < 1e-10
-        tp_checks += 1
-    assert tp_checks == 20
+    """Oddness, the periods 1 and tau and Fay's identity at the kronecker
+    family's points, each side times alpha (alpha alpha2 for Fay)."""
+    from emzv.cli import kronecker_points
+
+    ev = get_evaluator(TAU)
+    f = ev.kronecker
+    points = kronecker_points(ev)
+    assert len(points) == 20
+    for a, z, a2, z2 in points:
+        faz = f(a, z)
+        assert abs(a * (faz + f(-a, -z))) < 1e-10
+        assert abs(a * (f(a, z + 1) - faz)) < 1e-10
+        assert abs(a * (f(a, z + TAU) - np.exp(-2j * np.pi * a) * faz)) < 1e-10
+        fay = faz * f(a2, z2) - f(a + a2, z) * f(a2, z2 - z) - f(a + a2, z2) * f(a, z - z2)
+        assert abs(a * a2 * fay) < 1e-10
 
 
 THETA_ORACLE_TAUS = (1j, 0.5 + 0.8j, 0.3j, -0.37 + 0.21j, 0.1j)
-# (z, alpha): z in the lower half, at 1/2, and in the upper half of [0, 1].
+# (z, alpha): z in the lower half, at 1/2, and in the upper half of [0, 1];
+# alpha gives the direction only.
 THETA_ORACLE_POINTS = ((0.13 + 0.02j, 0.21 - 0.05j), (0.5, 0.31 + 0.07j), (0.77 - 0.03j, 0.4))
 
 
 @pytest.mark.parametrize("tau", THETA_ORACLE_TAUS)
 def test_theta_and_kronecker_match_mpmath(tau):
-    """theta(z) = i jtheta(1, pi z, e^{i pi tau}) and theta'(0) = i pi
-    jtheta'(1, 0, e^{i pi tau}) at 30 digits; F is built from those."""
-    import mpmath
-
-    def rel(got, ref):
-        return abs(got - complex(ref)) / abs(complex(ref))
-
-    def ref_theta(z):
-        return 1j * mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), nome)
-
-    with mpmath.workdps(30):
-        nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
-        ref_prime = 1j * mpmath.pi * mpmath.jtheta(1, 0, nome, 1)
-        assert rel(theta_prime0(tau), ref_prime) < 1e-12
-        for z, alpha in THETA_ORACLE_POINTS:
-            assert rel(theta(z, tau), ref_theta(z)) < 1e-12, z
-            ref_f = ref_theta(z + alpha) * ref_prime / (ref_theta(z) * ref_theta(alpha))
-            assert rel(kronecker_f(alpha, z, tau), ref_f) < 1e-12, (z, alpha)
+    """The letter-built F against the theta quotient at 30 digits: to 1e-12
+    relative at |alpha| = R/4, as the kronecker family draws it, and to
+    1e-10 times 1/|alpha| at the largest alpha that kronecker accepts."""
+    ev = Evaluator(tau)
+    for z, direction in THETA_ORACLE_POINTS:
+        unit = direction / abs(direction)
+        radius = ev.kronecker_radius(z)
+        alpha = unit * radius / 4
+        ref = mp_kronecker(alpha, z, tau)
+        assert abs(ev.kronecker(alpha, z) - ref) < 1e-12 * abs(ref), (z, alpha)
+        alpha = unit * KRONECKER_ALPHA_FRACTION * radius * (1 - 1e-12)
+        ref = mp_kronecker(alpha, z, tau)
+        assert abs(alpha * (ev.kronecker(alpha, z) - ref)) < 1e-10, (z, alpha)
 
 
 def test_kronecker_pole_error():
+    """An alpha beyond KRONECKER_ALPHA_FRACTION of the radius, where the
+    truncated series would be wrong, is refused; a lattice point z or
+    alpha = 0 is a pole."""
+    ev = get_evaluator(0.5 + 0.1j)
+    radius = ev.kronecker_radius(0.3)
+    assert radius == pytest.approx(0.2)  # |2 tau - 1|, below |tau| and 1
+    ev.kronecker(KRONECKER_ALPHA_FRACTION * radius, 0.3)
+    with pytest.raises(PreconditionError, match="alpha"):
+        ev.kronecker(KRONECKER_ALPHA_FRACTION * radius * (1 + 1e-9), 0.3)
+    with pytest.raises(PreconditionError, match="alpha"):
+        get_evaluator(TAU).kronecker(0.05, 0.02)  # R = dist(z, lattice) = 0.02
     with pytest.raises(PoleError):
-        kronecker_f(1e-12, 0.3, TAU)
+        get_evaluator(TAU).kronecker(1e-12, 0.3)
     with pytest.raises(PoleError):
-        kronecker_f(0.3, 1 + 1e-12, TAU)
+        get_evaluator(TAU).kronecker(0.01, 1 + 1e-12)
+
+
+@pytest.mark.parametrize("tau", [1j, 3j, 0.5 + 0.8j, 0.1j, 0.5 + 0.1j, 0.45 + 0.02j, -0.37 + 0.21j])
+def test_shortest_period(tau):
+    brute = min(abs(m + n * tau) for m in range(-60, 61) for n in range(-60, 61) if m or n)
+    assert shortest_period(Tau(tau)) == pytest.approx(brute, rel=1e-12)
 
 
 def test_lattice_distance():
     assert lattice_distance(0.0 + 0j, Tau(TAU)) == 0
     assert abs(lattice_distance(0.5 + 0j, Tau(TAU)) - 0.5) < 1e-15
     assert lattice_distance(3 + 2j, Tau(TAU)) < 1e-12
+    # skewed lattices, where rounding the coordinates in (1, tau) lands up
+    # to 41 times too far away, against the nearest of all points near x
+    rng = np.random.default_rng(5)
+    for tau in (0.5 + 0.1j, 0.45 + 0.02j, -0.37 + 0.21j):
+        m, n = np.meshgrid(np.arange(-30, 31), np.arange(-200, 201))
+        lattice = (m + n * tau).ravel()
+        for _ in range(50):
+            x = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+            brute = np.min(np.abs(x - lattice))
+            assert lattice_distance(x, Tau(tau)) == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 def test_f_n_values():
@@ -297,7 +314,7 @@ KRONECKER_POINTS = [
 
 @pytest.mark.parametrize("tau, zs", KRONECKER_POINTS)
 def test_letters_sum_to_the_theta_built_kronecker_function(tau, zs):
-    """sum_n f_n(z) alpha^{n-1} against kronecker_f from theta quotients."""
+    """sum_n f_n(z) alpha^{n-1} against the theta quotient at 30 digits."""
     ev = Evaluator(tau)
     rng = np.random.default_rng(7)
     radius = 0.2 * min(1.0, tau.imag)
@@ -306,7 +323,7 @@ def test_letters_sum_to_the_theta_built_kronecker_function(tau, zs):
         assert np.allclose(ev.f_n(3, [z, z]), letters[3], rtol=1e-14, atol=0)
         for alpha in radius * np.exp(2j * math.pi * rng.random(4)):
             series = np.sum(letters * alpha ** np.arange(-1.0, MAX_LETTER))
-            ref = kronecker_f(alpha, z, tau)
+            ref = mp_kronecker(alpha, z, tau)
             assert abs(series - ref) <= 1e-12 * abs(ref), (z, alpha)
 
 
@@ -809,15 +826,16 @@ def test_i01_matches_its_q_expansion(tau):
 
 
 # tau, the multiple of 2 pi i by which reg B_1 differs from its closed
-# form, and the tolerance.  Near Re tau = -+0.1 at Im tau = 0.1 the argument
-# of theta(1/2) / theta'(0) reaches -+pi, so the principal log jumps there.
+# form, and the tolerance.  At Re tau = -+0.1, Im tau = 0.1 the argument of
+# theta(1/2) / theta'(0) is within 3e-16 of -+pi, on the near side of the
+# cut of the principal log, and reg B_1 follows it there.
 REG_B1_TAUS = [
     (1j, 0, 1e-14),
     (0.5 + 0.8j, 0, 1e-14),
     (0.2j, 0, 1e-14),
     (-0.3 + 0.4j, 0, 1e-14),
-    (-0.1 + 0.1j, -1, 1e-13),
-    (0.1 + 0.1j, 1, 1e-13),
+    (-0.1 + 0.1j, 0, 1e-13),
+    (0.1 + 0.1j, 0, 1e-13),
 ]
 
 
@@ -826,10 +844,14 @@ def test_reg_b1_is_the_log_of_theta_at_one_half(tau, turns, tol):
     """reg B_1 = int_0^{1/2} (f_1 - 1/z) + log(pi) - i pi/2 is a convention that
     no identity checks (any constant gives a shuffle homomorphism), so it is
     pinned to log(theta(1/2) / theta'(0)) + log(2 pi) - i pi/2, the constant
-    term of B_1(x) in powers of log(-2 pi i x), up to the branch of the log."""
-    closed = (
-        cmath.log(theta(0.5, tau) / theta_prime0(tau)) + math.log(2 * math.pi) - 0.5j * math.pi
-    )
+    term of B_1(x) in powers of log(-2 pi i x), up to the branch of the log;
+    theta from mpmath at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        theta, prime = mp_theta(tau)
+        ratio = complex(theta(0.5) / prime)
+    closed = cmath.log(ratio) + math.log(2 * math.pi) - 0.5j * math.pi
     c = Evaluator(tau)._reg((1,), {})[1]
     assert abs(c - closed - 2j * math.pi * turns) < tol, tau
 
