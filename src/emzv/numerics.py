@@ -715,17 +715,32 @@ class Evaluator:
         return value
 
     def eval_expression(self, expr: Expression) -> complex:
-        total = 0.0 + 0.0j
+        """The value of `expr`: each term (n / den) * prod value(atom) is one
+        complex product, read in the order the expression stores its terms,
+        and the real and imaginary parts of the terms are each summed exactly
+        rounded by math.fsum, so the result does not depend on term order.
+
+        If an atom raises, the atoms are read again in `numerators()` order,
+        so the error raised is that of the first raising atom in that order
+        and does not depend on how the expression was built."""
         den = expr.den
         values = self._values
-        # int / int is correctly rounded, so this equals complex(Fraction).
-        for mon, n in expr.numerators():
-            prod = complex(n / den)
-            for atom in mon:
-                value = values.get(atom)
-                prod *= self.value(atom) if value is None else value
-            total += prod
-        return total
+        real, imag = [], []
+        try:
+            # int / int is correctly rounded, so this equals complex(Fraction).
+            for mon, n in expr._terms.items():
+                prod = complex(n / den)
+                for atom in mon:
+                    value = values.get(atom)
+                    prod *= self.value(atom) if value is None else value
+                real.append(prod.real)
+                imag.append(prod.imag)
+        except (ArithmeticError, ValueError):
+            for mon, _ in expr.numerators():
+                for atom in mon:
+                    self.value(atom)
+            raise
+        return complex(math.fsum(real), math.fsum(imag))
 
 
 @functools.lru_cache(maxsize=EVALUATOR_CACHE_SIZE)

@@ -8,9 +8,10 @@ products and substitutions are plain integer arithmetic.  A monomial is the
 tuple of its atoms in `word_sort_key` order, sorted through the per-process
 memo `word_key`, and `items()` lists monomials by length and then by those
 keys, read from the per-process memo `monomial_key`, so the JSON and text
-output and the evaluation order do not depend on how an expression was
-built.  An Identity pairs two expressions with a provenance tag.
-Identities are emitted verbatim from their defining formulas; no
+renderers do not depend on how an expression was built.  Evaluation needs
+no order: `Evaluator.eval_expression` sums the terms exactly rounded in the
+order they are stored.  An Identity pairs two expressions with a provenance
+tag.  Identities are emitted verbatim from their defining formulas; no
 normalization (such as rewriting an atom via reflection) is applied here,
 so each identity can be audited against its source and validated
 numerically.
@@ -138,8 +139,9 @@ class Expression:
         return self._den
 
     def numerators(self) -> list[tuple[Monomial, int]]:
-        """(monomial, numerator over `den`) pairs in the order of `items`.
-        The monomials are distinct, so sorting them alone gives that order."""
+        """(monomial, numerator over `den`) pairs in the order of `items`, the
+        canonical order of the JSON and text renderers.  The monomials are
+        distinct, so sorting them alone gives that order."""
         terms = self._terms
         return [(m, terms[m]) for m in sorted(terms, key=monomial_key)]
 
@@ -212,10 +214,11 @@ class Expression:
         """Replace every occurrence (each power) of every atom in `mapping` by
         its expression, all atoms in one pass.
 
-        A monomial with no mapped atom passes through as it is.  Any other
-        monomial expands straight into (monomial, numerator) pairs over the
-        product of its factors' denominators, its atoms sorted with
-        `word_key`, and one `_sum` adds every pair over the lcm of those
+        A monomial with no mapped atom passes through as it is, and one that
+        is a single mapped atom takes that atom's canonical monomials as they
+        are.  Any other monomial expands straight into (monomial, numerator)
+        pairs over the product of its factors' denominators, its atoms sorted
+        with `word_key`, and one `_sum` adds every pair over the lcm of those
         denominators, so no intermediate expression is built.
         """
         blocks = []  # (denominator, [(monomial, numerator)]) per monomial
@@ -223,6 +226,10 @@ class Expression:
             factors = [mapping[a] for a in mon if a in mapping]
             if not factors:
                 blocks.append((1, [(mon, n)]))
+                continue
+            if len(mon) == 1:
+                f = factors[0]
+                blocks.append((f._den, [(fm, n * fn) for fm, fn in f._terms.items()]))
                 continue
             pairs = [(tuple(a for a in mon if a not in mapping), n)]
             for f in factors:

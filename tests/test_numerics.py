@@ -6,6 +6,7 @@ import re
 import weakref
 from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -901,9 +902,22 @@ def test_eval_expression():
     assert abs(res) < 1e-6
 
 
+def term_parts(ev, pairs) -> tuple[list, list]:
+    """Real and imaginary parts of the products coef * prod value(atom)."""
+    real, imag = [], []
+    for mon, coef in pairs:
+        prod = complex(coef)
+        for atom in mon:
+            prod *= ev.value(atom)
+        real.append(prod.real)
+        imag.append(prod.imag)
+    return real, imag
+
+
 def test_eval_expression_reads_numerators_bitwise():
-    """Numerators over one denominator give the same bits as a loop over
-    Fraction coefficients: int / int and float(Fraction) both round once."""
+    """Numerators over one denominator give the same bits as Fraction
+    coefficients: int / int and float(Fraction) both round once, and each
+    component of the result is the exactly rounded sum of the products."""
     from emzv.faypoly import compositions
     from emzv.reduction import reduce_index
 
@@ -914,12 +928,67 @@ def test_eval_expression_reads_numerators_bitwise():
             for k in compositions(w, r):
                 expr, _ = reduce_index(k)
                 dens.add(expr.den)
-                expected = 0.0 + 0.0j
-                for mon, coef in expr.items():
-                    prod = complex(coef)
-                    for atom in mon:
-                        prod *= ev.value(atom)
-                    expected += prod
-                got = ev.eval_expression(expr)
-                assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex()), k
+                real, imag = term_parts(ev, expr.items())
+                expected = complex(math.fsum(real), math.fsum(imag))
+                assert bits(ev.eval_expression(expr)) == bits(expected), k
     assert dens > {1}
+
+
+#: Atoms of mixed length and weight for the summation tests.
+SUM_ATOMS = [(0,), (2,), (4,), (0, 2), (2, 0, 1), (1, 2), (3, 0, 1, 2), (0, 0, 0, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(SUM_ATOMS), max_size=3),
+            st.integers(-(10**18), 10**18).filter(bool),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    den=st.integers(1, 10**6),
+    rng=st.randoms(use_true_random=False),
+)
+def test_eval_expression_sum_is_exactly_rounded_and_order_free(terms, den, rng):
+    """The same (monomial, numerator) pairs stored in a shuffled order give
+    the same bits, and each component is the exactly rounded sum of the
+    term products."""
+    from emzv.relations import monomial
+
+    ev = get_evaluator(TAU)
+    pairs = list({monomial(atoms): n for atoms, n in terms}.items())
+    expr = Expression._sum(pairs, den)
+    rng.shuffle(pairs)
+    shuffled = Expression._sum(pairs, den)
+    assert shuffled == expr
+    got = ev.eval_expression(expr)
+    assert bits(ev.eval_expression(shuffled)) == bits(got)
+    real, imag = term_parts(ev, expr.items())
+    assert got.real == float(sum(map(Fraction, real)))
+    assert got.imag == float(sum(map(Fraction, imag)))
+
+
+@pytest.mark.parametrize("k", [(1, 2, 3, 1), (1, 2, 3, 1, 0)])
+def test_reduction_of_large_cancelling_sums_at_im_tau_one_twentieth(k):
+    """At 0.05i the reduction of I(1,2,3,1) is a sum of 185 terms up to
+    4.6e10 that cancel to 9.7e7: a left-to-right float sum misses the value
+    by 1.03e-5 (6.42e-6 for I(1,2,3,1,0)), the exactly rounded one by less
+    than 1e-6."""
+    from emzv.reduction import reduce_index
+
+    ev = get_evaluator(0.05j)
+    assert abs(ev.value(k) - ev.eval_expression(reduce_index(k)[0])) <= 2e-6
+
+
+def test_eval_expression_raises_for_the_first_atom_in_canonical_order():
+    """At 0.01i with tolerance 5e-9 both I(4) and I(0,4) raise; stored with
+    I(0,4) first, the sum still raises the error of I(4), which comes first
+    in numerators() order."""
+    ev = Evaluator(0.01j, NumericsConfig(tolerance=5e-9))
+    expr = Expression.atom((0, 4)) + Expression.atom((4,))
+    assert next(iter(expr._terms)) == ((0, 4),)
+    assert expr.numerators()[0][0] == ((4,),)
+    with pytest.raises(ToleranceError, match=re.escape("refinement moved I(4,) by ")):
+        ev.eval_expression(expr)
