@@ -207,18 +207,20 @@ def _prop_mat_matches_fay(r: int, s: int) -> bool:
 def kronecker_points(ev: Evaluator) -> list[tuple[complex, complex, complex, complex]]:
     """The kronecker family's 20 points (alpha, z, alpha2, z2), four draws
     each.  alpha is scaled to R/4 and alpha2 to R/8 along their drawn
-    directions, R the least kronecker_radius of z, z2 and z - z2, so that
-    every F of the four identities has |alpha| <= 3R/8."""
+    directions, R the shortest period, so that every F of the four
+    identities has |alpha| <= 3R/8, within the 0.4 R that kronecker accepts."""
     import numpy as np
 
+    from .numerics import shortest_period
+
     rng = np.random.default_rng(20240817)
+    r = shortest_period(ev.tau)
     points = []
     for _ in range(20):
         a = complex(rng.uniform(0.05, 0.45), rng.uniform(-0.2, 0.2))
         z = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
         a2 = complex(rng.uniform(0.05, 0.4), rng.uniform(-0.15, 0.15))
         z2 = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-        r = min(ev.kronecker_radius(p) for p in (z, z2, z - z2))
         points.append((a / abs(a) * r / 4, z, a2 / abs(a2) * r / 8, z2))
     return points
 

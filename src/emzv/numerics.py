@@ -7,8 +7,9 @@ The building blocks:
                   in alpha (F = sum_n f_n(z) alpha^{n-1}), summed from their
                   closed-form Lambert series in q (see _lambert_letters)
   Evaluator.kronecker
-                  F summed from the letters at one point, well inside its
-                  radius in alpha: its identities check the letters
+                  F summed from the letters at z moved by periods, well
+                  inside its radius in alpha, the shortest period: its
+                  identities check the letters
   Evaluator.regularized
                   iterated integral of the letters f_{k_i} over the ordered
                   simplex in [0, 1], shuffle-regularized at the endpoints
@@ -86,7 +87,8 @@ MAX_IINT_LENGTH = 8
 #: Highest letter order n whose f_n is evaluated.
 MAX_LETTER = 28
 #: Evaluator.kronecker sums F(alpha, z) from its letters only where |alpha| is
-#: at most this fraction of Evaluator.kronecker_radius(z).
+#: at most this fraction of the shortest period, the radius in alpha of the
+#: series it sums.
 KRONECKER_ALPHA_FRACTION = 0.4
 #: The Lambert series of the letters is cut where its tail falls below this
 #: fraction of its first term.
@@ -231,37 +233,19 @@ def parse_config_file(path: str) -> NumericsConfig:
 # the lattice
 
 
-def _reduced_basis(tau: Tau) -> tuple[complex, complex]:
-    """A Lagrange-Gauss reduced basis (u, v) of the lattice Z + Z tau: u is a
-    shortest nonzero period, and |u| <= |v|."""
+def shortest_period(tau: Tau) -> float:
+    """Length of the shortest nonzero period m + n tau, the first vector u
+    of a Lagrange-Gauss reduced basis (u, v) of Z + Z tau.  It is below
+    min(1, |tau|) where tau lies outside the fundamental domain, as at
+    0.5 + 0.1i (|2 tau - 1| = 0.2)."""
     u, v = 1.0 + 0j, tau.tau
     while True:
         if abs(v) < abs(u):
             u, v = v, u
         m = round((v / u).real)
         if m == 0:
-            return u, v
+            return abs(u)
         v -= m * u
-
-
-def shortest_period(tau: Tau) -> float:
-    """Length of the shortest nonzero period m + n tau.  It is below
-    min(1, |tau|) where tau lies outside the fundamental domain, as at
-    0.5 + 0.1i (|2 tau - 1| = 0.2)."""
-    return abs(_reduced_basis(tau)[0])
-
-
-def lattice_distance(x, tau: Tau):
-    """Distance from x (scalar or array) to the lattice Z + Z tau: to the
-    nearest of the nine lattice points whose coordinates in the reduced
-    basis (u, v) are within 1 of those of x, rounded."""
-    u, v = _reduced_basis(tau)
-    x = np.asarray(x, dtype=complex)
-    det = (u.conjugate() * v).imag
-    a = np.round((x.conjugate() * v).imag / det)
-    b = np.round((u.conjugate() * x).imag / det)
-    near = [np.abs(x - (a + i) * u - (b + j) * v) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    return np.min(near, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -497,25 +481,34 @@ class Evaluator:
     def _letter_rows(self, z, top: int) -> np.ndarray:
         """Rows f_0..f_top at the points z, flattened.  Re z is taken mod 1,
         and Im z is brought within Im tau / 2 by b = round(Im z / Im tau)
-        periods: f_n(z + b tau) = sum_{i=0..n} (-2 pi i b)^i / i! f_{n-i}(z)."""
+        periods: f_n(z + b tau) = sum_{i=0..n} (-2 pi i b)^i / i! f_{n-i}(z).
+        A point that this moves within POLE_TOLERANCE of 0 is a pole.  Letters
+        that overflow double precision, as where sin and cos(2 pi m z) do at a
+        large Im tau, are a NonConvergence."""
         zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-        poles = zz[lattice_distance(zz, self.tau) < POLE_TOLERANCE]
-        if len(poles):
-            raise PoleError(f"z = {poles[0]} is within tolerance of a lattice point")
+        if not np.all(np.isfinite(zz)):
+            raise ArgumentError(f"z must be finite, got {zz[~np.isfinite(zz)][0]}")
         t = self.tau.tau
         b = np.round(zz.imag / t.imag)
         w = zz - b * t
         w -= np.round(w.real)
+        poles = zz[np.abs(w) < POLE_TOLERANCE]
+        if len(poles):
+            raise PoleError(f"z = {poles[0]} is within tolerance of a lattice point")
         terms = _lambert_terms(2 * math.pi * (t.imag - float(np.max(np.abs(w.imag)))))
-        rows = _lambert_letters(w, self.tau, top, terms)
-        shift = -TWO_PI_I * b
-        out = np.zeros_like(rows)
-        for i in range(top + 1):
-            out[i:] += shift**i / math.factorial(i) * rows[: top + 1 - i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _lambert_letters(w, self.tau, top, terms)
+            shift = -TWO_PI_I * b
+            out = np.zeros_like(rows)
+            for i in range(top + 1):
+                out[i:] += shift**i / math.factorial(i) * rows[: top + 1 - i]
+        bad = zz[~np.isfinite(out).all(axis=0)]
+        if len(bad):
+            raise NonConvergence(f"the letters at z = {bad[0]} overflow double precision")
         return out
 
     def f_n(self, n: int, z):
-        """Letter f_n at arbitrary points z (scalar or array)."""
+        """Letter f_n at arbitrary finite points z (scalar or array)."""
         if n < 0:
             raise ArgumentError(f"negative letter order {n}")
         if n > MAX_LETTER:
@@ -525,20 +518,21 @@ class Evaluator:
             return complex(value[0])
         return value
 
-    def kronecker_radius(self, z: complex) -> float:
-        """R = min(shortest period, distance from z to the lattice), the
-        scale of the alpha that kronecker accepts at z."""
-        return min(shortest_period(self.tau), float(lattice_distance(z, self.tau)))
-
     def kronecker(self, alpha: complex, z: complex) -> complex:
-        """F(alpha, z) = sum_{n <= MAX_LETTER} f_n(z) alpha^{n-1}, from one
-        letter table at z.  The cut series is wrong near its radius in alpha,
-        the shortest period, so an alpha beyond KRONECKER_ALPHA_FRACTION of
-        kronecker_radius(z) is a PreconditionError; z at a lattice point, or
-        alpha at 0, is a PoleError."""
-        letters = self._letter_rows(z, MAX_LETTER)[:, 0]
-        alpha = complex(alpha)
-        limit = KRONECKER_ALPHA_FRACTION * self.kronecker_radius(z)
+        """F(alpha, z) at one point.  z is moved by b = round(Im z / Im tau)
+        periods, and F(alpha, z) = e^{-2 pi i b alpha} F(alpha, z - b tau) is
+        summed as sum_{n <= MAX_LETTER} f_n alpha^{n-1} from one letter table
+        at z - b tau.  That series converges in alpha up to the shortest
+        period, and the cut one is wrong near it, so an alpha beyond
+        KRONECKER_ALPHA_FRACTION of it is a PreconditionError; z at a lattice
+        point, or alpha at 0, is a PoleError, and an array z an
+        ArgumentError."""
+        if np.ndim(z) or np.ndim(alpha):
+            raise ArgumentError("kronecker takes one point: scalar alpha and z")
+        z, alpha = complex(z), complex(alpha)
+        b = round(z.imag / self.tau.tau.imag) if cmath.isfinite(z) else 0
+        letters = self._letter_rows(z - b * self.tau.tau, MAX_LETTER)[:, 0]
+        limit = KRONECKER_ALPHA_FRACTION * shortest_period(self.tau)
         if not abs(alpha) <= limit:
             raise PreconditionError(
                 f"|alpha| = {abs(alpha):.3e} exceeds {limit:.3e}, where the series of F"
@@ -546,7 +540,7 @@ class Evaluator:
             )
         if abs(alpha) < POLE_TOLERANCE:
             raise PoleError(f"alpha = {alpha} is within tolerance of a lattice point")
-        return complex(np.polyval(letters[::-1], alpha)) / alpha
+        return complex(np.polyval(letters[::-1], alpha)) / alpha * cmath.exp(-TWO_PI_I * b * alpha)
 
     # -- iterated integrals
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,28 @@ def test_reduce_trace(capsys):
     payload = json.loads(out)
     assert [step["rule"] for step in payload["trace"]] == ["reflect", "odd_fay_split"]
     assert payload["trace_len"] == 2
+
+
+def test_reduce_trace_and_verify_as_text(capsys):
+    """One `# rule:` line per trace step, then the verify line; a residual
+    above --tol prints FAIL and exits 5."""
+    argv = ["reduce", "--index", "1,2,0", "--trace", "--verify"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "-1/2 * I(1)*I(2,0) + 1/2 * I(0)*I(0)*I(3,0) + 1/2 * I(0)*I(2)*I(1,0)"
+    assert lines[1:3] == [
+        "# parity_split: I(1,2,0) -> 1/2 * I(0)*I(1,2) + -1/2 * I(1)*I(2,0)",
+        "# odd_fay_split: I(1,2) -> 1 * I(0)*I(3,0) + 1 * I(2)*I(1,0)",
+    ]
+    _, payload, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(payload)["trace_len"] == 2
+    assert re.fullmatch(r"# verify tau=1j: residual \d\.\d{3}e[-+]\d+ PASS", lines[3])
+    assert len(lines) == 4
+    code, failed, _ = run(capsys, *argv, "--tol", "0")
+    assert code == cli.EXIT_VERIFY
+    assert failed.splitlines()[:3] == lines[:3]
+    assert failed.splitlines()[3] == lines[3][: -len("PASS")] + "FAIL"
 
 
 def test_reduce_parse_error(capsys):
@@ -249,6 +272,31 @@ def test_verify_kronecker_catches_a_wrong_letter(capsys, monkeypatch):
     assert code == cli.EXIT_VERIFY, err
     assert len(reports) == 20 and not all(rep["passed"] for rep in reports)
     assert max(rep["residual"] for rep in reports) > 1e-4
+
+
+@pytest.mark.parametrize("tau", ["0+1i", "0.5+0.8i"])
+def test_verify_kronecker_catches_a_wrong_zeta_constant(capsys, monkeypatch, tau):
+    """A relative error of 1e-6 in 2 zeta(4), the constant of f_4, fails
+    every point of the family: at |alpha| = R/4, R the shortest period, it
+    moves Fay's identity by about 1e-8, and oddness and the periods cannot
+    see a constant."""
+    original = emzv.numerics._lambert_constants
+
+    def perturbed(top):
+        eulerian, scale, zetas = original(top)
+        zetas = zetas.copy()
+        zetas[1] *= 1 + 1e-6
+        return eulerian, scale, zetas
+
+    monkeypatch.setattr(emzv.numerics, "_lambert_constants", perturbed)
+    emzv.numerics._evaluator.cache_clear()  # no evaluator keeps letters across the patch
+    try:
+        code, out, err = run(capsys, "verify", "--family", "kronecker", "--tau", tau, "--tol", "1e-9")
+    finally:
+        emzv.numerics._evaluator.cache_clear()
+    reports = [json.loads(line) for line in out.splitlines() if line]
+    assert code == cli.EXIT_VERIFY, err
+    assert len(reports) == 20 and not any(rep["passed"] for rep in reports)
 
 
 def test_verify_reports_every_instance_when_some_raise(tmp_path, capsys):

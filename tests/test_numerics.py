@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import re
+import warnings
 import weakref
 from collections import Counter
 from dataclasses import fields
@@ -25,13 +26,13 @@ from emzv.numerics import (
     Evaluator,
     NonConvergence,
     NumericsConfig,
+    POLE_TOLERANCE,
     PanelGrid,
     PoleError,
     PreconditionError,
     Tau,
     ToleranceError,
     get_evaluator,
-    lattice_distance,
     parse_config_file,
     parse_tau,
     shortest_period,
@@ -193,12 +194,13 @@ THETA_ORACLE_POINTS = ((0.13 + 0.02j, 0.21 - 0.05j), (0.5, 0.31 + 0.07j), (0.77 
 @pytest.mark.parametrize("tau", THETA_ORACLE_TAUS)
 def test_theta_and_kronecker_match_mpmath(tau):
     """The letter-built F against the theta quotient at 30 digits: to 1e-12
-    relative at |alpha| = R/4, as the kronecker family draws it, and to
-    1e-10 times 1/|alpha| at the largest alpha that kronecker accepts."""
+    relative at |alpha| = R/4, R the shortest period, as the kronecker family
+    draws it, and to 1e-10 times 1/|alpha| at the largest alpha that
+    kronecker accepts."""
     ev = Evaluator(tau)
+    radius = shortest_period(ev.tau)
     for z, direction in THETA_ORACLE_POINTS:
         unit = direction / abs(direction)
-        radius = ev.kronecker_radius(z)
         alpha = unit * radius / 4
         ref = mp_kronecker(alpha, z, tau)
         assert abs(ev.kronecker(alpha, z) - ref) < 1e-12 * abs(ref), (z, alpha)
@@ -207,22 +209,80 @@ def test_theta_and_kronecker_match_mpmath(tau):
         assert abs(alpha * (ev.kronecker(alpha, z) - ref)) < 1e-10, (z, alpha)
 
 
+@pytest.mark.parametrize("tau", [1j, 0.5 + 0.8j, 0.1j, 0.45 + 0.02j])
+def test_kronecker_many_periods_off_the_real_axis(tau):
+    """z moved by 3 to 20 periods either way, at the largest alpha that
+    kronecker accepts: F is summed at z - b tau and moved back by the exact
+    factor e^{-2 pi i b alpha}, within 1e-10 relative of the theta quotient
+    (at most 1.5e-11 measured).  Letters shifted by the period polynomial
+    instead are off by 1e-6 to 1e40 here."""
+    ev = Evaluator(tau)
+    radius = KRONECKER_ALPHA_FRACTION * shortest_period(ev.tau) * (1 - 1e-12)
+    points = ((0.3 + 0.1j * tau.imag, 0.21 - 0.05j), (0.77 - 0.2j * tau.imag, 1j), (0.5, -0.4 + 0.3j))
+    for z0, direction in points:
+        alpha = direction / abs(direction) * radius
+        for b in (3, -3, 5, -5, 10, -10, 20, -20):
+            z = z0 + b * tau
+            ref = mp_kronecker(alpha, z, tau)
+            assert abs(ev.kronecker(alpha, z) - ref) <= 1e-10 * abs(ref), (z, alpha)
+
+
 def test_kronecker_pole_error():
-    """An alpha beyond KRONECKER_ALPHA_FRACTION of the radius, where the
-    truncated series would be wrong, is refused; a lattice point z or
-    alpha = 0 is a pole."""
+    """An alpha beyond KRONECKER_ALPHA_FRACTION of the shortest period, where
+    the truncated series would be wrong, is refused at every z.  Near a
+    lattice point z the series holds up to that limit: within 1e-14 relative
+    at 0.02 and 1.45 + 0.05i, where a limit set by the distance to the
+    lattice refused |alpha| above 0.008, and 1e-7 off 1 and 2 + i.  A
+    lattice point z or alpha = 0 is a pole."""
     ev = get_evaluator(0.5 + 0.1j)
-    radius = ev.kronecker_radius(0.3)
+    radius = shortest_period(ev.tau)
     assert radius == pytest.approx(0.2)  # |2 tau - 1|, below |tau| and 1
     ev.kronecker(KRONECKER_ALPHA_FRACTION * radius, 0.3)
-    with pytest.raises(PreconditionError, match="alpha"):
-        ev.kronecker(KRONECKER_ALPHA_FRACTION * radius * (1 + 1e-9), 0.3)
-    with pytest.raises(PreconditionError, match="alpha"):
-        get_evaluator(TAU).kronecker(0.05, 0.02)  # R = dist(z, lattice) = 0.02
+    for z in (0.3, 0.02, 0.3 + 2.05j):
+        with pytest.raises(PreconditionError, match="alpha"):
+            ev.kronecker(KRONECKER_ALPHA_FRACTION * radius * (1 + 1e-9), z)
+    ev = get_evaluator(TAU)
+    for z, size in ((0.02, 0.3), (1.45 + 0.05j, 0.2), (1 + 1e-7j, 0.4), (2.0000001 + 1j, 0.4)):
+        for alpha in size * np.exp(2j * math.pi * np.arange(12) / 12):
+            ref = mp_kronecker(alpha, z, TAU)
+            assert abs(ev.kronecker(alpha, z) - ref) <= 1e-14 * abs(ref), (z, alpha)
     with pytest.raises(PoleError):
-        get_evaluator(TAU).kronecker(1e-12, 0.3)
+        ev.kronecker(1e-12, 0.3)
     with pytest.raises(PoleError):
-        get_evaluator(TAU).kronecker(0.01, 1 + 1e-12)
+        ev.kronecker(0.01, 1 + 1e-12)
+    with pytest.raises(PoleError):
+        ev.kronecker(0.01, 3 + 20j + 1e-12j)
+
+
+def test_kronecker_and_letters_refuse_non_finite_and_array_points():
+    ev = get_evaluator(TAU)
+    for z in (math.nan, complex(0.3, math.inf), complex(math.nan, 1)):
+        with pytest.raises(ArgumentError, match="finite"):
+            ev.f_n(2, z)
+        with pytest.raises(ArgumentError, match="finite"):
+            ev.kronecker(0.1, z)
+    with pytest.raises(ArgumentError, match="finite"):
+        ev.f_n(2, [0.3, math.nan])
+    with pytest.raises(ArgumentError, match="scalar"):
+        ev.kronecker(0.1, [0.3, 0.4])
+
+
+def test_letters_that_overflow_are_refused_not_nan():
+    """At a large Im tau, sin and cos(2 pi m z) overflow where Im z is
+    large, although their products with Li_{-j}(q^m) are tiny: such letters
+    raise NonConvergence, with no numpy warning, instead of returning NaN.
+    Where they stay finite, and on the grid, the letters keep returning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau, z in ((400j, 0.3 + 150j), (240j, 0.3 + 115j)):
+            with pytest.raises(NonConvergence, match="overflow"):
+                Evaluator(tau).f_n(1, z)
+        with pytest.raises(NonConvergence, match="overflow"):
+            Evaluator(400j).kronecker(0.01, 0.3 + 150j)
+        assert Evaluator(300j).f_n(2, 0.3 + 100j) == -2 * zeta(2)
+        ev = Evaluator(400j)
+        assert ev.value((2,)) == pytest.approx(-2 * zeta(2), rel=1e-15)
+        assert ev.value((2, 4)) == pytest.approx(2 * zeta(2) * zeta(4), rel=1e-15)
 
 
 @pytest.mark.parametrize("tau", [1j, 3j, 0.5 + 0.8j, 0.1j, 0.5 + 0.1j, 0.45 + 0.02j, -0.37 + 0.21j])
@@ -231,20 +291,31 @@ def test_shortest_period(tau):
     assert shortest_period(Tau(tau)) == pytest.approx(brute, rel=1e-12)
 
 
-def test_lattice_distance():
-    assert lattice_distance(0.0 + 0j, Tau(TAU)) == 0
-    assert abs(lattice_distance(0.5 + 0j, Tau(TAU)) - 0.5) < 1e-15
-    assert lattice_distance(3 + 2j, Tau(TAU)) < 1e-12
-    # skewed lattices, where rounding the coordinates in (1, tau) lands up
-    # to 41 times too far away, against the nearest of all points near x
+@pytest.mark.parametrize("tau", [0.5 + 0.1j, 0.45 + 0.02j, -0.37 + 0.21j, 400j])
+def test_pole_error_exactly_within_pole_tolerance_of_the_lattice(tau):
+    """The letters refuse z as a pole exactly where a brute-force distance
+    to the lattice, over all points m + n tau near z, is below
+    POLE_TOLERANCE: on skewed lattices, where rounding the coordinates of z
+    in (1, tau) lands up to 41 times too far away."""
     rng = np.random.default_rng(5)
-    for tau in (0.5 + 0.1j, 0.45 + 0.02j, -0.37 + 0.21j):
-        m, n = np.meshgrid(np.arange(-30, 31), np.arange(-200, 201))
-        lattice = (m + n * tau).ravel()
-        for _ in range(50):
-            x = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-            brute = np.min(np.abs(x - lattice))
-            assert lattice_distance(x, Tau(tau)) == pytest.approx(brute, rel=1e-12, abs=1e-15)
+    ev = Evaluator(tau)
+    m, n = np.meshgrid(np.arange(-40, 41), np.arange(-400, 401))
+    lattice = (m + n * tau).ravel()
+    # points around a lattice point, up to 2 POLE_TOLERANCE away, and anywhere
+    centres = rng.integers(-3, 4, 300) + rng.integers(-40, 41, 300) * tau
+    offsets = 2 * POLE_TOLERANCE * rng.random(300) * np.exp(2j * math.pi * rng.random(300))
+    anywhere = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-1, 1, 50)
+    poles = 0
+    for x in [*(centres + offsets), *anywhere]:
+        near = np.min(np.abs(x - lattice)) < POLE_TOLERANCE
+        try:
+            ev.f_n(1, x)
+        except PoleError:
+            assert near, x
+            poles += 1
+        else:
+            assert not near, x
+    assert 100 < poles < 200
 
 
 def test_f_n_values():
