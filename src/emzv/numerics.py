@@ -29,9 +29,9 @@ Gauss-Legendre panels.  Its mirror, the prefix integral
   A_w(x) = int_{0 < z_1 < ... < z_m < x} f_{w_1}(z_1) ... f_{w_m}(z_m),
 
 comes from A_{w[:-1]} by one forward pass.  Every value is computed on
-panel splits 1 and 2: Evaluator._splits, the one place that builds them,
-makes both grids and their letter tables together at the first value, and
-each memo of the evaluator holds one entry per word for both splits.
+panel splits 1 and 2, one _Split each: its grid, its letter table and the
+memos of its integrals, one entry per word.  Evaluator._splits, the one
+place that builds them, makes both together at the first value.
 
 Only tails s of length <= NODE_CACHE_LENGTH are ever swept, once each.  A
 word a s up to one letter longer is read from the head vector of s, the
@@ -51,9 +51,9 @@ f_n(1 - z) = (-1)^n f_n(z) give the integral over the whole simplex:
 
 Only f_1 has a pole on [0, 1], so B_w(0) converges unless w starts with 1.
 Every value is this sum with each B_w(0) replaced by its shuffle
-regularization (see Evaluator._reg), which is B_w(0) itself where that
+regularization (see _Split.reg), which is B_w(0) itself where that
 converges; the gap between the sums on the two splits is its error
-estimate.  The evaluator keeps every reg B_w(0), so a Chen sum over words
+estimate.  Each split keeps every reg B_w(0), so a Chen sum over words
 already seen is a few dictionary reads.
 
 The forward pass integrates panel start to node by the antiderivative
@@ -103,7 +103,7 @@ MIN_IM_TAU = 0.00659
 GRADING_DEPTH = 45
 #: Points closer than this to a lattice point are refused as poles.
 POLE_TOLERANCE = 1e-8
-#: Longest word whose node values the evaluator keeps, one complex value per
+#: Longest word whose node values each split keeps, one complex value per
 #: lower-half node each, as a tail (backward) and as a prefix (forward).
 #: Short words are the tails and prefixes that many longer words share; a
 #: word longer than NODE_CACHE_LENGTH + 1 is split at the letter before its
@@ -440,42 +440,157 @@ class PanelGrid:
 # the evaluator
 
 
+def _chen_terms(k: Index) -> list[tuple[Index, Index, float]]:
+    """The terms of Chen's sum for I(k), one per cut j = 0..len(k): the
+    words k[:j] and rev(k[j:]) whose reg B_w(0) it multiplies, and the
+    reflection sign (-1)^{|k[j:]|}.  Both splits read the same terms."""
+    rev, r = k[::-1], len(k)
+    return [(k[:j], rev[: r - j], -1.0 if sum(k[j:]) % 2 else 1.0) for j in range(r + 1)]
+
+
+class _Split:
+    """One panel split: its grid, its letter table (row n is f_n on the
+    grid's lower-half nodes) and the memos of its integrals, one entry per
+    word.  The alphabet is the table's rows, and only row 1, f_1 with its
+    pole at 0, is regularized."""
+
+    def __init__(self, grid: PanelGrid, letters: np.ndarray):
+        self.grid = grid
+        self.letters = letters
+        ones = np.ones(len(grid.lower_nodes), dtype=complex)
+        # word -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
+        self._nodes: dict[Index, np.ndarray] = {(): ones}
+        # word -> A_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
+        self._prefixes: dict[Index, np.ndarray] = {(): ones}
+        # tail s -> the head vector of s: entry a is B_{a s}(0)
+        self._heads: dict[Index, np.ndarray] = {}
+        # word -> the shuffle-regularized B_word(0)
+        self._regs: dict[Index, complex] = {(): 1.0}
+
+    def sweep(self, word: Index) -> np.ndarray:
+        """B_word on the lower-half nodes, from B_word[1:] by one backward
+        pass, kept: only words up to NODE_CACHE_LENGTH are swept, each once."""
+        nodes = self._nodes.get(word)
+        if nodes is None:
+            inner = self.sweep(word[1:])
+            nodes = self._nodes[word] = self.grid.sweep(self.letters[word[0]], inner)[1]
+        return nodes
+
+    def prefix(self, word: Index, scratch: dict) -> np.ndarray:
+        """A_word(x) = int_{0 < z_1 < ... < z_m < x} f_{w_1}(z_1) ... f_{w_m}(z_m)
+        on the lower-half nodes, from A_word[:-1] by one forward pass.  Node
+        values of words up to NODE_CACHE_LENGTH are kept; `scratch` holds
+        those of longer words for one Chen sum and is dropped with it."""
+        store = self._prefixes if len(word) <= NODE_CACHE_LENGTH else scratch
+        nodes = store.get(word)
+        if nodes is None:
+            inner = self.prefix(word[:-1], scratch)
+            nodes = store[word] = self.grid.forward(self.letters[word[-1]], inner)
+        return nodes
+
+    def head(self, tail: Index) -> np.ndarray:
+        """The head vector of `tail`: entry a is B_{a tail}(0) =
+        int_0^{1/2} f_a B_tail for every letter a at once, one weighted
+        product of the letters with the node values of `tail`.  Entry 1,
+        where B_{1 tail}(0) diverges, is NaN."""
+        head = self._heads.get(tail)
+        if head is None:
+            head = self._heads[tail] = self.letters @ (self.grid.weights * self.sweep(tail))
+            head[1] = math.nan
+        return head
+
+    def reg(self, word: Index, scratch: dict) -> complex:
+        """B_word(0), shuffle-regularized where word starts with 1, kept per
+        word.
+
+        A convergent word w up to NODE_CACHE_LENGTH + 1 letters is read from
+        the head vector of w[1:].  A longer one is split at the letter a
+        before its last NODE_CACHE_LENGTH letters s, w = p a s, by Chen's
+        identity at every node: B_w(0) = int_0^{1/2} A_p f_a B_s.
+
+        reg B_1 = int_0^{1/2} (f_1(z) - 1/z) dz + log(pi) - i pi / 2, the
+        constant term of B_1(x) in powers of log(-2 pi i x).  The rest
+        follows because reg is a shuffle homomorphism:
+        reg B_{1^a} = (reg B_1)^a / a!, and for y != 1
+        reg B_{1^a y w} = sum_{i<=a} (reg B_1)^i / i! (-1)^(a-i)
+        sum_{s in 1^(a-i) sh w} B_{y s}(0), whose words all converge at 0.
+        """
+        value = self._regs.get(word)
+        if value is not None:
+            return value
+        grid = self.grid
+        if word[0] != 1 and len(word) <= NODE_CACHE_LENGTH + 1:
+            # an exact copy as Python complex: the Chen sums then multiply
+            # them in the same order, several times faster than numpy scalars
+            value = complex(self.head(word[1:])[word[0]])
+        elif word[0] != 1:
+            cut = len(word) - NODE_CACHE_LENGTH
+            prefix = self.prefix(word[: cut - 1], scratch)
+            value = complex((grid.weights * prefix * self.sweep(word[cut:])) @ self.letters[word[cut - 1]])
+        elif word == (1,):
+            value = complex(grid.weights @ (self.letters[1] - 1.0 / grid.lower_nodes))
+            value += complex(math.log(math.pi), -math.pi / 2)
+        else:
+            ones = next((i for i, n in enumerate(word) if n != 1), len(word))
+            c = self.reg((1,), scratch)
+            if ones == len(word):
+                value = c**ones / math.factorial(ones)
+            else:
+                y, rest = word[ones : ones + 1], word[ones + 1 :]
+                value = 0.0
+                for i in range(ones + 1):
+                    inner = 0
+                    for s, n in shuffle((1,) * (ones - i), rest):
+                        inner += n * self.reg(y + s, scratch)
+                    value += c**i / math.factorial(i) * (-1) ** (ones - i) * inner
+        self._regs[word] = value
+        return value
+
+    def chen_sum(self, terms: list[tuple[Index, Index, float]]) -> complex:
+        """I(k) on this split from the terms _chen_terms(k) of Chen's identity
+        at 1/2 with the reflection f_n(1 - z) = (-1)^n f_n(z),
+
+          sum_j reg B_{k[:j]}(0) (-1)^{|k[j:]|} reg B_{rev(k[j:])}(0),
+
+        each factor read from the memo of reg before it is computed."""
+        regs = self._regs
+        scratch: dict[Index, np.ndarray] = {}
+        total = 0.0
+        for head, tail, sign in terms:
+            left = regs.get(head)
+            if left is None:
+                left = self.reg(head, scratch)
+            right = regs.get(tail)
+            if right is None:
+                right = self.reg(tail, scratch)
+            total += left * (sign * right)
+        return complex(total)
+
+
 class Evaluator:
     """All numerics for one (tau, config): letters, integrals, value cache.
 
-    Every value is computed on panel splits 1 and 2, so each memo of
-    integrals holds one entry per word: the pair (split 1, split 2)."""
+    Every value is computed on panel splits 1 and 2, two _Split objects
+    that _splits builds together, each with its own grid, letter table and
+    memos of integrals."""
 
     def __init__(self, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
         self.tau = as_tau(tau)
         self.cfg = cfg
-        # (grid, letter table) of splits 1 and 2, built by _splits
-        self._pair: tuple[tuple[PanelGrid, np.ndarray], ...] | None = None
+        self._pair: tuple[_Split, _Split] | None = None  # built by _splits
         self._values: dict[Index, complex] = {}
-        # word -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
-        self._nodes: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
-        # word -> A_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
-        self._prefixes: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
-        # tail s -> the head vectors of s: entry a is B_{a s}(0)
-        self._heads: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
-        # word -> the shuffle-regularized B_word(0)
-        self._regs: dict[Index, tuple[complex, complex]] = {}
 
-    def _splits(self) -> tuple[tuple[PanelGrid, np.ndarray], ...]:
-        """(grid, letter table) of splits 1 and 2, the table holding the
-        letters f_0..f_MAX_LETTER as rows on the grid's lower-half nodes:
-        the one place that builds them.  The first call builds both splits
-        together and keeps the empty word's node values, all ones, in both
-        directions."""
+    def _splits(self) -> tuple[_Split, _Split]:
+        """Splits 1 and 2, each letter table holding the letters
+        f_0..f_MAX_LETTER as rows on its grid's lower-half nodes: the one
+        place that builds them.  The first call builds both together."""
         if self._pair is None:
             # refuses a tau that needs too many terms before any grid is built
             terms = _lambert_terms(2 * math.pi * self.tau.tau.imag)
             grids = [PanelGrid(self.cfg.panel_order, GRADING_DEPTH, s) for s in (1, 2)]
             self._pair = tuple(
-                (g, _lambert_letters(g.lower_nodes, self.tau, MAX_LETTER, terms)) for g in grids
+                _Split(g, _lambert_letters(g.lower_nodes, self.tau, MAX_LETTER, terms)) for g in grids
             )
-            ones = tuple(np.ones(len(g.lower_nodes), dtype=complex) for g in grids)
-            self._nodes[()] = self._prefixes[()] = ones
         return self._pair
 
     def _letter_rows(self, z, top: int) -> np.ndarray:
@@ -526,7 +641,8 @@ class Evaluator:
         period, and the cut one is wrong near it, so an alpha beyond
         KRONECKER_ALPHA_FRACTION of it is a PreconditionError; z at a lattice
         point, or alpha at 0, is a PoleError, and an array z an
-        ArgumentError."""
+        ArgumentError.  An F or factor that overflows double precision, as at
+        z far from the real axis, is a NonConvergence."""
         if np.ndim(z) or np.ndim(alpha):
             raise ArgumentError("kronecker takes one point: scalar alpha and z")
         z, alpha = complex(z), complex(alpha)
@@ -540,142 +656,13 @@ class Evaluator:
             )
         if abs(alpha) < POLE_TOLERANCE:
             raise PoleError(f"alpha = {alpha} is within tolerance of a lattice point")
-        return complex(np.polyval(letters[::-1], alpha)) / alpha * cmath.exp(-TWO_PI_I * b * alpha)
-
-    # -- iterated integrals
-
-    def _sweep(self, word: Index) -> tuple[np.ndarray, np.ndarray]:
-        """B_word on the lower-half nodes of splits 1 and 2, from B_word[1:]
-        by one backward pass each, kept by the evaluator: only words up to
-        NODE_CACHE_LENGTH are swept, each once.  The grids, the letters and
-        the empty word's node values come from _splits, the one place that
-        builds them, which every caller has run."""
-        nodes = self._nodes.get(word)
-        if nodes is None:
-            n = word[0]
-            inner = self._sweep(word[1:])
-            nodes = self._nodes[word] = tuple(
-                grid.sweep(letters[n], b)[1] for (grid, letters), b in zip(self._pair, inner)
-            )
-        return nodes
-
-    def _prefix(self, word: Index, scratch: dict) -> tuple[np.ndarray, np.ndarray]:
-        """A_word(x) = int_{0 < z_1 < ... < z_m < x} f_{w_1}(z_1) ... f_{w_m}(z_m)
-        on the lower-half nodes of splits 1 and 2, from A_word[:-1] by one
-        forward pass each.  Node values of words up to NODE_CACHE_LENGTH are
-        kept by the evaluator; `scratch` holds those of longer words for one
-        Chen sum and is dropped with it.  The grids, the letters and the
-        empty word's node values come from _splits, the one place that
-        builds them, which every caller has run."""
-        store = self._prefixes if len(word) <= NODE_CACHE_LENGTH else scratch
-        nodes = store.get(word)
-        if nodes is None:
-            n = word[-1]
-            inner = self._prefix(word[:-1], scratch)
-            nodes = store[word] = tuple(
-                grid.forward(letters[n], a) for (grid, letters), a in zip(self._pair, inner)
-            )
-        return nodes
-
-    def _head(self, tail: Index) -> tuple[np.ndarray, np.ndarray]:
-        """The head vectors of `tail` on splits 1 and 2: entry a is
-        B_{a tail}(0) = int_0^{1/2} f_a B_tail for every letter a at once,
-        one weighted product of the letters with the node values of `tail`,
-        on the grids and letters of _splits, the one place that builds
-        them.  Entry 1, where B_{1 tail}(0) diverges, is NaN."""
-        heads = self._heads.get(tail)
-        if heads is None:
-            splits = self._splits()
-            heads = []
-            for (grid, letters), nodes in zip(splits, self._sweep(tail)):
-                head = letters @ (grid.weights * nodes)
-                head[1] = math.nan
-                heads.append(head)
-            heads = self._heads[tail] = tuple(heads)
-        return heads
-
-    def _reg(self, word: Index, scratch: dict) -> tuple[complex, complex]:
-        """B_word(0) on splits 1 and 2, shuffle-regularized where word starts
-        with 1, kept per word.
-
-        A convergent word w up to NODE_CACHE_LENGTH + 1 letters is read from
-        the head vector of w[1:].  A longer one is split at the letter a
-        before its last NODE_CACHE_LENGTH letters s, w = p a s, by Chen's
-        identity at every node: B_w(0) = int_0^{1/2} A_p f_a B_s.
-
-        reg B_1 = int_0^{1/2} (f_1(z) - 1/z) dz + log(pi) - i pi / 2, the
-        constant term of B_1(x) in powers of log(-2 pi i x).  The rest
-        follows because reg is a shuffle homomorphism:
-        reg B_{1^a} = (reg B_1)^a / a!, and for y != 1
-        reg B_{1^a y w} = sum_{i<=a} (reg B_1)^i / i! (-1)^(a-i)
-        sum_{s in 1^(a-i) sh w} B_{y s}(0), whose words all converge at 0.
-        """
-        value = self._regs.get(word)
-        if value is not None:
-            return value
-        if not word:
-            value = (1.0, 1.0)
-        elif word[0] != 1 and len(word) <= NODE_CACHE_LENGTH + 1:
-            # exact copies as Python complex: the Chen sums then multiply them
-            # in the same order, several times faster than numpy scalars
-            value = tuple(complex(head[word[0]]) for head in self._head(word[1:]))
-        elif word[0] != 1:
-            cut = len(word) - NODE_CACHE_LENGTH
-            a = word[cut - 1]
-            value = tuple(
-                complex((grid.weights * prefix * tail) @ letters[a])
-                for (grid, letters), prefix, tail in zip(
-                    self._splits(), self._prefix(word[: cut - 1], scratch), self._sweep(word[cut:])
-                )
-            )
-        elif word == (1,):
-            value = tuple(
-                complex(grid.weights @ (letters[1] - 1.0 / grid.lower_nodes))
-                + complex(math.log(math.pi), -math.pi / 2)
-                for grid, letters in self._splits()
-            )
-        else:
-            ones = next((i for i, n in enumerate(word) if n != 1), len(word))
-            c = self._reg((1,), scratch)
-            if ones == len(word):
-                value = tuple(cs**ones / math.factorial(ones) for cs in c)
-            else:
-                y, rest = word[ones : ones + 1], word[ones + 1 :]
-                total = [0.0, 0.0]
-                for i in range(ones + 1):
-                    inner = [0, 0]
-                    for s, n in shuffle((1,) * (ones - i), rest):
-                        r = self._reg(y + s, scratch)
-                        inner[0] += n * r[0]
-                        inner[1] += n * r[1]
-                    for p in (0, 1):
-                        total[p] += c[p] ** i / math.factorial(i) * (-1) ** (ones - i) * inner[p]
-                value = tuple(total)
-        self._regs[word] = value
-        return value
-
-    def _chen_sums(self, k: Index) -> tuple[complex, complex]:
-        """I(k) on splits 1 and 2: Chen's identity at 1/2 with the reflection
-        f_n(1 - z) = (-1)^n f_n(z),
-
-          sum_j reg B_{k[:j]}(0) (-1)^{|k[j:]|} reg B_{rev(k[j:])}(0),
-
-        each factor pair read from the memo of _reg before it is computed."""
-        regs = self._regs
-        scratch: dict[Index, tuple[np.ndarray, np.ndarray]] = {}
-        coarse = fine = 0.0
-        for j in range(len(k) + 1):
-            head, tail = k[:j], k[j:][::-1]
-            left = regs.get(head)
-            if left is None:
-                left = self._reg(head, scratch)
-            right = regs.get(tail)
-            if right is None:
-                right = self._reg(tail, scratch)
-            sign = -1.0 if sum(tail) % 2 else 1.0
-            coarse += left[0] * (sign * right[0])
-            fine += left[1] * (sign * right[1])
-        return complex(coarse), complex(fine)
+        try:
+            value = complex(np.polyval(letters[::-1], alpha)) / alpha * cmath.exp(-TWO_PI_I * b * alpha)
+            if cmath.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        raise NonConvergence(f"F(alpha, z) at alpha = {alpha}, z = {z} overflows double precision")
 
     def regularized(self, k: Index) -> tuple[complex, float]:
         """I(k), shuffle-regularized (I(1) = 0) where k is not admissible,
@@ -688,7 +675,9 @@ class Evaluator:
             raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
         if k and max(k) > MAX_LETTER:
             raise PreconditionError(f"letter order {max(k)} exceeds the limit {MAX_LETTER}")
-        coarse, fine = self._chen_sums(k)
+        terms = _chen_terms(k)
+        one, two = self._splits()
+        coarse, fine = one.chen_sum(terms), two.chen_sum(terms)
         gap = abs(coarse - fine)
         if gap > self.cfg.tolerance:
             raise ToleranceError(f"refinement moved I{k} by {gap:.3e}")

@@ -36,7 +36,9 @@ from emzv.numerics import (
     parse_config_file,
     parse_tau,
     shortest_period,
+    _chen_terms,
     _legendre_antiderivative_matrix,
+    _Split,
     zeta,
 )
 from emzv.relations import Expression, parity_split, shuffle_identity
@@ -285,6 +287,22 @@ def test_letters_that_overflow_are_refused_not_nan():
         assert ev.value((2, 4)) == pytest.approx(2 * zeta(2) * zeta(4), rel=1e-15)
 
 
+def test_kronecker_that_overflows_is_refused_not_inf():
+    """Far from the real axis F itself leaves double precision, through the
+    factor e^{-2 pi i b alpha} of the move by b periods: at tau = i and
+    alpha = 0.39i, the factor overflows at z = 0.3 + 300i (b = 300), and F
+    at z = 0.3 + 289.4i would be 7.5e307 - inf i.  Both raise
+    NonConvergence naming alpha and z, which the CLI maps to exit 4."""
+    from emzv.cli import EXIT_CODES, EXIT_NUMERIC
+
+    ev = get_evaluator(TAU)
+    assert cmath.isfinite(ev.kronecker(0.39j, 0.3 + 280j))
+    for z in (0.3 + 300j, 0.3 + 289.4j):
+        with pytest.raises(NonConvergence, match=re.escape(f"alpha = 0.39j, z = {z}")) as info:
+            ev.kronecker(0.39j, z)
+        assert [code for kind, code in EXIT_CODES.items() if isinstance(info.value, kind)] == [EXIT_NUMERIC]
+
+
 @pytest.mark.parametrize("tau", [1j, 3j, 0.5 + 0.8j, 0.1j, 0.5 + 0.1j, 0.45 + 0.02j, -0.37 + 0.21j])
 def test_shortest_period(tau):
     brute = min(abs(m + n * tau) for m in range(-60, 61) for n in range(-60, 61) if m or n)
@@ -366,11 +384,11 @@ def lambert_reference(nodes, tau, top):
 def test_letters_match_a_40_digit_lambert_reference(tau):
     """f_0..f_28 on split-1 nodes (every tenth, and the last), each within
     1e-13 of its largest magnitude there."""
-    grid, letters = Evaluator(tau)._splits()[0]
-    picked = np.r_[0 : len(grid.lower_nodes) : 10, -1]
-    ref = lambert_reference(grid.lower_nodes[picked], tau, MAX_LETTER)
+    split = Evaluator(tau)._splits()[0]
+    picked = np.r_[0 : len(split.grid.lower_nodes) : 10, -1]
+    ref = lambert_reference(split.grid.lower_nodes[picked], tau, MAX_LETTER)
     for n in range(MAX_LETTER + 1):
-        got = letters[n][picked]
+        got = split.letters[n][picked]
         assert np.max(np.abs(got - ref[n])) <= 1e-13 * np.max(np.abs(ref[n])), n
 
 
@@ -508,24 +526,25 @@ def test_quadrature_refinement_agreement():
         assert ev.regularized(k)[1] < 1e-11, k
 
 
-def chen_sum(ev, k, split):
+def chen_sum(split, k):
     """The Chen sum at x = 0 on one panel split, as Evaluator.regularized
     computes it before comparing the two splits."""
-    return ev._chen_sums(k)[split - 1]
+    return split.chen_sum(_chen_terms(k))
 
 
-def forward_reference(ev, k, split, magnitude=False):
-    """Reference I(k): one forward nested Gauss-Legendre pass over the
-    panels of [0, 1], letters on the upper half by reflection, with its
-    node values A_k(x) on every node of [0, 1].  With `magnitude`, the same
-    pass over |f_n|, the scale of its rounding error."""
-    grid, letters = ev._splits()[split - 1]
+def forward_reference(split, k, magnitude=False):
+    """Reference I(k) on one panel split: one forward nested Gauss-Legendre
+    pass over the panels of [0, 1], letters on the upper half by
+    reflection, with its node values A_k(x) on every node of [0, 1].  With
+    `magnitude`, the same pass over |f_n|, the scale of its rounding
+    error."""
+    grid = split.grid
     _, wg, amat = _legendre_antiderivative_matrix(grid.order)
     half = np.diff(grid.breakpoints) / 2.0
     g = np.ones(half.size * grid.order, dtype=complex)
     total = 1.0 + 0.0j
     for n in k:
-        lower = letters[n]
+        lower = split.letters[n]
         values = np.concatenate([lower, (-1) ** n * lower[::-1]])
         if magnitude:
             values = np.abs(values)
@@ -537,36 +556,56 @@ def forward_reference(ev, k, split, magnitude=False):
     return total, g
 
 
-def assert_matches_forward(ev, k, split, scale=None):
-    """1e-12 relative to `scale` (by default the reference value), or 1e-13
-    absolute when it is below 1."""
-    ref = forward_reference(ev, k, split)[0]
+def assert_matches_forward(split, k, scale=None):
+    """chen_sum against the forward reference: 1e-12 relative to `scale`
+    (by default the reference value), or 1e-13 absolute when it is below
+    1."""
+    ref = forward_reference(split, k)[0]
     scale = abs(ref) if scale is None else scale
     tol = 1e-12 * scale if scale >= 1 else 1e-13
-    assert abs(chen_sum(ev, k, split) - ref) <= tol, (k, split)
+    assert abs(chen_sum(split, k) - ref) <= tol, k
 
 
 # Admissible words only: their Chen sums read every B_w(0) unregularized,
 # which is what the forward pass integrates.
 @pytest.mark.parametrize("k", [(2,), (0, 2), (2, 1, 3), (0, 1, 1, 2), (4, 1, 0, 2)])
 def test_cut_integral_matches_forward_quadrature(k):
-    ev = get_evaluator(TAU)
-    for split in (1, 2):
-        assert_matches_forward(ev, k, split)
+    for split in get_evaluator(TAU)._splits():
+        assert_matches_forward(split, k)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple).filter(is_admissible),
-    st.sampled_from((1, 2)),
+    st.sampled_from((0, 1)),
 )
-def test_cut_integral_matches_forward_quadrature_random(k, split):
+def test_cut_integral_matches_forward_quadrature_random(k, which):
     # Many words integrate to 0 by the reflection or the shuffle relations,
     # so the error is measured against the integral of the magnitudes, not
     # against the value.
-    ev = get_evaluator(TAU)
-    scale = abs(forward_reference(ev, k, split, magnitude=True)[0])
-    assert_matches_forward(ev, k, split, scale)
+    split = get_evaluator(TAU)._splits()[which]
+    scale = abs(forward_reference(split, k, magnitude=True)[0])
+    assert_matches_forward(split, k, scale)
+
+
+def test_a_split_reads_its_alphabet_from_its_letter_table():
+    """A split over a stacked table, the grid's letters in rows 0-28 and a
+    copy of them in rows 30-58, gives each admissible word of weight <= 6
+    and length <= 4 with every letter raised by 30 the Chen sum of the word
+    itself, within 1e-14 relative: the offset is even, so the reflection
+    sign (-1)^{|w|} holds, and only row 1 is singular.  A table with
+    derivative rows after the letters is read the same way."""
+    from emzv.faypoly import compositions
+
+    words = [k for r in range(1, 5) for w in range(7) for k in compositions(w, r) if is_admissible(k)]
+    for split in Evaluator(TAU)._splits():
+        filler = np.zeros((1, split.letters.shape[1]), dtype=complex)
+        stacked = _Split(split.grid, np.vstack([split.letters, filler, split.letters]))
+        assert len(stacked.letters) == 59
+        for k in words:
+            expected = chen_sum(split, k)
+            got = chen_sum(stacked, tuple(n + 30 for n in k))
+            assert abs(got - expected) <= 1e-14 * abs(expected), k
 
 
 def test_evaluator_cache_is_bounded():
@@ -599,9 +638,8 @@ def test_cut_integrals_do_not_depend_on_cache_order_at_length_four():
         warm.value(k)
     for k in indices:
         fresh = Evaluator(TAU)
-        for split in (1, 2):
-            got = chen_sum(fresh, k, split)
-            assert bits(got) == bits(chen_sum(warm, k, split)), (k, split)
+        for i, (new, old) in enumerate(zip(fresh._splits(), warm._splits()), 1):
+            assert bits(chen_sum(new, k)) == bits(chen_sum(old, k)), (k, i)
         value, gap = fresh.regularized(k)
         warm_value, warm_gap = warm.regularized(k)
         assert (bits(value), gap.hex()) == (bits(warm_value), warm_gap.hex()), k
@@ -621,7 +659,7 @@ def test_short_words_are_swept_once(monkeypatch):
     from emzv.reduction import reduce_index
 
     active, swept, heads = [], Counter(), {}
-    originals = {name: getattr(Evaluator, name) for name in ("_sweep", "_prefix", "_head")}
+    originals = {name: getattr(_Split, name) for name in ("sweep", "prefix", "head")}
     grid_passes = {name: getattr(PanelGrid, name) for name in ("sweep", "forward")}
 
     def tracked(name):
@@ -642,25 +680,25 @@ def test_short_words_are_swept_once(monkeypatch):
         return method
 
     def tracked_head(self, tail):
-        pair = originals["_head"](self, tail)
-        for split, head in zip((1, 2), pair):
-            assert heads.setdefault((split, tail), head) is head, (split, tail)
-        return pair
+        head = originals["head"](self, tail)
+        key = (split_of[self.grid], tail)
+        assert heads.setdefault(key, head) is head, key
+        return head
 
-    monkeypatch.setattr(Evaluator, "_sweep", tracked("_sweep"))
-    monkeypatch.setattr(Evaluator, "_prefix", tracked("_prefix"))
-    monkeypatch.setattr(Evaluator, "_head", tracked_head)
+    monkeypatch.setattr(_Split, "sweep", tracked("sweep"))
+    monkeypatch.setattr(_Split, "prefix", tracked("prefix"))
+    monkeypatch.setattr(_Split, "head", tracked_head)
     monkeypatch.setattr(PanelGrid, "sweep", counted("sweep"))
     monkeypatch.setattr(PanelGrid, "forward", counted("forward"))
     ev = Evaluator(TAU)
-    split_of = {grid: split for split, (grid, _) in zip((1, 2), ev._splits())}
+    split_of = {split.grid: n for n, split in enumerate(ev._splits(), 1)}
     for r in range(5):
         for w in range(7):
             for k in compositions(w, r):
                 ev.value(k)
                 ev.eval_expression(reduce_index(k)[0])
     assert None not in swept
-    assert {name for _, name, _ in swept} == {"_sweep", "_prefix"}
+    assert {name for _, name, _ in swept} == {"sweep", "prefix"}
     assert all(len(word) <= NODE_CACHE_LENGTH for _, _, word in swept)
     repeated = {key: n for key, n in swept.items() if n > 1}
     assert not repeated
@@ -679,11 +717,11 @@ def test_head_vectors_leave_the_divergent_entry_nan():
     ev = Evaluator(TAU)
     for k in (k for r in range(5) for w in range(7) for k in compositions(w, r)):
         assert cmath.isfinite(ev.value(k)), k
-    assert ev._heads
-    for tail, pair in ev._heads.items():
-        for key, head in zip(((1, tail), (2, tail)), pair):
-            assert cmath.isnan(head[1]), key
-            assert all(cmath.isfinite(v) for a, v in enumerate(head) if a != 1), key
+    for i, split in enumerate(ev._splits(), 1):
+        assert split._heads
+        for tail, head in split._heads.items():
+            assert cmath.isnan(head[1]), (i, tail)
+            assert all(cmath.isfinite(v) for a, v in enumerate(head) if a != 1), (i, tail)
 
 
 def test_head_vectors_match_a_direct_sweep():
@@ -692,8 +730,8 @@ def test_head_vectors_match_a_direct_sweep():
     It is read from the head vector of s where s is at most
     NODE_CACHE_LENGTH long, and split at a letter for the longer tails."""
     ev = Evaluator(TAU)
-    for split in (1, 2):
-        grid, letters = ev._splits()[split - 1]
+    for i, split in enumerate(ev._splits(), 1):
+        grid, letters = split.grid, split.letters
         tails = [s for r in range(4) for s in itertools.product(range(4), repeat=r)]
         for s in tails:
             direct = np.ones(len(grid.lower_nodes), dtype=complex)
@@ -704,8 +742,8 @@ def test_head_vectors_match_a_direct_sweep():
             for a in (0, 2, 3, 4):
                 expected, _ = grid.sweep(letters[a], direct)
                 scale, _ = grid.sweep(np.abs(letters[a]), magnitude)
-                got = ev._reg((a,) + s, {})[split - 1]
-                assert abs(got - expected) <= 1e-13 * abs(scale), (split, a, s)
+                got = split.reg((a,) + s, {})
+                assert abs(got - expected) <= 1e-13 * abs(scale), (i, a, s)
 
 
 @pytest.mark.parametrize("tau", [TAU, 0.5 + 0.8j])
@@ -719,8 +757,8 @@ def test_long_words_split_at_a_letter_match_a_direct_sweep(tau):
     ev = Evaluator(tau)
     words = [w for r in (4, 5) for n in range(7) for w in compositions(n, r) if w[0] != 1]
     assert all(len(w) > NODE_CACHE_LENGTH + 1 for w in words)
-    for split in (1, 2):
-        grid, letters = ev._splits()[split - 1]
+    for i, split in enumerate(ev._splits(), 1):
+        grid, letters = split.grid, split.letters
         chains = {(): (np.ones(len(grid.lower_nodes), dtype=complex),) * 2}
 
         def chain(s):  # B_s on the nodes, and the same chain over magnitudes
@@ -734,8 +772,8 @@ def test_long_words_split_at_a_letter_match_a_direct_sweep(tau):
             direct, magnitude = chain(w[1:])
             expected, _ = grid.sweep(letters[w[0]], direct)
             scale, _ = grid.sweep(np.abs(letters[w[0]]), magnitude)
-            got = ev._reg(w, {})[split - 1]
-            assert abs(got - expected) <= 1e-12 * abs(scale), (split, w)
+            got = split.reg(w, {})
+            assert abs(got - expected) <= 1e-12 * abs(scale), (i, w)
 
 
 def test_forward_pass_matches_the_forward_reference():
@@ -743,8 +781,8 @@ def test_forward_pass_matches_the_forward_reference():
     as the forward pass over [0, 1] does, to 1e-13 of the same pass over the
     magnitudes of the letters at each node, and A_{0^m}(x) = x^m / m!."""
     ev = Evaluator(TAU)
-    for split in (1, 2):
-        grid, letters = ev._splits()[split - 1]
+    for i, split in enumerate(ev._splits(), 1):
+        grid = split.grid
         lower = len(grid.lower_nodes)
         for r in range(1, 4):
             for p in itertools.product(range(4), repeat=r):
@@ -752,13 +790,13 @@ def test_forward_pass_matches_the_forward_reference():
                     continue
                 got = np.ones(lower, dtype=complex)
                 for n in p:
-                    got = grid.forward(letters[n], got)
-                expected = forward_reference(ev, p, split)[1][:lower]
-                scale = np.abs(forward_reference(ev, p, split, magnitude=True)[1][:lower])
-                assert np.all(np.abs(got - expected) <= 1e-13 * scale), (split, p)
+                    got = grid.forward(split.letters[n], got)
+                expected = forward_reference(split, p)[1][:lower]
+                scale = np.abs(forward_reference(split, p, magnitude=True)[1][:lower])
+                assert np.all(np.abs(got - expected) <= 1e-13 * scale), (i, p)
                 if set(p) == {0}:
                     volume = grid.lower_nodes**r / math.factorial(r)
-                    assert np.max(np.abs(got - volume)) <= 1e-16, (split, p)
+                    assert np.max(np.abs(got - volume)) <= 1e-16, (i, p)
 
 
 def test_a_letter_above_max_letter_is_refused_at_every_position():
@@ -839,7 +877,7 @@ def test_gauss_legendre_rule_matches_a_40_digit_reference():
 
 def test_gauss_legendre_collocation_identity():
     """W A + A^T W = w w^T (W = diag(w)), the identity of the module
-    docstring that makes the backward pass the forward one."""
+    docstring that makes the backward pass the forward split."""
     for order in range(1, 101):
         _, w, amat = _legendre_antiderivative_matrix(order)
         lhs = w[:, None] * amat + amat.T * w[None, :]
@@ -850,8 +888,8 @@ def test_every_grid_of_an_order_shares_one_read_only_rule():
     rule = _legendre_antiderivative_matrix(DEFAULT_CONFIG.panel_order)
     for tau in (TAU, 0.5 + 0.8j):
         ev = Evaluator(tau)
-        for split, (grid, _) in zip((1, 2), ev._splits()):
-            assert grid._wg is rule[1] and grid._amat is rule[2], (tau, split)
+        for i, split in enumerate(ev._splits(), 1):
+            assert split.grid._wg is rule[1] and split.grid._amat is rule[2], (tau, i)
     assert not any(array.flags.writeable for array in rule)
 
 
@@ -924,7 +962,7 @@ def test_reg_b1_is_the_log_of_theta_at_one_half(tau, turns, tol):
         theta, prime = mp_theta(tau)
         ratio = complex(theta(0.5) / prime)
     closed = cmath.log(ratio) + math.log(2 * math.pi) - 0.5j * math.pi
-    c = Evaluator(tau)._reg((1,), {})[1]
+    c = Evaluator(tau)._splits()[1].reg((1,), {})
     assert abs(c - closed - 2j * math.pi * turns) < tol, tau
 
 
