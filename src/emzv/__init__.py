@@ -34,12 +34,7 @@ from .relations import (
     shuffle_identity,
     trailing_ones,
 )
-from .reduction import (
-    FuelExhausted,
-    ReductionTrace,
-    reduce_index,
-    verify_reduction,
-)
+from .reduction import FuelExhausted, ReductionTrace, reduce_index
 
 # The numeric layer imports numpy.  Its names load it on first use (PEP 562),
 # so the exact side never does.

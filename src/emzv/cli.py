@@ -24,8 +24,10 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .faypoly import compositions
-from .reduction import DEFAULT_FUEL, FuelExhausted, reduce_index, verify_reduction
+from .reduction import DEFAULT_FUEL, FuelExhausted, reduce_index
 from .relations import (
+    Expression,
+    Identity,
     atom_json,
     fay_identity,
     parity_split,
@@ -36,6 +38,7 @@ from .relations import (
 )
 from .words import (
     ArgumentError,
+    Index,
     PreconditionError,
     format_index,
     parse_index,
@@ -124,6 +127,23 @@ def _check_out(path: str) -> None:
     raise ArgumentError(f"cannot write {path}: {os.strerror(code)}")
 
 
+def _reduction(k: Index, expr: Expression) -> Identity:
+    """I(k) = expr, the reduction of I(k) as an identity."""
+    return Identity(Expression.atom(k), expr, "reduction")
+
+
+def _sides(ev: Evaluator, ident: Identity) -> tuple[complex, complex]:
+    """Both sides of `ident` evaluated on `ev`, the left one first."""
+    return ev.eval_expression(ident.lhs), ev.eval_expression(ident.rhs)
+
+
+def _compare(lhs: complex, rhs: complex, tol: float) -> dict:
+    """The report fields of two evaluated sides: lhs, rhs, their residual,
+    and whether it is within tol."""
+    residual = float(abs(complex(lhs) - complex(rhs)))
+    return dict(lhs=_complex_json(lhs), rhs=_complex_json(rhs), residual=residual, passed=residual <= tol)
+
+
 def _indices_within(max_weight: int, max_length: int, min_length: int = 1):
     for r in range(min_length, max_length + 1):
         for w in range(max_weight + 1):
@@ -136,16 +156,10 @@ def cmd_reduce(args) -> int:
     expr, trace = reduce_index(index, fuel=args.fuel)
     verify_report = None
     if args.verify:
-        from .numerics import parse_tau
+        from .numerics import get_evaluator, parse_tau
 
-        check = verify_reduction(index, parse_tau(args.tau), args.tol, _load_config(args), args.fuel)
-        verify_report = {
-            "tau": str(check["tau"]),
-            "lhs": _complex_json(check["lhs"]),
-            "rhs": _complex_json(check["rhs"]),
-            "residual": check["residual"],
-            "passed": check["passed"],
-        }
+        ev = get_evaluator(parse_tau(args.tau), _load_config(args))
+        verify_report = {"tau": str(ev.tau.tau), **_compare(*_sides(ev, _reduction(index, expr)), args.tol)}
     if args.format == "json":
         payload = {
             "index": list(index),
@@ -234,10 +248,7 @@ def _family_instances(family: str, args, cfg: NumericsConfig):
     ev = get_evaluator(tau, cfg) if tau is not None else None
 
     def identity_check(ident):
-        def run():
-            return ev.eval_expression(ident.lhs), ev.eval_expression(ident.rhs)
-
-        return run
+        return lambda: _sides(ev, ident)
 
     if family in ("shuffle", "reduction", *IDENTITY_BUILDERS) and ev is None:
         raise ArgumentError(f"family {family} needs --tau")
@@ -265,8 +276,7 @@ def _family_instances(family: str, args, cfg: NumericsConfig):
         for k in _indices_within(mw, ml, min_length=0):
 
             def run(k=k):
-                check = verify_reduction(k, tau, args.tol, cfg, args.fuel)
-                return check["lhs"], check["rhs"]
+                return _sides(ev, _reduction(k, reduce_index(k, fuel=args.fuel)[0]))
 
             yield format_index(k), run
     elif family == "kronecker":
@@ -314,9 +324,7 @@ def cmd_verify(args) -> int:
             report.update(lhs=None, rhs=None, residual=None, passed=False)
             report["error"] = f"{type(exc).__name__}: {exc}"
         else:
-            residual = float(abs(complex(lhs) - complex(rhs)))
-            report.update(lhs=_complex_json(lhs), rhs=_complex_json(rhs), residual=residual)
-            report["passed"] = bool(residual <= args.tol)
+            report.update(_compare(lhs, rhs, args.tol))
         report["wall_time"] = time.perf_counter() - start
         return report
 
@@ -398,7 +406,8 @@ def cmd_selftest(args) -> int:
     checks.append(("length-1 values", check_length_one))
 
     def check_reduce() -> bool:
-        return verify_reduction((2, 1), parse_tau("0+1i"), 1e-6, cfg)["passed"]
+        ev = get_evaluator(parse_tau("0+1i"), cfg)
+        return _compare(*_sides(ev, _reduction((2, 1), reduce_index((2, 1))[0])), 1e-6)["passed"]
 
     checks.append(("reduce and verify (2,1)", check_reduce))
 

@@ -248,6 +248,19 @@ def shortest_period(tau: Tau) -> float:
         v -= m * u
 
 
+def _minus_multiple(x: np.ndarray, b: np.ndarray, v: float) -> tuple[np.ndarray, np.ndarray]:
+    """x - b v for integer-valued b as s + c, exact for |b| < 2^27: v is
+    split, as in Dekker's product, into hi and lo = v - hi of at most 26
+    bits each, so that b hi and b lo are exact; s is x - b hi rounded, and
+    c its rounding error (Knuth's two-sum) less b lo."""
+    mantissa, exponent = math.frexp(v)
+    hi = math.ldexp(round(mantissa * 2**26), exponent - 26)
+    p = b * hi
+    s = x - p
+    t = s - x
+    return s, (x - (s - t)) - (p + t) - b * (v - hi)
+
+
 # ---------------------------------------------------------------------------
 # the letters from their Lambert series
 
@@ -294,6 +307,14 @@ def _product_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     else:
         out.real = a.real @ b
         out.imag = a.imag @ b
+
+
+def _refuse_overflow(values: np.ndarray, zz: np.ndarray) -> None:
+    """NonConvergence at the first point of zz whose column of values (one
+    per point) is not finite."""
+    bad = zz[~np.isfinite(values).reshape(-1, len(zz)).all(axis=0)]
+    if len(bad):
+        raise NonConvergence(f"the letters at z = {bad[0]} overflow double precision")
 
 
 def _lambert_letters(z: np.ndarray, tau: Tau, top: int, terms: int) -> np.ndarray:
@@ -593,51 +614,57 @@ class Evaluator:
             )
         return self._pair
 
-    def _letter_rows(self, z, top: int) -> np.ndarray:
-        """Rows f_0..f_top at the points z, flattened.  Re z is taken mod 1,
-        and Im z is brought within Im tau / 2 by b = round(Im z / Im tau)
-        periods: f_n(z + b tau) = sum_{i=0..n} (-2 pi i b)^i / i! f_{n-i}(z).
-        A point that this moves within POLE_TOLERANCE of 0 is a pole.  Letters
-        that overflow double precision, as where sin and cos(2 pi m z) do at a
-        large Im tau, are a NonConvergence."""
+    def _letter_rows(self, z, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows f_0..f_top at the points w = z - b tau - m, z flattened, and
+        b.  Im z is brought within Im tau / 2 by b = round(Im z / Im tau)
+        periods and Re z is then taken mod 1; w is formed by error-free
+        products and sums (see _minus_multiple), so that it is exact to
+        rounding also near a lattice point m + b tau other than 0.  A point
+        with |w| < POLE_TOLERANCE is a pole.  Letters that overflow double
+        precision, as where sin and cos(2 pi m w) do at a large Im tau, are
+        a NonConvergence."""
         zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
         if not np.all(np.isfinite(zz)):
             raise ArgumentError(f"z must be finite, got {zz[~np.isfinite(zz)][0]}")
         t = self.tau.tau
         b = np.round(zz.imag / t.imag)
-        w = zz - b * t
-        w -= np.round(w.real)
+        x, x_err = _minus_multiple(zz.real, b, t.real)
+        y, y_err = _minus_multiple(zz.imag, b, t.imag)
+        w = np.empty_like(zz)
+        w.real = x - np.round(x) + x_err
+        w.imag = y + y_err
         poles = zz[np.abs(w) < POLE_TOLERANCE]
         if len(poles):
             raise PoleError(f"z = {poles[0]} is within tolerance of a lattice point")
         terms = _lambert_terms(2 * math.pi * (t.imag - float(np.max(np.abs(w.imag)))))
         with np.errstate(over="ignore", invalid="ignore"):
             rows = _lambert_letters(w, self.tau, top, terms)
-            shift = -TWO_PI_I * b
-            out = np.zeros_like(rows)
-            for i in range(top + 1):
-                out[i:] += shift**i / math.factorial(i) * rows[: top + 1 - i]
-        bad = zz[~np.isfinite(out).all(axis=0)]
-        if len(bad):
-            raise NonConvergence(f"the letters at z = {bad[0]} overflow double precision")
-        return out
+        _refuse_overflow(rows, zz)
+        return rows, b
 
     def f_n(self, n: int, z):
-        """Letter f_n at arbitrary finite points z (scalar or array)."""
+        """Letter f_n at arbitrary finite points z (scalar or array), from the
+        rows at w = z - b tau - m by the period polynomial
+        f_n(w + b tau) = sum_{i=0..n} (-2 pi i b)^i / i! f_{n-i}(w)."""
         if n < 0:
             raise ArgumentError(f"negative letter order {n}")
         if n > MAX_LETTER:
             raise PreconditionError(f"letter order {n} exceeds the limit {MAX_LETTER}")
-        value = self._letter_rows(z, n)[n]
+        zz = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+        rows, b = self._letter_rows(zz, n)
+        shift = -TWO_PI_I * b
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = sum(shift**i / math.factorial(i) * rows[n - i] for i in range(n + 1))
+        _refuse_overflow(value, zz)
         if np.isscalar(z):
             return complex(value[0])
         return value
 
     def kronecker(self, alpha: complex, z: complex) -> complex:
-        """F(alpha, z) at one point.  z is moved by b = round(Im z / Im tau)
-        periods, and F(alpha, z) = e^{-2 pi i b alpha} F(alpha, z - b tau) is
-        summed as sum_{n <= MAX_LETTER} f_n alpha^{n-1} from one letter table
-        at z - b tau.  That series converges in alpha up to the shortest
+        """F(alpha, z) at one point.  From the rows at w = z - b tau - m of
+        _letter_rows, F(alpha, z) = e^{-2 pi i b alpha} F(alpha, w) with that
+        same b, and F(alpha, w) is summed as sum_{n <= MAX_LETTER} f_n(w)
+        alpha^{n-1}.  That series converges in alpha up to the shortest
         period, and the cut one is wrong near it, so an alpha beyond
         KRONECKER_ALPHA_FRACTION of it is a PreconditionError; z at a lattice
         point, or alpha at 0, is a PoleError, and an array z an
@@ -646,8 +673,8 @@ class Evaluator:
         if np.ndim(z) or np.ndim(alpha):
             raise ArgumentError("kronecker takes one point: scalar alpha and z")
         z, alpha = complex(z), complex(alpha)
-        b = round(z.imag / self.tau.tau.imag) if cmath.isfinite(z) else 0
-        letters = self._letter_rows(z - b * self.tau.tau, MAX_LETTER)[:, 0]
+        rows, b = self._letter_rows(z, MAX_LETTER)
+        letters, b = rows[:, 0], int(b[0])
         limit = KRONECKER_ALPHA_FRACTION * shortest_period(self.tau)
         if not abs(alpha) <= limit:
             raise PreconditionError(

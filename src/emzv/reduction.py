@@ -247,27 +247,3 @@ def reduced_atom(k: Index) -> Expression:
     step = rewrite_step(k)
     return step.identity.rhs.substitute({c: reduced_atom(c) for c in step.children})
 
-
-def verify_reduction(k: Index, tau, tol: float = 1e-6, cfg=None, fuel: int = DEFAULT_FUEL) -> dict:
-    """Evaluate I(k) directly and through its reduction; compare at tau.
-
-    The one reduction check behind `reduce --verify`, `verify --family
-    reduction` and `selftest`.
-    """
-    from .numerics import get_evaluator
-
-    k = as_index(k)
-    ev = get_evaluator(tau, cfg)
-    expr, trace = reduce_index(k, fuel=fuel)
-    lhs = ev.value(k)
-    rhs = ev.eval_expression(expr)
-    residual = abs(lhs - rhs)
-    return {
-        "index": k,
-        "tau": ev.tau.tau,
-        "lhs": lhs,
-        "rhs": rhs,
-        "residual": residual,
-        "passed": residual <= tol,
-        "trace_len": len(trace.steps),
-    }

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import emzv
 import emzv.numerics
+import emzv.reduction
 from emzv import cli
 from emzv.cli import main
 
@@ -40,6 +42,20 @@ def test_reduce_verify(capsys):
     assert payload["verify"]["residual"] <= 1e-6
     atoms = {tuple(a) for t in payload["expression"]["terms"] for a in t["atoms"]}
     assert atoms == {(0,), (3, 0), (2,), (1, 0)}
+
+
+def test_reduce_verify_reduces_once(capsys, monkeypatch):
+    reduce_index = emzv.reduction.reduce_index
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduce_index(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reduce_index", counted)
+    monkeypatch.setattr(emzv.reduction, "reduce_index", counted)
+    assert run(capsys, "reduce", "--index", "1,2,0", "--verify")[0] == 0
+    assert calls == [((1, 2, 0),)]
 
 
 def test_reduce_trace(capsys):
@@ -527,7 +543,7 @@ def test_selftest_fails_a_check_on_a_typed_numeric_failure(capsys, monkeypatch):
     def raise_tolerance(*args, **kwargs):
         raise emzv.numerics.ToleranceError("refinement moved I(2, 1)")
 
-    monkeypatch.setattr(cli, "verify_reduction", raise_tolerance)
+    monkeypatch.setattr(cli, "_sides", raise_tolerance)
     code, out, _ = run(capsys, "selftest")
     assert code == 5
     assert out.splitlines()[-1] == "FAIL reduce and verify (2,1): refinement moved I(2, 1)"
@@ -538,7 +554,7 @@ def test_selftest_lets_a_bug_in_a_check_propagate(capsys, monkeypatch):
     def raise_type_error(*args, **kwargs):
         raise TypeError("a bug in the check")
 
-    monkeypatch.setattr(cli, "verify_reduction", raise_type_error)
+    monkeypatch.setattr(cli, "_sides", raise_type_error)
     with pytest.raises(TypeError, match="a bug in the check"):
         main(["selftest"])
 
@@ -655,6 +671,14 @@ REMOVED_NUMERIC_NAMES = ("emzv_admissible", "emzv_regularized", "eval_expression
 REMOVED_THETA_NAMES = ("kronecker_f", "theta", "theta_prime0", "THETA_MAX_TERMS", "_odd_series")
 
 
+def test_exact_modules_never_import_numerics():
+    for name in ("words", "faypoly", "relations", "reduction"):
+        tree = ast.parse(Path(getattr(emzv, name).__file__).read_text())
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert not {"numerics", "emzv.numerics", "numpy"} & imported, name
+
+
 def test_package_serves_numeric_names_from_numerics():
     for name in NUMERIC_NAMES:
         assert getattr(emzv, name) is getattr(emzv.numerics, name), name
@@ -664,8 +688,11 @@ def test_package_serves_numeric_names_from_numerics():
     assert all(namespace[name] is getattr(emzv, name) for name in emzv.__all__)
     assert {"reduce_index", "Expression", "shuffle", "c_coeff"} <= set(namespace)
     assert not {"SparsePoly", "p_poly", "antipode", "coproduct"} & set(namespace)
-    for name in ("Combo", "WordCombo", "shuffle_combo", "simplify_zero_one"):
+    for name in ("Combo", "WordCombo", "shuffle_combo", "simplify_zero_one", "verify_reduction"):
         assert name not in emzv.__all__ and not hasattr(emzv, name), name
+    # The CLI checks a reduction as an identity; the exact side ships no check.
+    assert not hasattr(emzv.reduction, "verify_reduction")
+    assert len(emzv.__all__) == 29
     for name in REMOVED_NUMERIC_NAMES:
         assert name not in emzv.__all__ and not hasattr(emzv.numerics, name), name
     for name in REMOVED_THETA_NAMES:

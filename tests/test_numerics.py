@@ -229,6 +229,30 @@ def test_kronecker_many_periods_off_the_real_axis(tau):
             assert abs(ev.kronecker(alpha, z) - ref) <= 1e-10 * abs(ref), (z, alpha)
 
 
+@pytest.mark.parametrize("tau", [0.37 + 0.1j, 0.5 + 0.8j])
+def test_letters_and_kronecker_keep_their_digits_near_a_nonzero_lattice_point(tau):
+    """At 1e-7 to 1e-3 from lambda = m + n tau, n != 0, f_1 and F match the
+    theta quotient at 40 digits within 1e-14 relative (6e-16 measured): the
+    reduced point z - b tau - m is formed without the rounding error of
+    b tau, which in double precision cost up to 2e-9 relative here."""
+    import mpmath
+
+    ev = Evaluator(tau)
+    radius = 0.3 * shortest_period(ev.tau)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        m, n = rng.integers(-3, 4), rng.integers(1, 4) * rng.choice([-1, 1])
+        z = complex(m + n * tau + 10 ** rng.uniform(-7, -3) * np.exp(2j * np.pi * rng.random()))
+        alpha = complex(radius * np.exp(2j * np.pi * rng.random()))
+        with mpmath.workdps(40):
+            theta, prime = mp_theta(tau)
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            f_1 = complex(mpmath.pi * mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), nome, 1) / theta(z))
+            kronecker = complex(theta(mpmath.mpc(z) + alpha) * prime / (theta(z) * theta(alpha)))
+        assert abs(ev.f_n(1, z) - f_1) <= 1e-14 * abs(f_1), z
+        assert abs(ev.kronecker(alpha, z) - kronecker) <= 1e-14 * abs(kronecker), (z, alpha)
+
+
 def test_kronecker_pole_error():
     """An alpha beyond KRONECKER_ALPHA_FRACTION of the shortest period, where
     the truncated series would be wrong, is refused at every z.  Near a
