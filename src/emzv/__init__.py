@@ -7,8 +7,8 @@ by evaluating iterated integrals of the letters f_n, the Laurent
 coefficients of the Kronecker function in its first argument.
 
 The exact side (words, faypoly, relations, reduction) is pure Python.  The
-numeric names (Evaluator, get_evaluator, parse_tau, ...) load emzv.numerics,
-and with it numpy, on first use.
+numeric names (Evaluator, NumericsConfig, Tau, parse_tau, zeta) load
+emzv.numerics, and with it numpy, on first use.
 """
 
 from .words import (
@@ -42,7 +42,6 @@ _NUMERICS = (
     "Evaluator",
     "NumericsConfig",
     "Tau",
-    "get_evaluator",
     "parse_tau",
     "zeta",
 )

@@ -156,9 +156,9 @@ def cmd_reduce(args) -> int:
     expr, trace = reduce_index(index, fuel=args.fuel)
     verify_report = None
     if args.verify:
-        from .numerics import get_evaluator, parse_tau
+        from .numerics import Evaluator, parse_tau
 
-        ev = get_evaluator(parse_tau(args.tau), _load_config(args))
+        ev = Evaluator(parse_tau(args.tau), _load_config(args))
         verify_report = {"tau": str(ev.tau.tau), **_compare(*_sides(ev, _reduction(index, expr)), args.tol)}
     if args.format == "json":
         payload = {
@@ -194,11 +194,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .numerics import get_evaluator, parse_tau
+    from .numerics import Evaluator, parse_tau
 
     index = parse_index(args.index)
     tau = parse_tau(args.tau)
-    value, estimate = get_evaluator(tau, _load_config(args)).regularized(index)
+    value, estimate = Evaluator(tau, _load_config(args)).regularized(index)
     if args.format == "json":
         print(json.dumps({"index": list(index), "re": value.real, "im": value.imag, "err": estimate}))
     else:
@@ -241,11 +241,11 @@ def kronecker_points(ev: Evaluator) -> list[tuple[complex, complex, complex, com
 
 def _family_instances(family: str, args, cfg: NumericsConfig):
     """Yield (descriptor, callable) pairs; callables return (lhs, rhs) values."""
-    from .numerics import get_evaluator, parse_tau
+    from .numerics import Evaluator, parse_tau
 
     mw, ml = args.max_weight, args.max_length
     tau = parse_tau(args.tau) if args.tau else None
-    ev = get_evaluator(tau, cfg) if tau is not None else None
+    ev = Evaluator(tau, cfg) if tau is not None else None
 
     def identity_check(ident):
         return lambda: _sides(ev, ident)
@@ -383,9 +383,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .numerics import get_evaluator, parse_tau
+    from .numerics import Evaluator, parse_tau
 
-    cfg = _load_config(args)
+    ev = Evaluator(parse_tau("0+1i"), _load_config(args))
     checks: list[tuple[str, Callable[[], bool]]] = []
 
     def check_prop_mat() -> bool:
@@ -394,19 +394,16 @@ def cmd_selftest(args) -> int:
     checks.append(("fay matches length-2 formula (weight <= 6)", check_prop_mat))
 
     def check_simplex() -> bool:
-        ev = get_evaluator(parse_tau("0+1i"), cfg)
         return all(abs(ev.value((0,) * r) - 1 / math.factorial(r)) < 1e-10 for r in range(1, 5))
 
     checks.append(("simplex volumes", check_simplex))
 
     def check_length_one() -> bool:
-        ev = get_evaluator(parse_tau("0+1i"), cfg)
         return abs(ev.value((2,)) + math.pi**2 / 3) < 1e-8 and abs(ev.value((3,))) < 1e-8
 
     checks.append(("length-1 values", check_length_one))
 
     def check_reduce() -> bool:
-        ev = get_evaluator(parse_tau("0+1i"), cfg)
         return _compare(*_sides(ev, _reduction((2, 1), reduce_index((2, 1))[0])), 1e-6)["passed"]
 
     checks.append(("reduce and verify (2,1)", check_reduce))

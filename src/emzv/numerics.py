@@ -110,11 +110,6 @@ POLE_TOLERANCE = 1e-8
 #: last NODE_CACHE_LENGTH, so no longer tail is ever swept, and a longer
 #: prefix is kept for one Chen sum only.
 NODE_CACHE_LENGTH = 2
-#: Evaluators that get_evaluator keeps, least recently used dropped first;
-#: each holds its letters, tail and prefix node values, head vectors
-#: (MAX_LETTER + 1 complex numbers per split and tail), regularized B_w(0)
-#: and values while it is kept.
-EVALUATOR_CACHE_SIZE = 8
 
 
 class NonConvergence(ArithmeticError):
@@ -716,7 +711,8 @@ class Evaluator:
         """The value of `regularized(k)`, cached."""
         if isinstance(k, tuple):  # only validated indices are ever cached
             cached = self._values.get(k)
-            if cached is not None:
+            # (2.0,) == (2,): only a key of ints is one as_index returns unchanged
+            if cached is not None and all(type(e) is int for e in k):
                 return cached
         k = as_index(k)
         value = self._values.get(k)
@@ -751,17 +747,6 @@ class Evaluator:
                     self.value(atom)
             raise
         return complex(math.fsum(real), math.fsum(imag))
-
-
-@functools.lru_cache(maxsize=EVALUATOR_CACHE_SIZE)
-def _evaluator(tau: complex, cfg: NumericsConfig) -> Evaluator:
-    return Evaluator(tau, cfg)
-
-
-def get_evaluator(tau, cfg: NumericsConfig | None = None) -> Evaluator:
-    """The shared Evaluator for (tau, cfg), kept for the EVALUATOR_CACHE_SIZE
-    most recently used pairs."""
-    return _evaluator(as_tau(tau).tau, cfg or DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from emzv.cli import kronecker_points, main as cli_main
 from emzv.faypoly import c_coeff, compositions
-from emzv.numerics import get_evaluator, zeta
+from emzv.numerics import Evaluator, zeta
 from emzv.reduction import reduce_index
 from emzv.relations import (
     fay_identity,
@@ -130,7 +130,7 @@ def test_criterion_5_length_one_values():
     start = time.perf_counter()
     ok = True
     for tau in (TAU, TAU2):
-        ev = get_evaluator(tau)
+        ev = Evaluator(tau)
         ok = ok and abs(ev.value((2,)) + math.pi**2 / 3) <= 1e-8
         ok = ok and abs(ev.value((3,))) <= 1e-8
         ok = ok and abs(ev.value((4,)) + 2 * zeta(4)) <= 1e-8
@@ -140,7 +140,7 @@ def test_criterion_5_length_one_values():
 
 def test_criterion_6_simplex_volumes():
     start = time.perf_counter()
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     ok = all(
         abs(ev.value((0,) * r) - 1 / math.factorial(r)) <= 1e-10 for r in range(1, 5)
     )
@@ -149,7 +149,7 @@ def test_criterion_6_simplex_volumes():
 
 def test_criterion_7_kronecker_suite():
     start = time.perf_counter()
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     f = ev.kronecker
     ok = True
     # each side times alpha (alpha alpha2 for Fay), as the kronecker family does
@@ -166,7 +166,7 @@ def test_criterion_7_kronecker_suite():
 
 def test_criterion_8_f1_cross_check():
     start = time.perf_counter()
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     rng = np.random.default_rng(8)
     q = math.exp(-2 * math.pi)
     ok = True
@@ -183,7 +183,7 @@ def test_criterion_8_f1_cross_check():
 
 def test_criterion_9_relation_sweeps():
     start = time.perf_counter()
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     tol = 1e-6
     ok = True
     count = 0
@@ -218,7 +218,7 @@ def test_criterion_10_reduction_sweep():
     ok = True
     count = 0
     for tau in (TAU, TAU2):
-        ev = get_evaluator(tau)
+        ev = Evaluator(tau)
         for k in indices_within(5, 4, min_length=0):
             expr, trace = reduce_index(k)  # FuelExhausted would raise
             w_set = set()

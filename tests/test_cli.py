@@ -279,23 +279,16 @@ def test_verify_kronecker_catches_a_wrong_letter(capsys, monkeypatch):
         return eulerian, scale, zetas
 
     monkeypatch.setattr(emzv.numerics, "_lambert_constants", flipped)
-    emzv.numerics._evaluator.cache_clear()  # no evaluator keeps letters across the patch
-    try:
-        code, out, err = run(capsys, "verify", "--family", "kronecker", "--tol", "1e-9")
-    finally:
-        emzv.numerics._evaluator.cache_clear()
+    code, out, err = run(capsys, "verify", "--family", "kronecker", "--tol", "1e-9")
     reports = [json.loads(line) for line in out.splitlines() if line]
     assert code == cli.EXIT_VERIFY, err
     assert len(reports) == 20 and not all(rep["passed"] for rep in reports)
     assert max(rep["residual"] for rep in reports) > 1e-4
 
 
-@pytest.mark.parametrize("tau", ["0+1i", "0.5+0.8i"])
-def test_verify_kronecker_catches_a_wrong_zeta_constant(capsys, monkeypatch, tau):
-    """A relative error of 1e-6 in 2 zeta(4), the constant of f_4, fails
-    every point of the family: at |alpha| = R/4, R the shortest period, it
-    moves Fay's identity by about 1e-8, and oddness and the periods cannot
-    see a constant."""
+def perturb_zeta4(monkeypatch):
+    """Scale 2 zeta(4), the constant of f_4, by 1 + 1e-6 in every letter
+    table built from now on."""
     original = emzv.numerics._lambert_constants
 
     def perturbed(top):
@@ -305,14 +298,28 @@ def test_verify_kronecker_catches_a_wrong_zeta_constant(capsys, monkeypatch, tau
         return eulerian, scale, zetas
 
     monkeypatch.setattr(emzv.numerics, "_lambert_constants", perturbed)
-    emzv.numerics._evaluator.cache_clear()  # no evaluator keeps letters across the patch
-    try:
-        code, out, err = run(capsys, "verify", "--family", "kronecker", "--tau", tau, "--tol", "1e-9")
-    finally:
-        emzv.numerics._evaluator.cache_clear()
+
+
+@pytest.mark.parametrize("tau", ["0+1i", "0.5+0.8i"])
+def test_verify_kronecker_catches_a_wrong_zeta_constant(capsys, monkeypatch, tau):
+    """A relative error of 1e-6 in 2 zeta(4), the constant of f_4, fails
+    every point of the family: at |alpha| = R/4, R the shortest period, it
+    moves Fay's identity by about 1e-8, and oddness and the periods cannot
+    see a constant."""
+    perturb_zeta4(monkeypatch)
+    code, out, err = run(capsys, "verify", "--family", "kronecker", "--tau", tau, "--tol", "1e-9")
     reports = [json.loads(line) for line in out.splitlines() if line]
     assert code == cli.EXIT_VERIFY, err
     assert len(reports) == 20 and not any(rep["passed"] for rep in reports)
+
+
+def test_each_cli_run_in_one_process_reads_the_letters_afresh(capsys, monkeypatch):
+    """Each run builds its own Evaluator, so a second run reads the letters
+    as they are then, here with a wrong zeta(4)."""
+    _, before, _ = run(capsys, "eval", "--index", "4", "--tau", "0+1i")
+    perturb_zeta4(monkeypatch)
+    _, after, _ = run(capsys, "eval", "--index", "4", "--tau", "0+1i")
+    assert before != after
 
 
 def test_verify_reports_every_instance_when_some_raise(tmp_path, capsys):
@@ -659,16 +666,31 @@ NUMERIC_NAMES = (
     "Evaluator",
     "NumericsConfig",
     "Tau",
-    "get_evaluator",
     "parse_tau",
     "zeta",
 )
 
-# One-line wrappers over get_evaluator(tau, cfg) that the package no longer ships.
-REMOVED_NUMERIC_NAMES = ("emzv_admissible", "emzv_regularized", "eval_expression", "f_n")
+# Wrappers over Evaluator(tau, cfg) that the package no longer ships: the
+# process-wide evaluator cache and the one-line wrappers that read it.
+REMOVED_NUMERIC_NAMES = (
+    "EVALUATOR_CACHE_SIZE",
+    "_evaluator",
+    "get_evaluator",
+    "emzv_admissible",
+    "emzv_regularized",
+    "eval_expression",
+    "f_n",
+)
 # The double-precision theta series, which the letter-built
 # Evaluator.kronecker replaced.
 REMOVED_THETA_NAMES = ("kronecker_f", "theta", "theta_prime0", "THETA_MAX_TERMS", "_odd_series")
+
+
+def test_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library sketch\n\n```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "-1 * I(0)*I(3,0) + -1 * I(2)*I(1,0)\n"
 
 
 def test_exact_modules_never_import_numerics():
@@ -692,7 +714,7 @@ def test_package_serves_numeric_names_from_numerics():
         assert name not in emzv.__all__ and not hasattr(emzv, name), name
     # The CLI checks a reduction as an identity; the exact side ships no check.
     assert not hasattr(emzv.reduction, "verify_reduction")
-    assert len(emzv.__all__) == 29
+    assert len(emzv.__all__) == 28
     for name in REMOVED_NUMERIC_NAMES:
         assert name not in emzv.__all__ and not hasattr(emzv.numerics, name), name
     for name in REMOVED_THETA_NAMES:

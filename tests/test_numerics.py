@@ -1,10 +1,8 @@
 import cmath
-import gc
 import itertools
 import math
 import re
 import warnings
-import weakref
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -17,7 +15,6 @@ from hypothesis import strategies as st
 
 from emzv.numerics import (
     DEFAULT_CONFIG,
-    EVALUATOR_CACHE_SIZE,
     KRONECKER_ALPHA_FRACTION,
     MAX_IINT_LENGTH,
     MAX_LETTER,
@@ -32,7 +29,6 @@ from emzv.numerics import (
     PreconditionError,
     Tau,
     ToleranceError,
-    get_evaluator,
     parse_config_file,
     parse_tau,
     shortest_period,
@@ -133,7 +129,7 @@ def test_readme_config_example_lists_every_field_at_its_default(tmp_path):
 
 def test_grid_alignment_guard():
     # the letter limit is a domain limit, as for an index entry in regularized
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     with pytest.raises(PreconditionError, match=f"letter order {MAX_LETTER + 1} exceeds the limit 28"):
         ev.f_n(MAX_LETTER + 1, 0.3)
     with pytest.raises(PreconditionError, match=f"letter order {MAX_LETTER + 1} exceeds the limit 28"):
@@ -142,7 +138,7 @@ def test_grid_alignment_guard():
 
 def test_negative_letter_order_is_an_argument_error():
     with pytest.raises(ArgumentError, match="negative letter order -1"):
-        get_evaluator(TAU).f_n(-1, 0.3)
+        Evaluator(TAU).f_n(-1, 0.3)
 
 
 def mp_theta(tau):
@@ -174,7 +170,7 @@ def test_kronecker_properties():
     family's points, each side times alpha (alpha alpha2 for Fay)."""
     from emzv.cli import kronecker_points
 
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     f = ev.kronecker
     points = kronecker_points(ev)
     assert len(points) == 20
@@ -260,14 +256,14 @@ def test_kronecker_pole_error():
     at 0.02 and 1.45 + 0.05i, where a limit set by the distance to the
     lattice refused |alpha| above 0.008, and 1e-7 off 1 and 2 + i.  A
     lattice point z or alpha = 0 is a pole."""
-    ev = get_evaluator(0.5 + 0.1j)
+    ev = Evaluator(0.5 + 0.1j)
     radius = shortest_period(ev.tau)
     assert radius == pytest.approx(0.2)  # |2 tau - 1|, below |tau| and 1
     ev.kronecker(KRONECKER_ALPHA_FRACTION * radius, 0.3)
     for z in (0.3, 0.02, 0.3 + 2.05j):
         with pytest.raises(PreconditionError, match="alpha"):
             ev.kronecker(KRONECKER_ALPHA_FRACTION * radius * (1 + 1e-9), z)
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     for z, size in ((0.02, 0.3), (1.45 + 0.05j, 0.2), (1 + 1e-7j, 0.4), (2.0000001 + 1j, 0.4)):
         for alpha in size * np.exp(2j * math.pi * np.arange(12) / 12):
             ref = mp_kronecker(alpha, z, TAU)
@@ -281,7 +277,7 @@ def test_kronecker_pole_error():
 
 
 def test_kronecker_and_letters_refuse_non_finite_and_array_points():
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     for z in (math.nan, complex(0.3, math.inf), complex(math.nan, 1)):
         with pytest.raises(ArgumentError, match="finite"):
             ev.f_n(2, z)
@@ -319,7 +315,7 @@ def test_kronecker_that_overflows_is_refused_not_inf():
     NonConvergence naming alpha and z, which the CLI maps to exit 4."""
     from emzv.cli import EXIT_CODES, EXIT_NUMERIC
 
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     assert cmath.isfinite(ev.kronecker(0.39j, 0.3 + 280j))
     for z in (0.3 + 300j, 0.3 + 289.4j):
         with pytest.raises(NonConvergence, match=re.escape(f"alpha = 0.39j, z = {z}")) as info:
@@ -361,7 +357,7 @@ def test_pole_error_exactly_within_pole_tolerance_of_the_lattice(tau):
 
 
 def test_f_n_values():
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     rng = np.random.default_rng(11)
     q = math.exp(-2 * math.pi)
     for z in rng.uniform(0.05, 0.95, size=20):
@@ -496,7 +492,7 @@ def test_reduction_sweep_holds_down_to_im_tau_one_twentieth(tau, worst):
 
 
 def test_f_n_pole():
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     with pytest.raises(PoleError):
         ev.f_n(1, 1e-12)
 
@@ -504,7 +500,7 @@ def test_f_n_pole():
 def test_simplex_volumes():
     # from r = 2 NODE_CACHE_LENGTH + 2 on, the prefix of the full word is scratch
     for r in range(1, MAX_IINT_LENGTH + 1):
-        v = get_evaluator(TAU).value((0,) * r)
+        v = Evaluator(TAU).value((0,) * r)
         assert abs(v - 1 / math.factorial(r)) < 1e-10, r
 
 
@@ -523,7 +519,7 @@ def test_long_indices_match_their_reduction(k):
     with a prefix kept only for one Chen sum, against their reductions."""
     from emzv.reduction import reduce_index
 
-    ev = get_evaluator(0.5 + 0.8j)
+    ev = Evaluator(0.5 + 0.8j)
     expr = reduce_index(k)[0]
     assert expr != Expression.atom(k)
     assert abs(ev.value(k) - ev.eval_expression(expr)) <= 1e-12, k
@@ -531,21 +527,21 @@ def test_long_indices_match_their_reduction(k):
 
 def test_length_one_values():
     for tau in (TAU, TAU2):
-        ev = get_evaluator(tau)
+        ev = Evaluator(tau)
         assert abs(ev.value((2,)) + math.pi**2 / 3) < 1e-8
         assert abs(ev.value((3,))) < 1e-8
         assert abs(ev.value((4,)) + 2 * zeta(4)) < 1e-8
-    assert abs(get_evaluator(TAU).regularized(())[0] - 1) < 1e-15
-    assert get_evaluator(TAU).value(()) == 1
+    assert abs(Evaluator(TAU).regularized(())[0] - 1) < 1e-15
+    assert Evaluator(TAU).value(()) == 1
 
 
 def test_admissible_preconditions():
     with pytest.raises(PreconditionError):
-        get_evaluator(TAU).regularized((0,) * 9)
+        Evaluator(TAU).regularized((0,) * 9)
 
 
 def test_quadrature_refinement_agreement():
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     for k in [(2,), (0, 2), (2, 1, 2)]:
         assert ev.regularized(k)[1] < 1e-11, k
 
@@ -594,7 +590,7 @@ def assert_matches_forward(split, k, scale=None):
 # which is what the forward pass integrates.
 @pytest.mark.parametrize("k", [(2,), (0, 2), (2, 1, 3), (0, 1, 1, 2), (4, 1, 0, 2)])
 def test_cut_integral_matches_forward_quadrature(k):
-    for split in get_evaluator(TAU)._splits():
+    for split in Evaluator(TAU)._splits():
         assert_matches_forward(split, k)
 
 
@@ -607,7 +603,7 @@ def test_cut_integral_matches_forward_quadrature_random(k, which):
     # Many words integrate to 0 by the reflection or the shuffle relations,
     # so the error is measured against the integral of the magnitudes, not
     # against the value.
-    split = get_evaluator(TAU)._splits()[which]
+    split = Evaluator(TAU)._splits()[which]
     scale = abs(forward_reference(split, k, magnitude=True)[0])
     assert_matches_forward(split, k, scale)
 
@@ -630,17 +626,6 @@ def test_a_split_reads_its_alphabet_from_its_letter_table():
             expected = chen_sum(split, k)
             got = chen_sum(stacked, tuple(n + 30 for n in k))
             assert abs(got - expected) <= 1e-14 * abs(expected), k
-
-
-def test_evaluator_cache_is_bounded():
-    refs = []
-    for i in range(40):
-        tau = complex(0.01 * i, 1.0)
-        get_evaluator(tau).value((2, 0, 2))
-        refs.append(weakref.ref(get_evaluator(tau)))
-        assert get_evaluator(Tau(tau), DEFAULT_CONFIG) is refs[-1]()
-    gc.collect()
-    assert sum(ref() is not None for ref in refs) <= EVALUATOR_CACHE_SIZE
 
 
 def test_values_do_not_depend_on_cache_order():
@@ -851,6 +836,18 @@ def test_value_validates_what_it_has_not_cached():
         ev.value([2, -1])
 
 
+def test_value_validates_what_it_has_cached():
+    """(2.0,) == (2,) and hashes alike, so a float index finds the cached
+    value of I(2); it is refused all the same, as on a cold evaluator."""
+    ev = Evaluator(TAU)
+    with pytest.raises(ArgumentError):
+        ev.value((2.0,))
+    ev.value((2,))
+    with pytest.raises(ArgumentError):
+        ev.value((2.0,))
+    assert ev.value((True, 0)) == ev.value((1, 0))
+
+
 def mp_gauss_legendre(order: int, dps: int = 40) -> tuple[list, list]:
     """Test-only reference: the nodes (ascending) and weights of the
     `order`-point Gauss-Legendre rule to `dps` digits, by Newton's method on
@@ -927,11 +924,11 @@ def test_regularized_zero_values():
     # I(1) = 0 exactly: reg B_1 enters Chen's sum once with each sign.
     for tau in (TAU, TAU2, 0.5 + 0.8j, 0.1j):
         assert Evaluator(tau).regularized((1,)) == (0, 0)
-    assert abs(get_evaluator(TAU).regularized((1, 1))[0]) < 1e-6
+    assert abs(Evaluator(TAU).regularized((1, 1))[0]) < 1e-6
 
 
 def test_regularized_shuffle_and_reflection():
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     # I(1,0) + I(0,1) = I(1) I(0) = 0
     assert abs(ev.value((1, 0)) + ev.value((0, 1))) < 1e-6
     # reflection through the regularized path only, weights <= 4
@@ -957,6 +954,25 @@ def test_i01_matches_its_q_expansion(tau):
         qm *= q
     closed = 0.5j * math.pi + 2 * series
     assert abs(Evaluator(tau).regularized((0, 1))[0] - closed) < 1e-14
+
+
+@pytest.mark.parametrize("tau", [0.05j, 0.02j, 0.01j, -0.03 + 0.02j, 0.37 + 0.1j, -0.37 + 0.1j, 0.25 + 0.1j])
+def test_i01_matches_its_modular_form_near_the_cusp(tau):
+    """I(0,1) = i pi/2 + 2 log eta(tau) - i pi tau/6, and eta(tau) =
+    (-i tau)^{-1/2} eta(-1/tau) gives
+
+      I(0,1) = i pi/2 - log(-i tau) - i pi/(6 tau) - i pi tau/6
+               + 2 sum_{m>=1} log(1 - qt^m),  qt = exp(-2 pi i / tau),
+
+    whose series is short where the q-expansion is long: at Im tau <= 0.1."""
+    qt = cmath.exp(-2j * math.pi / tau)
+    series, qm = 0j, qt
+    while abs(qm) > 1e-20:
+        series += cmath.log(1 - qm)
+        qm *= qt
+    closed = 0.5j * math.pi - cmath.log(-1j * tau) - 1j * math.pi / (6 * tau) - 1j * math.pi * tau / 6
+    closed += 2 * series
+    assert abs(Evaluator(tau).regularized((0, 1))[0] - closed) < 1e-13
 
 
 # tau, the multiple of 2 pi i by which reg B_1 differs from its closed
@@ -1000,13 +1016,13 @@ NON_ADMISSIBLE = (
 @settings(max_examples=100, deadline=None)
 @given(NON_ADMISSIBLE, NON_ADMISSIBLE)
 def test_regularized_values_multiply_by_shuffle(u, v):
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     rhs = sum(n * ev.value(w) for w, n in shuffle(u, v))
     assert abs(ev.value(u) * ev.value(v) - rhs) < 1e-12
 
 
 def test_reflection_of_zero_one_words():
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     for r in range(1, 6):
         for k in itertools.product((0, 1), repeat=r):
             assert abs(ev.value(k[::-1]) - (-1) ** sum(k) * ev.value(k)) < 1e-12, k
@@ -1024,7 +1040,7 @@ def test_zeta():
 
 
 def test_eval_expression():
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     assert ev.eval_expression(Expression.unit()) == 1
     ident = parity_split((0, 2))
     lhs = ev.eval_expression(ident.lhs)
@@ -1054,7 +1070,7 @@ def test_eval_expression_reads_numerators_bitwise():
     from emzv.faypoly import compositions
     from emzv.reduction import reduce_index
 
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     dens = set()
     for r in range(4):
         for w in range(6):
@@ -1090,7 +1106,7 @@ def test_eval_expression_sum_is_exactly_rounded_and_order_free(terms, den, rng):
     term products."""
     from emzv.relations import monomial
 
-    ev = get_evaluator(TAU)
+    ev = Evaluator(TAU)
     pairs = list({monomial(atoms): n for atoms, n in terms}.items())
     expr = Expression._sum(pairs, den)
     rng.shuffle(pairs)
@@ -1111,7 +1127,7 @@ def test_reduction_of_large_cancelling_sums_at_im_tau_one_twentieth(k):
     than 1e-6."""
     from emzv.reduction import reduce_index
 
-    ev = get_evaluator(0.05j)
+    ev = Evaluator(0.05j)
     assert abs(ev.value(k) - ev.eval_expression(reduce_index(k)[0])) <= 2e-6
 
 

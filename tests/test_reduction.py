@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from emzv import reduction
 from emzv.faypoly import compositions, enumerate_support
-from emzv.numerics import get_evaluator
+from emzv.numerics import Evaluator
 from emzv.reduction import (
     FuelExhausted,
     ReductionStep,
@@ -184,7 +184,7 @@ def test_rewrite_step_dispatch():
 
 
 def test_zero_rotation_identity_numeric():
-    ev = get_evaluator(1j)
+    ev = Evaluator(1j)
     for k in [(1, 2, 0, 0), (1, 3, 0)]:
         step = rewrite_step(k)
         assert step.rule == "zero_rotation"
@@ -193,7 +193,7 @@ def test_zero_rotation_identity_numeric():
 
 
 def test_odd_fay_split_identity_numeric():
-    ev = get_evaluator(1j)
+    ev = Evaluator(1j)
     for k in [(1, 2), (1, 1, 2), (1, 2, 0, 2), (1, 0, 0, 2)]:
         step = rewrite_step(k)
         assert step.rule == "odd_fay_split"
@@ -226,11 +226,11 @@ def test_verify_reduction_generic_tau():
     # Every index of weight <= 4, length <= 3 at a generic tau, and I(0, 0),
     # I(2, 1) at i and I(1, 2, 2) at 2i: the reduction has the direct value.
     for tau, indices in ((0.3 + 1.7j, all_indices(4, 3)), (1j, [(0, 0), (2, 1)]), (2j, [(1, 2, 2)])):
-        ev = get_evaluator(tau)
+        ev = Evaluator(tau)
         for k in indices:
             expr, _ = reduce_index(k)
             assert abs(ev.value(k) - ev.eval_expression(expr)) < 1e-6, (tau, k)
-    assert abs(get_evaluator(1j).value((0, 0)) - 0.5) < 1e-10
+    assert abs(Evaluator(1j).value((0, 0)) - 0.5) < 1e-10
 
 
 # sha256 over "index<TAB>sha256(expression json)" lines of the cold population
