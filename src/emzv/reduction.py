@@ -44,6 +44,7 @@ from .words import (
     is_zero_one,
     parity_is_even,
     word_key,
+    word_sort_key,
 )
 
 DEFAULT_FUEL = 10_000
@@ -76,8 +77,8 @@ class ReductionStep:
     Derived once from those at construction, and left out of equality and
     hashing: `children`, the non-terminal atoms of the rhs in `word_key`
     order; `violation`, the first child whose measure is not below the
-    atom's, or None; and `order`, the key `(measure, word_key)` of the atom
-    that sorts a trace.
+    atom's, or None; and `order`, the key `(measure, word_sort_key)` of the
+    atom that sorts a trace.
     """
 
     rule: str
@@ -94,7 +95,7 @@ class ReductionStep:
         violation = next((c for c in children if measure(c) >= bound), None)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "violation", violation)
-        object.__setattr__(self, "order", (bound, word_key(self.index)))
+        object.__setattr__(self, "order", (bound, word_sort_key(self.index)))
 
 
 @dataclass
@@ -185,7 +186,7 @@ def rewrite_step(k: Index) -> ReductionStep:
 
 
 def _ordered_steps(immediate: dict[Index, ReductionStep]) -> list[ReductionStep]:
-    """The recorded steps in decreasing (measure, word_key) order."""
+    """The recorded steps in decreasing `order`: (measure, word_sort_key)."""
     return sorted(immediate.values(), key=attrgetter("order"), reverse=True)
 
 

@@ -5,16 +5,19 @@ combination of monomials, each monomial a multiset of index atoms standing
 for a formal product of values; the empty monomial is the unit 1.  Its
 coefficients are integer numerators over one common denominator, so sums,
 products and substitutions are plain integer arithmetic.  A monomial is the
-tuple of its atoms in `word_sort_key` order, sorted through the per-process
-memo `word_key`, and `items()` lists monomials by length and then by those
-keys, read from the per-process memo `monomial_key`, so the JSON and text
-renderers do not depend on how an expression was built.  Evaluation needs
-no order: `Evaluator.eval_expression` sums the terms exactly rounded in the
-order they are stored.  An Identity pairs two expressions with a provenance
-tag.  Identities are emitted verbatim from their defining formulas; no
-normalization (such as rewriting an atom via reflection) is applied here,
-so each identity can be audited against its source and validated
-numerically.
+tuple of its atoms in `word_sort_key` order, sorted by the int `word_key`
+of each atom, and `items()` lists monomials by length and then by those
+ints, the tuple `monomial_key`, so the JSON and text renderers do not depend
+on how an expression was built.  Each distinct monomial is handled once per
+process: `substitute` sorts an expanded product once and interns it through
+`canonical_monomial`, so equal monomials of reduced atoms are one object,
+and `terms_json` renders its text up to the coefficient once, through
+`term_prefix`.  Evaluation needs no order: `Evaluator.eval_expression`
+sums the terms exactly rounded in the order they are stored.  An Identity
+pairs two expressions with a provenance tag.  Identities are emitted
+verbatim from their defining formulas; no normalization (such as rewriting
+an atom via reflection) is applied here, so each identity can be audited
+against its source and validated numerically.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ def pair_monomial(a: Index, b: Index, keep_odd: bool = False) -> Monomial | None
     return (b, a) if word_key(b) < word_key(a) else (a, b)
 
 
-def monomial_sort_key(mon: Monomial):
-    return (len(mon), tuple(map(word_key, mon)))
+def monomial_sort_key(mon: Monomial) -> tuple[int, ...]:
+    """The number of atoms, then each atom's `word_key`: a tuple of ints."""
+    return (len(mon), *map(word_key, mon))
 
 
 #: The per-process memo behind `monomial_key`.
@@ -69,6 +73,22 @@ MONOMIAL_KEYS = Memo(monomial_sort_key)
 #: `monomial_sort_key` of a monomial, computed once per process, as
 #: `word_key` is for a word.
 monomial_key = MONOMIAL_KEYS.__getitem__
+
+
+def _canonical(atoms: tuple[Index, ...]) -> Monomial:
+    """The atoms sorted with `word_key`, stored as the canonical monomial of
+    itself unless an equal one is stored already, so every ordering of one
+    multiset of atoms maps to one object."""
+    mon = tuple(sorted(atoms, key=word_key))
+    return MONOMIALS.setdefault(mon, mon)
+
+
+#: The per-process memo behind `canonical_monomial`.
+MONOMIALS = Memo(_canonical)
+
+#: The canonical monomial of a tuple of non-empty atoms in any order, sorted
+#: once per process and interned: equal monomials it returns are one object.
+canonical_monomial = MONOMIALS.__getitem__
 
 
 def coef_text(n: int, den: int) -> str:
@@ -85,6 +105,13 @@ ATOM_TEXTS = Memo(lambda a: json.dumps(list(a)))
 #: `json.dumps(list(a))` of an index a, such as "[1, 2]", computed once per
 #: process.
 atom_json = ATOM_TEXTS.__getitem__
+
+#: The per-process memo behind `term_prefix`.
+TERM_PREFIXES = Memo(lambda m: '{"atoms": [' + ", ".join(map(atom_json, m)) + '], "coef": "')
+
+#: The text of a monomial's JSON term up to its coefficient, such as
+#: '{"atoms": [[1, 2]], "coef": "', computed once per process.
+term_prefix = TERM_PREFIXES.__getitem__
 
 
 class Expression:
@@ -193,7 +220,11 @@ class Expression:
     @classmethod
     def atom(cls, k: Index, coeff: Fraction | int = 1) -> "Expression":
         """Single formal value as an expression; the empty index is the unit."""
-        return cls._sum([(monomial([k]), coeff.numerator)], coeff.denominator)
+        n = coeff.numerator
+        out = cls.__new__(cls)
+        out._terms = {((tuple(k),) if len(k) else ()): n} if n else {}
+        out._den = coeff.denominator
+        return out
 
     def atoms(self) -> set[Index]:
         return {a for mon in self._terms for a in mon}
@@ -214,18 +245,21 @@ class Expression:
         """Replace every occurrence (each power) of every atom in `mapping` by
         its expression, all atoms in one pass.
 
-        A monomial with no mapped atom passes through as it is, and one that
-        is a single mapped atom takes that atom's canonical monomials as they
-        are.  Any other monomial expands straight into (monomial, numerator)
-        pairs over the product of its factors' denominators, its atoms sorted
-        with `word_key`, and one `_sum` adds every pair over the lcm of those
-        denominators, so no intermediate expression is built.
+        A monomial with no mapped atom passes through interned, as its own
+        `canonical_monomial`, and one that is a single mapped atom takes that
+        atom's monomials as they are.  Any other monomial expands straight
+        into (monomial, numerator) pairs over the product of its factors'
+        denominators, each expanded atom tuple mapped to its interned
+        `canonical_monomial`, and one `_sum` adds every pair over the lcm of
+        those denominators, so no intermediate expression is built.  When
+        the mapped expressions hold interned monomials, as `reduced_atom`'s
+        do, so does the result.
         """
         blocks = []  # (denominator, [(monomial, numerator)]) per monomial
         for mon, n in self._terms.items():
             factors = [mapping[a] for a in mon if a in mapping]
             if not factors:
-                blocks.append((1, [(mon, n)]))
+                blocks.append((1, [(MONOMIALS.setdefault(mon, mon), n)]))
                 continue
             if len(mon) == 1:
                 f = factors[0]
@@ -235,7 +269,7 @@ class Expression:
             for f in factors:
                 pairs = [(m + fm, x * fn) for m, x in pairs for fm, fn in f._terms.items()]
             den = math.prod(f._den for f in factors)
-            blocks.append((den, [(tuple(sorted(m, key=word_key)), x) for m, x in pairs]))
+            blocks.append((den, [(canonical_monomial(m), x) for m, x in pairs]))
         den = math.lcm(*(d for d, _ in blocks))
         return Expression._sum(
             ((m, x * s) for d, pairs in blocks for s in (den // d,) for m, x in pairs),
@@ -253,14 +287,11 @@ class Expression:
 
     def terms_json(self) -> str:
         """`json.dumps(self.to_json_dict()["terms"], sort_keys=True)`, written
-        straight from the numerators with one memoised text per atom."""
+        straight from the numerators with one memoised text per monomial."""
         den = self._den
         return (
             "["
-            + ", ".join(
-                '{"atoms": [' + ", ".join(map(atom_json, m)) + '], "coef": "' + coef_text(n, den) + '"}'
-                for m, n in self.numerators()
-            )
+            + ", ".join(term_prefix(m) + coef_text(n, den) + '"}' for m, n in self.numerators())
             + "]"
         )
 

@@ -3,7 +3,9 @@
 An index (k_1, ..., k_r) of non-negative integers doubles as the word
 e_{k_1} ... e_{k_r}.  This module provides the index bookkeeping (weight,
 length, parity, admissibility) together with the shuffle product, whose
-coefficients are positive integers.
+coefficients are positive integers.  Words are ordered canonically by
+`word_sort_key`; `word_key` packs that key into one int per word, computed
+once per process, so sorting words compares ints.
 """
 
 from __future__ import annotations
@@ -84,11 +86,34 @@ class Memo(dict):
         return value
 
 
-#: The per-process memo behind `word_key`.
-WORD_KEYS = Memo(word_sort_key)
+#: Width of one entry's field in `word_int_key`: every entry the engine
+#: builds fits, up to 2 * (MAX_ENTRY - 1) from the length-2 formula.
+ENTRY_BITS = 32
 
-#: `word_sort_key` of a word (a tuple), computed once per process.  Sorting
-#: with it gives exactly the canonical order, one dict lookup per word.
+#: Width of the weight field in `word_int_key`: a word of fewer than
+#: 2**32 entries, each below 2**ENTRY_BITS, has a weight below 2**64.
+WEIGHT_BITS = 64
+
+
+def word_int_key(k: Index) -> int:
+    """`word_sort_key` packed into one int that orders and equates words as
+    it does: length, then weight, then the entries, ENTRY_BITS bits each,
+    from the most significant field down.  Words of one length have fields
+    of one width, and a longer word's length field outweighs the rest."""
+    key = (len(k) << WEIGHT_BITS) + sum(k)
+    for e in k:
+        if not 0 <= e < 1 << ENTRY_BITS:
+            raise ArgumentError(f"index entry {e} does not fit a word key")
+        key = key << ENTRY_BITS | e
+    return key
+
+
+#: The per-process memo behind `word_key`.
+WORD_KEYS = Memo(word_int_key)
+
+#: `word_int_key` of a word (a tuple), computed once per process.  Sorting
+#: with it gives exactly the canonical order, one dict lookup and one int
+#: comparison per word.
 word_key = WORD_KEYS.__getitem__
 
 

@@ -4,8 +4,9 @@ The shuffle Hopf algebra's deconcatenation coproduct and antipode, whose
 convolution identity underlies `emzv.relations.parity_split`; the bilinear
 extension of the shuffle product to combinations of words; the weight of
 a monomial and of an expression; the residual of an identity; the filter
-of monomials with a vanishing length-1 factor; and the inverse of
-`Expression.to_json_dict`.
+of monomials with a vanishing length-1 factor; the inverse of
+`Expression.to_json_dict`; and the reset of every per-process cache of the
+exact side.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
+from emzv import relations, words
+from emzv.reduction import reduced_atom, rewrite_step
 from emzv.relations import Expression, Identity, Monomial, monomial
 from emzv.words import Index, as_index, shuffle, weight
 
@@ -94,3 +97,15 @@ def expression_from_json_dict(data: dict) -> Expression:
     return Expression.collect(
         (monomial(as_index(a) for a in t["atoms"]), Fraction(t["coef"])) for t in data["terms"]
     )
+
+
+def clear_exact_caches() -> None:
+    """Empty every per-process cache and memo of the exact side, so the next
+    reduction runs cold."""
+    rewrite_step.cache_clear()
+    reduced_atom.cache_clear()
+    shuffle.cache_clear()
+    for module in (words, relations):
+        for memo in vars(module).values():
+            if isinstance(memo, words.Memo):
+                memo.clear()

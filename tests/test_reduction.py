@@ -23,17 +23,15 @@ from emzv.reduction import (
     reduced_atom,
     rewrite_step,
 )
-from emzv.relations import MONOMIAL_KEYS, Expression, Identity, monomial, split_sign
+from emzv.relations import Expression, Identity, monomial, split_sign
 from emzv.words import (
-    WORD_KEYS,
     is_admissible,
     is_zero_one,
     reflection_sign,
-    shuffle,
     weight,
     word_sort_key,
 )
-from exact_helpers import drop_odd_singletons, monomial_weight, shuffle_combo
+from exact_helpers import clear_exact_caches, drop_odd_singletons, monomial_weight, shuffle_combo
 
 
 def A(*entries, coeff=1):
@@ -250,11 +248,7 @@ def test_cold_population_digest():
     assert len(population) == 285
     lines = []
     for k in population:
-        rewrite_step.cache_clear()
-        reduced_atom.cache_clear()
-        shuffle.cache_clear()
-        WORD_KEYS.clear()
-        MONOMIAL_KEYS.clear()
+        clear_exact_caches()
         expr, _ = reduce_index(k)
         digest = hashlib.sha256(json.dumps(expr.to_json_dict(), sort_keys=True).encode())
         lines.append(f"{','.join(map(str, k))}\t{digest.hexdigest()}\n")
@@ -270,16 +264,26 @@ def test_cold_reductions_leave_no_reference_cycles():
     gc.disable()
     try:
         for k in indices:
-            rewrite_step.cache_clear()
-            reduced_atom.cache_clear()
-            shuffle.cache_clear()
-            WORD_KEYS.clear()
-            MONOMIAL_KEYS.clear()
+            clear_exact_caches()
             reduce_index(k)
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+def test_reduced_monomials_are_interned_and_rendered_once():
+    # One process reduces every index of weight <= 7 and length <= 5: equal
+    # monomials of all the reduced atoms are one object, and each row's
+    # memoised JSON is the json module's.
+    clear_exact_caches()
+    monomials = []
+    for k in all_indices(7, 5):
+        expr, _ = reduce_index(k)
+        assert expr.terms_json() == json.dumps(expr.to_json_dict()["terms"], sort_keys=True), k
+        if not is_terminal(k):
+            monomials += reduced_atom(k)._terms
+    assert len({id(m) for m in monomials}) == len(set(monomials)) > 1000
 
 
 def test_steps_carry_their_children_and_measure_check():

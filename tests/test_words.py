@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from emzv.relations import MONOMIAL_KEYS, Expression, monomial, monomial_sort_key
 from emzv.words import (
+    MAX_ENTRY,
     WORD_KEYS,
     ArgumentError,
     as_index,
@@ -20,6 +21,8 @@ from emzv.words import (
     reflection_sign,
     shuffle,
     weight,
+    word_int_key,
+    word_key,
     word_sort_key,
 )
 from exact_helpers import antipode, antipode_convolution, coproduct, shuffle_combo
@@ -234,6 +237,48 @@ def test_numerators_sort_through_the_key_memos(data):
     assert combo.numerators() == expected  # cold memos
     assert combo.numerators() == expected  # warm memos
     assert all(MONOMIAL_KEYS[m] == monomial_sort_key(m) for m in list(MONOMIAL_KEYS))
+
+
+# The largest entry the engine builds: r + s in the length-2 formula.
+TOP_ENTRY = 2 * (MAX_ENTRY - 1)
+KEY_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, 2, TOP_ENTRY - 1, TOP_ENTRY]), st.integers(0, TOP_ENTRY)
+)
+KEY_WORDS = st.lists(KEY_ENTRIES, max_size=9).map(tuple)
+
+
+def _same_order(x, y, key_x, key_y, ref_x, ref_y):
+    assert (key_x < key_y) == (ref_x < ref_y), (x, y)
+    assert (key_x == key_y) == (ref_x == ref_y) == (x == y), (x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_word_key_orders_as_word_sort_key(data):
+    a = data.draw(KEY_WORDS)
+    # the second word is often a permutation of the first (same length and
+    # weight) or of the same length
+    same_length = st.lists(KEY_ENTRIES, min_size=len(a), max_size=len(a)).map(tuple)
+    b = data.draw(st.one_of(KEY_WORDS, st.permutations(a).map(tuple), same_length))
+    for x, y in ((a, b), (b, a), (a, a)):
+        _same_order(x, y, word_int_key(x), word_int_key(y), word_sort_key(x), word_sort_key(y))
+        assert word_key(x) == word_int_key(x) and type(word_key(x)) is int
+    mons = st.lists(KEY_WORDS.filter(len), max_size=4).map(monomial)
+    p, q = data.draw(mons), data.draw(mons)
+    for x, y in ((p, q), (q, p)):
+        ref_x, ref_y = ((len(m), [word_sort_key(w) for w in m]) for m in (x, y))
+        _same_order(x, y, monomial_sort_key(x), monomial_sort_key(y), ref_x, ref_y)
+        assert all(type(e) is int for e in monomial_sort_key(x))
+
+
+def test_integer_word_key_extremes():
+    top = (TOP_ENTRY,)
+    assert word_int_key(()) < word_int_key((0,)) < word_int_key(top) < word_int_key((0, 0))
+    assert word_int_key((TOP_ENTRY,) * 9) < word_int_key((0,) * 10)
+    assert word_int_key((0, TOP_ENTRY)) < word_int_key((1, TOP_ENTRY - 1))
+    for bad in [(2**32,), (0, -1)]:
+        with pytest.raises(ArgumentError, match="does not fit"):
+            word_int_key(bad)
 
 
 # Integer core: every Expression holds integer numerators over one
