@@ -12,8 +12,8 @@ Multiplying by u_1 ... u_r yields a homogeneous integer polynomial of degree
 weight(l); its coefficients c<l|k> (the coefficient of u^k) drive the Fay
 relation between values.
 
-`c_coeff` and `enumerate_support` read one coefficient without building any
-polynomial.  With 0-based variables and suffix forms T_v = u_v + ... +
+`enumerate_support` and `c_coeff` read the coefficients without building
+any polynomial.  With 0-based variables and suffix forms T_v = u_v + ... +
 u_{r-1}, summand i of u_1 ... u_r P_l is
 
     (-1)^{l_i-1} u^e T_{i-1}^{l_{i-1}-1} T_i^{l_i-1},
@@ -25,95 +25,108 @@ u_0 >> u_1 >> ... >> u_{r-1}, with
     T_{i-1}^p = sum_j C(p, j) u_{i-1}^{p-j} T_i^j,     C(-1, j) = (-1)^j,
     1/T_v     = sum_t (-1)^t u_v^{-1-t} T_{v+1}^t.
 
-The exponent of u_{i-1} in k fixes j and that of u_v fixes t, so the
-summand's u^k coefficient is one binomial times one multinomial.  Laurent
-expansion is an injective ring map and the sum of the summands is a
-polynomial, so these coefficients add up to c<l|k> with no division.
+Laurent expansion is an injective ring map and the sum of the summands is a
+polynomial, so the summands' u^k coefficients add up to c<l|k> with no
+division.  Summand i reaches u^k only if l agrees with k before place
+i - 1.  Its coefficient is then one binomial C(l_{i-1} - 1, j), with
+j = l_{i-1} - k_{i-1} (none for i = 0), times the coefficient of u^t in
+T_i^n, where t_v = k_v - l_{v+1} for i <= v < r - 1, t_{r-1} = k_{r-1} - 1
+and n = j + l_i - 1 (l_0 - 1 for i = 0) is the sum of the t_v.  For n >= 0
+that is the multinomial n! / prod t_v!, nonzero only when every t_v >= 0,
+that is l_{v+1} <= k_v.  At the pole n = -1 (j = 0 and l_i = 0) it is
+(-1)^{n'} times the multinomial of the later t_v, whose sum is n', and
+l_{i+1} = k_i + 1 + n'.
+
+`enumerate_support` turns this around.  For a fixed k it walks each
+summand's box once: the entries l_{v+1} in [0, k_v], built right to left
+as tails that the summands share, each with its running multinomial, and
+then the pivot j.  Every term is added into one dict, where the summands'
+terms cancel to the support.  `c_coeff` is the same walk over the box of
+one l.
 
 The exact polynomial they are tested against lives in `tests/fay_reference.py`.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import comb, factorial
+from math import comb
 from typing import Iterator
 
-from .words import ArgumentError, Index, weight
+from .words import ArgumentError, Index, as_index, weight
 
 #: Largest column weight `c_coeff` and `enumerate_support` accept: an input
-#: limit, not a field width.  The arithmetic is exact at any weight, but a
-#: support search may visit up to C(w + r - 1, r - 1) compositions of weight w.
+#: limit, not a field width.  The arithmetic is exact at any weight, but the
+#: walk of k visits at most r (weight(k) + 3) prod_v (k_v + 1) terms.
 MAX_WEIGHT = 255
 
 
-def _power_coeff(n: int, t: list[int]) -> int:
-    """Coefficient of u^t in T^n, T the sum of the variables of t, n >= -1.
-
-    The caller guarantees sum(t) == n.  For n = -1 the first variable
-    carries the series 1/T = sum_s (-1)^s u^{-1-s} T'^s, T' the sum of the
-    other variables; the term s is the only one with exponent t[0].
-    """
-    sign = 1
-    if n < 0:
-        n = -1 - t[0]
-        if n < 0:
-            return 0
-        sign = -1 if n % 2 else 1
-        t = t[1:]  # T' lacks the first variable
-    out = factorial(n)
-    for x in t:
-        if x < 0:
-            return 0
-        out //= factorial(x)
-    return sign * out
-
-
-def _column_coeff(l: Index, k: Index) -> int:
-    """c<l|k> summed over the Laurent expansions of the summands of P_l.
-
-    Requires len(l) == len(k) and weight(l) == weight(k).  Summand i has
-    monomial u_0^{l_0} ... u_{i-2}^{l_{i-2}} u_{i-1} u_i^{l_{i+1}} ...
-    u_{r-2}^{l_{r-1}} u_{r-1}, so it contributes only if l and k agree
-    before position i - 1; the later summands then fail too.
-    """
-    r = len(l)
-    total = 0
-    for i in range(r):
-        if i >= 2 and l[i - 2] != k[i - 2]:
-            break
-        if i == 0:
-            c, n = 1, l[0] - 1
-        else:
-            j = l[i - 1] - k[i - 1]
-            if j < 0:
-                continue
-            # l_{i-1} = 0 forces k_{i-1} = 0 and j = 0, where C(-1, 0) = 1.
-            c, n = comb(l[i - 1] - 1, j) if l[i - 1] else 1, j + l[i] - 1
-            if c == 0:
-                continue
-        t = [k[v] - l[v + 1] for v in range(i, r - 1)]
-        t.append(k[r - 1] - 1)
-        c *= _power_coeff(n, t)
-        total += -c if (l[i] - 1) % 2 else c
-    return total
-
-
-def _check_weight(k: Index) -> None:
+def _column(k) -> Index:
+    """`k` as an index, checked to be a non-empty column of the table."""
+    k = as_index(k)
+    if len(k) == 0:
+        raise ArgumentError("a Fay column needs a non-empty index")
     if weight(k) > MAX_WEIGHT:
         raise ArgumentError(f"weight {weight(k)} exceeds {MAX_WEIGHT}")
+    return k
+
+
+def _walk(k: Index, lo: Index, hi: Index) -> dict[Index, int]:
+    """Every nonzero summand term of the u^k coefficients c<l|k>, summed
+    per l, for the l of length(k) with lo <= l <= hi entrywise; a sum that
+    cancels to 0 is kept."""
+    r = len(k)
+    if k[-1] == 0:
+        # t_{r-1} = -1: only the pole of summand r - 1, at l = k, survives.
+        inside = all(a <= e <= b for a, e, b in zip(lo, k, hi))
+        return {k: -1} if inside else {}
+    # tails[s - 1]: (l[s:], n, multinomial of u^t in T^n) for s = 1..r, where
+    # t holds t_v = k_v - l_{v+1} for v >= s - 1 and t_{r-1} = k_{r-1} - 1.
+    tails = [[((), k[-1] - 1, 1)]]
+    for s in range(r - 1, 0, -1):
+        e, level = k[s - 1], []
+        for x in range(lo[s], min(hi[s], e) + 1):
+            t = e - x
+            level += [((x,) + tail, n + t, m * comb(n + t, t)) for tail, n, m in tails[-1]]
+        tails.append(level)
+    tails.reverse()
+    out: dict[Index, int] = {}
+    get = out.get
+    for i in range(r):
+        if i >= 2 and not lo[i - 2] <= k[i - 2] <= hi[i - 2]:
+            break  # summand i and the later ones need l[:i-1] == k[:i-1]
+        if i == 0:  # summand 0, n >= 0: l_0 = n + 1
+            for tail, n, m in tails[0]:
+                if lo[0] <= n + 1 <= hi[0]:
+                    l = (n + 1,) + tail
+                    out[l] = get(l, 0) + (-m if n % 2 else m)
+        else:  # summand i, n >= 0: l_{i-1} = k_{i-1} + j, l_i = n + 1 - j
+            pre, a = k[: i - 1], k[i - 1]
+            for tail, n, m in tails[i]:
+                # a = 0 admits j = 0 alone: C(l - 1, l) = 0 for l >= 1.
+                top = min(hi[i - 1] - a, n + 1 - lo[i], n + 1 if a else 0)
+                for j in range(max(lo[i - 1] - a, n + 1 - hi[i], 0), top + 1):
+                    c = comb(a + j - 1, j) * m if a else m
+                    l = pre + (a + j, n + 1 - j) + tail
+                    out[l] = get(l, 0) + (-c if (n - j) % 2 else c)
+        if i < r - 1 and lo[i] == 0 and (i == 0 or lo[i - 1] <= k[i - 1] <= hi[i - 1]):
+            # the pole of summand i: l = k[:i] + (0, k_i + 1 + n') + tail
+            pre, b = k[:i] + (0,), k[i] + 1
+            for tail, n, m in tails[i + 1]:
+                if lo[i + 1] <= b + n <= hi[i + 1]:
+                    l = pre + (b + n,) + tail
+                    out[l] = get(l, 0) + (m if n % 2 else -m)
+    return out
 
 
 def c_coeff(l: Index, k: Index) -> int:
     """Coefficient of u_1^{k_1} ... u_r^{k_r} in u_1 ... u_r P_l."""
+    l = as_index(l)
+    k = _column(k)
     if len(l) != len(k):
         raise ArgumentError(f"index length mismatch: {len(l)} vs {len(k)}")
-    if len(l) == 0:
-        raise ArgumentError("c_coeff requires non-empty indices")
-    _check_weight(k)
     if weight(l) != weight(k):
         return 0
-    return _column_coeff(tuple(l), tuple(k))
+    return _walk(k, l, l).get(l, 0)
 
 
 def compositions(total: int, parts: int) -> Iterator[Index]:
@@ -130,53 +143,9 @@ def compositions(total: int, parts: int) -> Iterator[Index]:
             yield (first,) + rest
 
 
-def _box_compositions(total: int, box: list[tuple[int, int]]) -> Iterator[Index]:
-    """Compositions of `total` with lo <= part <= hi for each (lo, hi) in
-    `box`; the last part takes what the others leave."""
-    *head, (lo, hi) = box
-    for parts in product(*(range(a, min(b, total) + 1) for a, b in head)):
-        last = total - sum(parts)
-        if lo <= last <= hi:
-            yield parts + (last,)
-
-
-def _reachable_boxes(k: Index) -> Iterator[list[tuple[int, int]]]:
-    """Per-part (lo, hi) bounds whose boxes cover every l of weight(k) for
-    which some summand of `_column_coeff(l, k)` can be nonzero.
-
-    Summand i needs l[:i-1] == k[:i-1], then l[i-1] >= k[i-1] (so l[i-1] = 0
-    when k[i-1] = 0: C(l-1, l) = 0 for l >= 1); l[i] is free.  Past it,
-    every l[v+1] <= k[v], since a series term with a negative exponent
-    vanishes, except when the power is n = -1 (l[i-1] = k[i-1], l[i] = 0):
-    then 1/T_i needs l[i+1] > k[i] instead.  Summand 0 has no head.
-    """
-    r, w = len(k), weight(k)
-    for i in range(r):
-        head = [(e, e) for e in k[: max(i - 1, 0)]]
-        pivot = [] if i == 0 else [(k[i - 1], w) if k[i - 1] else (0, 0)]
-        yield head + pivot + [(0, w)] + [(0, k[v]) for v in range(i, r - 1)]
-        if i < r - 1:
-            pole = [] if i == 0 else [(k[i - 1], k[i - 1])]
-            tail = [(0, k[v]) for v in range(i + 1, r - 1)]
-            yield head + pole + [(0, 0), (k[i] + 1, w)] + tail
-
-
 def enumerate_support(k: Index) -> list[tuple[Index, int]]:
-    """All l with c<l|k> != 0, in composition order.
-
-    By homogeneity the support sits among compositions of weight(k) into
-    length(k) non-negative parts; only those in some `_reachable_boxes`
-    box are tested.
-    """
-    k = tuple(k)
-    if len(k) == 0:
-        raise ArgumentError("enumerate_support requires a non-empty index")
-    _check_weight(k)
-    w = weight(k)
-    candidates = {l for box in _reachable_boxes(k) for l in _box_compositions(w, box)}
-    out = []
-    for l in sorted(candidates):
-        c = _column_coeff(l, k)
-        if c != 0:
-            out.append((l, c))
-    return out
+    """All (l, c<l|k>) with c<l|k> != 0, in composition order: the walk of
+    every summand over its box, with the cancelled sums left out."""
+    k = _column(k)
+    w, r = weight(k), len(k)
+    return sorted(item for item in _walk(k, (0,) * r, (w,) * r).items() if item[1])

@@ -30,10 +30,9 @@ from .faypoly import enumerate_support
 from .relations import (
     Expression,
     Identity,
-    pair_monomial,
+    add_split_terms,
     parity_split,
     reflection_identity,
-    split_sign,
     trailing_ones,
 )
 from .words import (
@@ -89,10 +88,17 @@ class ReductionStep:
     order: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        rhs_atoms = self.identity.rhs.atoms()
-        children = tuple(sorted((a for a in rhs_atoms if not is_terminal(a)), key=word_key))
-        bound = measure(self.index)
-        violation = next((c for c in children if measure(c) >= bound), None)
+        # `not is_terminal(a)` inline: an rhs atom is never empty, so it is
+        # non-terminal when it has a boundary 1 and an entry above 1.
+        children = tuple(
+            sorted(
+                (a for a in self.identity.rhs.atoms() if (a[0] == 1 or a[-1] == 1) and max(a) > 1),
+                key=word_key,
+            )
+        )
+        # A shorter child's measure is below the bound without computing it.
+        bound, r = measure(self.index), len(self.index)
+        violation = next((c for c in children if len(c) >= r and measure(c) >= bound), None)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "violation", violation)
         object.__setattr__(self, "order", (bound, word_sort_key(self.index)))
@@ -127,20 +133,11 @@ def _odd_fay_split(k: Index) -> Identity:
     terms of the second sum have an admissible second factor.
     """
     r = len(k)
-    kp = k[:-1] + (0, k[-1])
-    pairs = [
-        (m, -split_sign(kp, i))
-        for i in range(1, r + 1)
-        if (m := pair_monomial(kp[:i], kp[i:])) is not None
-    ]
+    nums: dict = {}
+    add_split_terms(nums, k[:-1] + (0, k[-1]), 1, r + 1, -1)
     for s, c in enumerate_support(k):
-        s0 = s + (0,)
-        pairs += [
-            (m, -c * split_sign(s0, i))
-            for i in range(1, r)
-            if (m := pair_monomial(s[:i], s0[i:])) is not None
-        ]
-    rhs = Expression._sum(pairs, 1)
+        add_split_terms(nums, s + (0,), 1, r, -c)
+    rhs = Expression._from_numerators(nums, 1)
     return Identity(Expression.atom(k), rhs, "reduction_step")
 
 
@@ -156,13 +153,9 @@ def _zero_rotation(k: Index) -> Identity:
     its rightmost entry >= 2 one position further right than in k.
     """
     ext = (0,) + k
-    pairs = [((ext,), 2)]
-    pairs += [
-        (m, split_sign(ext, i))
-        for i in range(2, len(k) + 1)
-        if (m := pair_monomial(ext[:i], ext[i:])) is not None
-    ]
-    rhs = Expression._sum(pairs, 1)
+    nums = {(ext,): 2}
+    add_split_terms(nums, ext, 2, len(k) + 1, 1)
+    rhs = Expression._from_numerators(nums, 1)
     return Identity(Expression.atom(k), rhs, "reduction_step")
 
 

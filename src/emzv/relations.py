@@ -49,17 +49,34 @@ def monomial(atoms: Iterator[Index]) -> Monomial:
     return tuple(sorted((tuple(a) for a in atoms if len(a) > 0), key=word_key))
 
 
-def pair_monomial(a: Index, b: Index, keep_odd: bool = False) -> Monomial | None:
-    """`monomial((a, b))` from one `word_key` comparison, or None (the term
-    drops) when a factor is a length-1 index of odd weight, whose value
-    vanishes, unless `keep_odd`."""
-    if not keep_odd and ((len(a) == 1 and a[0] % 2) or (len(b) == 1 and b[0] % 2)):
-        return None
-    if not a:
-        return (b,) if b else ()
-    if not b:
-        return (a,)
-    return (b, a) if word_key(b) < word_key(a) else (a, b)
+def add_split_terms(
+    nums: dict, word: Index, start: int, stop: int, coef: int, keep_odd: bool = False
+) -> None:
+    """Add the terms coef sign_i I(word_{<=i}) I(word_{>i}) of the cuts
+    start <= i < stop, 0 < start and stop <= len(word), into `nums`
+    (monomial -> integer numerator), with
+    sign_i = (-1)^{word_{i+1} + ... + word_r + r - i}.
+
+    The suffix parity is summed once and carried from cut to cut.  Each
+    monomial is `monomial((word[:i], word[i:]))`: its two atoms ordered by
+    length, and by one `word_key` comparison only at equal lengths.  A term
+    with a length-1 factor of odd weight, whose value vanishes, is left out
+    unless `keep_odd`.  Adding in place builds no (monomial, numerator)
+    pairs: at the frontier a list of them lived long enough to be promoted
+    by the garbage collector and to trigger extra full collections.
+    """
+    r = len(word)
+    odd = (sum(word[start:]) + r - start) % 2
+    get = nums.get
+    for i in range(start, stop):
+        if keep_odd or not ((i == 1 and word[0] % 2) or (i == r - 1 and word[i] % 2)):
+            a, b = word[:i], word[i:]
+            if 2 * i == r:
+                m = (b, a) if word_key(b) < word_key(a) else (a, b)
+            else:
+                m = (a, b) if 2 * i < r else (b, a)
+            nums[m] = get(m, 0) + (-coef if odd else coef)
+        odd ^= 1 - word[i] % 2  # the suffix loses word[i] and one place
 
 
 def monomial_sort_key(mon: Monomial) -> tuple[int, ...]:
@@ -121,8 +138,9 @@ class Expression:
     nonzero int) over one common denominator `_den > 0`, in lowest terms:
     gcd(_den, *numerators) == 1.  That form is unique, so two expressions
     are equal when they have the same numerators and denominator.  Every
-    arithmetic path ends in `_sum`, which restores the form; `items` and
-    `coeff` return `Fraction`s.  Instances are treated as immutable values.
+    arithmetic path ends in `_from_numerators`, most through `_sum`, which
+    restores the form; `items` and `coeff` return `Fraction`s.  Instances
+    are treated as immutable values.
     """
 
     __slots__ = ("_terms", "_den")
@@ -143,7 +161,16 @@ class Expression:
         nums: dict = {}
         for key, n in pairs:
             nums[key] = nums.get(key, 0) + n
-        nums = {k: n for k, n in nums.items() if n}
+        return cls._from_numerators(nums, den)
+
+    @classmethod
+    def _from_numerators(cls, nums: dict, den: int) -> "Expression":
+        """The expression of the summed numerators `nums` (monomial -> int)
+        over `den`, in canonical form: zero numerators dropped, common
+        factors divided out.  Without a zero numerator, `nums` is taken over
+        as it is, not copied."""
+        if not all(nums.values()):
+            nums = {k: n for k, n in nums.items() if n}
         if den != 1:
             g = math.gcd(den, *nums.values())
             if g != 1:
@@ -379,11 +406,6 @@ def prop_mat_identity(r: int, s: int) -> Identity:
     return Identity(lhs, rhs, "prop_mat")
 
 
-def split_sign(k: Index, i: int) -> int:
-    """Sign (-1)^{k_{i+1}+...+k_r + r - i} attached to the split after place i."""
-    return -1 if (sum(k[i:]) + len(k) - i) % 2 else 1
-
-
 def parity_split(k: Index) -> Identity:
     """Split an even-parity value into products of strictly shorter values.
 
@@ -402,10 +424,9 @@ def parity_split(k: Index) -> Identity:
         raise PreconditionError("parity split needs a non-empty index")
     if len(k) == 1:
         raise PreconditionError("length-1 indices have no non-trivial split")
-    rhs = Expression._sum(
-        ((pair_monomial(k[:i], k[i:], keep_odd=True), -split_sign(k, i)) for i in range(1, len(k))),
-        2,
-    )
+    nums: dict = {}
+    add_split_terms(nums, k, 1, len(k), -1, keep_odd=True)
+    rhs = Expression._from_numerators(nums, 2)
     return Identity(Expression.atom(k), rhs, "parity_split")
 
 

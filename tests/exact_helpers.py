@@ -4,9 +4,10 @@ The shuffle Hopf algebra's deconcatenation coproduct and antipode, whose
 convolution identity underlies `emzv.relations.parity_split`; the bilinear
 extension of the shuffle product to combinations of words; the weight of
 a monomial and of an expression; the residual of an identity; the filter
-of monomials with a vanishing length-1 factor; the inverse of
-`Expression.to_json_dict`; and the reset of every per-process cache of the
-exact side.
+of monomials with a vanishing length-1 factor; the sign of a parity split
+summed afresh at each cut, the reference for `relations.add_split_terms`;
+the inverse of `Expression.to_json_dict`; and the reset of every
+per-process cache of the exact side.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def has_odd_singleton(mon: Monomial) -> bool:
 def drop_odd_singletons(expr: Expression) -> Expression:
     """Remove monomials with a length-1 odd-weight factor (those values vanish)."""
     return Expression.collect((m, c) for m, c in expr.items() if not has_odd_singleton(m))
+
+
+def split_sign(k: Index, i: int) -> int:
+    """Sign (-1)^{k_{i+1}+...+k_r + r - i} attached to the split after place i."""
+    return -1 if (sum(k[i:]) + len(k) - i) % 2 else 1
 
 
 def expression_from_json_dict(data: dict) -> Expression:

@@ -1,11 +1,12 @@
 """Exact reference for the Fay column: the polynomial u_1 ... u_r P_l itself.
 
-`emzv.faypoly` reads single coefficients c<l|k> from a closed form and never
+`emzv.faypoly` reads the coefficients c<l|k> from a closed form and never
 builds a polynomial.  `p_poly` builds the whole polynomial the slow, obvious
 way: it assembles the summands of P_l over a common denominator of suffix
 forms in `SparsePoly`, whose exponents are unbounded, and divides that
 denominator out exactly, checking that no remainder survives.  The tests
-compare `c_coeff` and `enumerate_support` against it.
+compare `c_coeff` and `enumerate_support` against it, the latter through
+`p_support`, which reads the column of k from every `p_poly(l)`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from itertools import chain
 from operator import add
 from typing import Iterable
 
-from emzv.words import ArgumentError, Index
+from emzv.faypoly import compositions
+from emzv.words import ArgumentError, Index, weight
 
 ExpVec = tuple[int, ...]
 
@@ -218,3 +220,8 @@ def p_poly(l: Index) -> SparsePoly:
     return total
 
 
+def p_support(k: Index) -> list[tuple[Index, int]]:
+    """Every (l, c<l|k>) with c<l|k> != 0, in composition order, read from
+    `p_poly(l)` for each l of the weight and length of k (memoised per l)."""
+    out = [(l, p_poly(l).coeff(k)) for l in compositions(weight(k), len(k))]
+    return [(l, c) for l, c in out if c]

@@ -6,13 +6,13 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emzv
 from emzv.faypoly import c_coeff, compositions, enumerate_support
 from emzv.words import ArgumentError, weight
-from fay_reference import NonPolynomialError, SparsePoly, p_poly
+from fay_reference import NonPolynomialError, SparsePoly, p_poly, p_support
 
 
 def rational_p_times_us(l, us):
@@ -358,6 +358,51 @@ def test_c_coeff_matches_p_poly(data):
     k = data.draw(zero_rich_composition(w, r))
     l = data.draw(zero_rich_composition(w, r))
     assert c_coeff(l, k) == p_poly(l).coeff(k)
+
+
+#: Largest weight per length at which `p_support` stays cheap: it builds
+#: `p_poly(l)` for every l of the weight and length of k.
+SUPPORT_MAX_WEIGHT = {1: 10, 2: 10, 3: 9, 4: 8, 5: 7, 6: 5, 7: 4}
+
+
+@st.composite
+def fay_columns(draw):
+    """An index of length 1-7 within SUPPORT_MAX_WEIGHT: zero-rich, or that
+    with its last entry set to 0, or with every other entry capped at 1."""
+    r = draw(st.integers(1, 7))
+    k = draw(zero_rich_composition(draw(st.integers(0, SUPPORT_MAX_WEIGHT[r])), r))
+    shape = draw(st.sampled_from(("zero-rich", "ends in 0", "ones")))
+    if shape == "ends in 0":
+        return k[:-1] + (0,)
+    if shape == "ones":
+        return tuple(min(e, 1) for e in k[:-1]) + k[-1:]
+    return k
+
+
+@given(k=fay_columns())
+@example(k=(0,))
+@example(k=(1, 2, 0))
+@example(k=(1, 1, 0, 1))
+@example(k=(1, 0, 1, 0, 0, 1, 1))
+@settings(deadline=None)
+def test_support_walk_matches_p_poly(k):
+    # The walk adds the summands' terms per l; the reference reads the
+    # column of k from every polynomial of k's weight and length.
+    assert enumerate_support(k) == p_support(k)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_support((-1, 2)),
+        lambda: enumerate_support((1.0, 2)),
+        lambda: c_coeff((3,), (3.5,)),
+    ],
+    ids=["support of a negative entry", "support of a float entry", "c_coeff of a float entry"],
+)
+def test_bad_indices_raise_argument_error(call):
+    with pytest.raises(ArgumentError):
+        call()
 
 
 def test_production_path_builds_no_polynomial():

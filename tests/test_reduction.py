@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emzv import reduction
-from emzv.faypoly import compositions, enumerate_support
+from emzv.faypoly import compositions
 from emzv.numerics import Evaluator
 from emzv.reduction import (
     FuelExhausted,
@@ -23,7 +23,7 @@ from emzv.reduction import (
     reduced_atom,
     rewrite_step,
 )
-from emzv.relations import Expression, Identity, monomial, split_sign
+from emzv.relations import Expression, Identity, monomial
 from emzv.words import (
     is_admissible,
     is_zero_one,
@@ -31,7 +31,14 @@ from emzv.words import (
     weight,
     word_sort_key,
 )
-from exact_helpers import clear_exact_caches, drop_odd_singletons, monomial_weight, shuffle_combo
+from exact_helpers import (
+    clear_exact_caches,
+    drop_odd_singletons,
+    monomial_weight,
+    shuffle_combo,
+    split_sign,
+)
+from fay_reference import p_support
 
 
 def A(*entries, coeff=1):
@@ -346,7 +353,9 @@ def test_measure_violation_raises_with_partial_trace(monkeypatch):
 
 def _reference_rhs(step: ReductionStep) -> Expression:
     """The step's rhs from its defining formula, through Fraction
-    coefficients, `Expression.collect` and `drop_odd_singletons`."""
+    coefficients, `Expression.collect` and `drop_odd_singletons`, with the
+    Fay support read from the polynomial reference and each split sign
+    summed afresh."""
     k, r = step.index, len(step.index)
     if step.rule == "reflect":
         return Expression.collect([(monomial([k[::-1]]), Fraction(reflection_sign(k)))])
@@ -364,7 +373,7 @@ def _reference_rhs(step: ReductionStep) -> Expression:
     if step.rule == "odd_fay_split":
         kp = k[:-1] + (0, k[-1])
         pairs = [(monomial((kp[:i], kp[i:])), -split_sign(kp, i)) for i in range(1, r + 1)]
-        for s, c in enumerate_support(k):
+        for s, c in p_support(k):
             s0 = s + (0,)
             pairs += [(monomial((s[:i], s0[i:])), -c * split_sign(s0, i)) for i in range(1, r)]
     else:
@@ -396,3 +405,26 @@ def test_rule_identities_in_canonical_integer_form():
             if step.rule in ("odd_fay_split", "zero_rotation"):
                 assert not any(len(a) == 1 and a[0] % 2 for a in m), (k, m)
         assert rhs == _reference_rhs(step), k
+
+
+# sha256 of one line "k<TAB>rule<TAB>children<TAB>rhs terms JSON" per
+# non-terminal k of length 6 and weight <= 8 and of length 7 and weight
+# <= 8, in composition order, each step built cold; recorded before the
+# support walk and the one-pass split terms: 4200 lines.
+GOLDEN_STEPS_SHA256 = "7e458d7eb7aee1967144e12ce0e1d62ce4b0ebcfc67b37654aa5b95513a02d7d"
+
+
+def test_rewrite_steps_golden_digest_lengths_six_and_seven():
+    clear_exact_caches()
+    lines = []
+    for r in (6, 7):
+        for w in range(9):
+            for k in compositions(w, r):
+                if is_terminal(k):
+                    continue
+                step = rewrite_step(k)
+                children = ";".join(",".join(map(str, c)) for c in step.children)
+                k_text = ",".join(map(str, k))
+                lines.append(f"{k_text}\t{step.rule}\t{children}\t{step.identity.rhs.terms_json()}\n")
+    assert len(lines) == 4200
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == GOLDEN_STEPS_SHA256

@@ -10,14 +10,13 @@ from emzv.relations import (
     Expression,
     Identity,
     PreconditionError,
+    add_split_terms,
     fay_identity,
     monomial,
-    pair_monomial,
     parity_split,
     prop_mat_identity,
     reflection_identity,
     shuffle_identity,
-    split_sign,
     trailing_ones,
 )
 from exact_helpers import (
@@ -27,6 +26,7 @@ from exact_helpers import (
     homogeneous_weight,
     is_weight_homogeneous,
     residual,
+    split_sign,
 )
 
 
@@ -214,20 +214,31 @@ def test_renderers_match_json_dumps_and_fraction_text(terms):
     assert expr.to_text() == (reference or "0")
 
 
-# Short indices with small entries: empty atoms, odd and even singletons,
-# and equal pairs all come up often.
-SHORT_INDICES = st.lists(st.integers(0, 4), max_size=3).map(tuple)
+# Short words with small entries: odd and even singleton factors and equal
+# halves in either order all come up often.
+SHORT_WORDS = st.lists(st.integers(0, 4), min_size=2, max_size=6).map(tuple)
 
 
-@given(a=SHORT_INDICES, b=SHORT_INDICES)
-@example(a=(), b=())
-@example(a=(3,), b=())
-@example(a=(2,), b=(1, 0))
-@example(a=(1, 2), b=(1, 2))
-def test_pair_monomial_matches_monomial_and_odd_filter(a, b):
-    mon = monomial((a, b))
-    assert pair_monomial(a, b, keep_odd=True) == mon
-    assert pair_monomial(a, b) == (None if has_odd_singleton(mon) else mon)
+@given(
+    word=SHORT_WORDS,
+    cuts=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    coef=st.integers(-3, 3),
+    keep_odd=st.booleans(),
+)
+@example(word=(1, 2, 1, 2), cuts=(1, 4), coef=1, keep_odd=False)
+@example(word=(2, 1, 1, 1), cuts=(1, 4), coef=-2, keep_odd=False)
+@example(word=(2, 0, 3), cuts=(1, 3), coef=1, keep_odd=True)
+def test_split_terms_match_monomial_sign_and_odd_filter(word, cuts, coef, keep_odd):
+    r = len(word)
+    start, stop = (min(c, r) for c in sorted(cuts))
+    expected = {}
+    for i in range(start, stop):
+        mon = monomial((word[:i], word[i:]))
+        if keep_odd or not has_odd_singleton(mon):
+            expected[mon] = expected.get(mon, 0) + coef * split_sign(word, i)
+    nums = {((5,),): 1}
+    add_split_terms(nums, word, start, stop, coef, keep_odd)
+    assert nums == {((5,),): 1, **expected}
 
 
 def test_expression_drop_odd_singletons():
