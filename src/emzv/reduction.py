@@ -89,10 +89,16 @@ class ReductionStep:
 
     def __post_init__(self) -> None:
         # `not is_terminal(a)` inline: an rhs atom is never empty, so it is
-        # non-terminal when it has a boundary 1 and an entry above 1.
+        # non-terminal when it has a boundary 1 and an entry above 1.  Only
+        # those atoms enter the set, read straight off the rhs monomials.
         children = tuple(
             sorted(
-                (a for a in self.identity.rhs.atoms() if (a[0] == 1 or a[-1] == 1) and max(a) > 1),
+                {
+                    a
+                    for mon in self.identity.rhs._terms
+                    for a in mon
+                    if (a[0] == 1 or a[-1] == 1) and max(a) > 1
+                },
                 key=word_key,
             )
         )

@@ -8,16 +8,19 @@ products and substitutions are plain integer arithmetic.  A monomial is the
 tuple of its atoms in `word_sort_key` order, sorted by the int `word_key`
 of each atom, and `items()` lists monomials by length and then by those
 ints, the tuple `monomial_key`, so the JSON and text renderers do not depend
-on how an expression was built.  Each distinct monomial is handled once per
-process: `substitute` sorts an expanded product once and interns it through
-`canonical_monomial`, so equal monomials of reduced atoms are one object,
-and `terms_json` renders its text up to the coefficient once, through
-`term_prefix`.  Evaluation needs no order: `Evaluator.eval_expression`
-sums the terms exactly rounded in the order they are stored.  An Identity
-pairs two expressions with a provenance tag.  Identities are emitted
-verbatim from their defining formulas; no normalization (such as rewriting
-an atom via reflection) is applied here, so each identity can be audited
-against its source and validated numerically.
+on how an expression was built.  `substitute` adds every term of the
+expansion straight into one dict of numerators over a running common
+denominator, the lcm of the replacements' denominators met so far.  Each
+distinct monomial is handled once per process: `substitute` sorts an
+expanded product once and interns it through `canonical_monomial`, so equal
+monomials of reduced atoms are one object, and `terms_json` renders its
+text up to the coefficient once, through `term_prefix`.  Evaluation needs
+no order: `Evaluator.eval_expression` sums the terms exactly rounded in the
+order they are stored.  An Identity pairs two expressions with a provenance
+tag.  Identities are emitted verbatim from their defining formulas; no
+normalization (such as rewriting an atom via reflection) is applied here,
+so each identity can be audited against its source and validated
+numerically.
 """
 
 from __future__ import annotations
@@ -95,8 +98,13 @@ monomial_key = MONOMIAL_KEYS.__getitem__
 def _canonical(atoms: tuple[Index, ...]) -> Monomial:
     """The atoms sorted with `word_key`, stored as the canonical monomial of
     itself unless an equal one is stored already, so every ordering of one
-    multiset of atoms maps to one object."""
-    mon = tuple(sorted(atoms, key=word_key))
+    multiset of atoms maps to one object.  Two atoms are ordered by one
+    `word_key` comparison, as in `add_split_terms`."""
+    if len(atoms) == 2:
+        a, b = atoms
+        mon = (b, a) if word_key(b) < word_key(a) else atoms
+    else:
+        mon = tuple(sorted(atoms, key=word_key))
     return MONOMIALS.setdefault(mon, mon)
 
 
@@ -138,7 +146,7 @@ class Expression:
     nonzero int) over one common denominator `_den > 0`, in lowest terms:
     gcd(_den, *numerators) == 1.  That form is unique, so two expressions
     are equal when they have the same numerators and denominator.  Every
-    arithmetic path ends in `_from_numerators`, most through `_sum`, which
+    arithmetic path ends in `_from_numerators`, some through `_sum`, which
     restores the form; `items` and `coeff` return `Fraction`s.  Instances
     are treated as immutable values.
     """
@@ -272,36 +280,48 @@ class Expression:
         """Replace every occurrence (each power) of every atom in `mapping` by
         its expression, all atoms in one pass.
 
-        A monomial with no mapped atom passes through interned, as its own
-        `canonical_monomial`, and one that is a single mapped atom takes that
-        atom's monomials as they are.  Any other monomial expands straight
-        into (monomial, numerator) pairs over the product of its factors'
-        denominators, each expanded atom tuple mapped to its interned
-        `canonical_monomial`, and one `_sum` adds every pair over the lcm of
-        those denominators, so no intermediate expression is built.  When
-        the mapped expressions hold interned monomials, as `reduced_atom`'s
-        do, so does the result.
+        Every expanded term is added straight into one numerators dict over
+        `den`, the lcm of the denominators met so far.  A monomial's terms
+        are over the product d of its factors' denominators; when d does
+        not divide `den`, `den` grows to their lcm and the numerators
+        already added are scaled up in place.  A monomial with no mapped
+        atom passes through interned, as its own `canonical_monomial`, and
+        one that is a single mapped atom adds that atom's monomials as they
+        are.  Any other monomial adds each product of one term per factor
+        under its interned `canonical_monomial`; only the products of all
+        but its last mapped factor are listed first.  No intermediate
+        expression is built, and when the mapped expressions hold interned
+        monomials, as `reduced_atom`'s do, so does the result.
         """
-        blocks = []  # (denominator, [(monomial, numerator)]) per monomial
+        nums: dict = {}
+        get = nums.get
+        den = 1
         for mon, n in self._terms.items():
             factors = [mapping[a] for a in mon if a in mapping]
             if not factors:
-                blocks.append((1, [(MONOMIALS.setdefault(mon, mon), n)]))
+                mon = MONOMIALS.setdefault(mon, mon)
+                nums[mon] = get(mon, 0) + n * den
                 continue
+            d = math.prod(f._den for f in factors)
+            if den % d:
+                grow = d // math.gcd(den, d)
+                for m in nums:
+                    nums[m] *= grow
+                den *= grow
+            n *= den // d
+            *outer, last = factors
             if len(mon) == 1:
-                f = factors[0]
-                blocks.append((f._den, [(fm, n * fn) for fm, fn in f._terms.items()]))
+                for fm, fn in last._terms.items():
+                    nums[fm] = get(fm, 0) + n * fn
                 continue
-            pairs = [(tuple(a for a in mon if a not in mapping), n)]
-            for f in factors:
-                pairs = [(m + fm, x * fn) for m, x in pairs for fm, fn in f._terms.items()]
-            den = math.prod(f._den for f in factors)
-            blocks.append((den, [(canonical_monomial(m), x) for m, x in pairs]))
-        den = math.lcm(*(d for d, _ in blocks))
-        return Expression._sum(
-            ((m, x * s) for d, pairs in blocks for s in (den // d,) for m, x in pairs),
-            self._den * den,
-        )
+            heads = [(tuple(a for a in mon if a not in mapping), n)]
+            for f in outer:
+                heads = [(m + fm, x * fn) for m, x in heads for fm, fn in f._terms.items()]
+            for m, x in heads:
+                for fm, fn in last._terms.items():
+                    key = canonical_monomial(m + fm)
+                    nums[key] = get(key, 0) + x * fn
+        return Expression._from_numerators(nums, self._den * den)
 
     def to_json_dict(self) -> dict:
         den = self._den
@@ -450,7 +470,6 @@ def trailing_ones(k: Index) -> Identity:
     n = len(k) - m
     prefix, last = k[: n - 1], k[n - 1]
     sign = (-1) ** m
-    rhs = Expression._sum(
-        (((word + (last,),), sign * c) for word, c in shuffle((1,) * m, prefix)), 1
-    )
-    return Identity(Expression.atom(k), rhs, "trailing_ones")
+    # The shuffle words are distinct, so each monomial is written once.
+    nums = {(word + (last,),): sign * c for word, c in shuffle((1,) * m, prefix)}
+    return Identity(Expression.atom(k), Expression._from_numerators(nums, 1), "trailing_ones")

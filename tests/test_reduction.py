@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emzv import reduction
@@ -303,6 +303,19 @@ def test_steps_carry_their_children_and_measure_check():
         late = [c for c in step.children if measure(c) >= measure(k)]
         assert step.violation == (late[0] if late else None), k
         assert step.order == (measure(k), word_sort_key(k)), k
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=6).map(tuple))
+@example((1,))
+@example((1, 0, 1))
+@example((1, 1))
+@example((0, 1, 0))
+@example((1, 0, 2))
+@example((3, 0, 1))
+def test_inline_child_predicate_is_not_terminal(a):
+    # `ReductionStep.__post_init__` picks its children with this predicate
+    # in place of `not is_terminal(a)`; an rhs atom is never empty.
+    assert ((a[0] == 1 or a[-1] == 1) and max(a) > 1) == (not is_terminal(a))
 
 
 def test_hand_built_step_carries_its_measure_check():

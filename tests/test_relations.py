@@ -11,6 +11,7 @@ from emzv.relations import (
     Identity,
     PreconditionError,
     add_split_terms,
+    canonical_monomial,
     fay_identity,
     monomial,
     parity_split,
@@ -171,6 +172,47 @@ def test_product_and_substitute_match_fraction_reference(data):
     assert_canonical(result)
     expected = ref_substitute(da, {atom: dict(e.items()) for atom, e in mapping.items()})
     assert dict(result.items()) == expected
+
+
+# Mapped atoms and the coprime denominators of their replacements, drawn in
+# every order, so that the running common denominator of `substitute` grows
+# more than once: 3, then 2, then 4 gives 3, 6 and 12.
+SUB_KEYS = [(2,), (1, 2), (0, 1, 4)]
+SUB_DENS = [3, 2, 4]
+SUB_OTHERS = [(0,), (3, 0), (2, 3), (1, 0, 1, 0)]
+
+
+def integer_dicts(atoms):
+    mons = st.lists(st.sampled_from(atoms), max_size=3).map(monomial)
+    return st.dictionaries(mons, st.integers(-5, 5), max_size=6)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_substitute_grows_its_denominator_cancels_and_keeps_monomials_interned(data):
+    mapping = {}
+    for atom, d in zip(SUB_KEYS, data.draw(st.permutations(SUB_DENS))):
+        terms = {m: Fraction(c, d) for m, c in data.draw(integer_dicts(SUB_OTHERS)).items()}
+        # One term with coefficient 1/d fixes the denominator at d; like
+        # `reduced_atom`'s, the replacement's monomials are interned.
+        terms[((3, 0),)] = Fraction(1, d)
+        mapping[atom] = replacement = Expression(terms).substitute({})
+        assert replacement.den == d
+    # Integer coefficients, so that the denominators come from the mapping,
+    # in the order the drawn monomials meet the mapped atoms.
+    da = data.draw(integer_dicts(SUB_KEYS + SUB_OTHERS))
+    expr = Expression(da)
+    result = expr.substitute(mapping)
+    # The replacements hold no mapped atom, so this difference substitutes
+    # to zero: every term cancels.
+    cancel = expr - result
+    for out, expected in (
+        (result, ref_substitute(da, {a: dict(e.items()) for a, e in mapping.items()})),
+        (cancel.substitute(mapping), {}),
+    ):
+        assert_canonical(out)
+        assert dict(out.items()) == expected
+        assert all(canonical_monomial(m) is m for m in out._terms)
 
 
 @given(expression_dicts(POOL + [(1, 0, 1, 0)]))
