@@ -171,7 +171,7 @@ def cmd_reduce(args) -> int:
                 {
                     "rule": step.rule,
                     "index": list(step.index),
-                    "rhs": step.identity.rhs.to_json_dict(),
+                    "rhs": step.rhs.to_json_dict(),
                 }
                 for step in trace.steps
             ]
@@ -182,7 +182,7 @@ def cmd_reduce(args) -> int:
         print(expr.to_text())
         if args.trace:
             for step in trace.steps:
-                print(f"# {step.rule}: I({format_index(step.index)}) -> {step.identity.rhs.to_text()}")
+                print(f"# {step.rule}: I({format_index(step.index)}) -> {step.rhs.to_text()}")
         if verify_report is not None:
             print(
                 f"# verify tau={verify_report['tau']}: residual {verify_report['residual']:.3e} "

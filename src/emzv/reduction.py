@@ -17,7 +17,9 @@ by the shape of its index:
                  further right.
 
 Termination is enforced through an explicit well-founded measure checked at
-every step; a violation raises FuelExhausted instead of looping.
+every step; a violation raises FuelExhausted instead of looping.  A row is
+its trace substituted in increasing measure order, which that check makes
+children-first.
 """
 
 from __future__ import annotations
@@ -27,26 +29,24 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .faypoly import enumerate_support
-from .relations import (
-    Expression,
-    Identity,
-    add_split_terms,
-    parity_split,
-    reflection_identity,
-    trailing_ones,
-)
+from .relations import Expression, add_split_terms, parity_split, trailing_ones
 from .words import (
     ArgumentError,
     Index,
+    PreconditionError,
     as_index,
     is_admissible,
     is_zero_one,
     parity_is_even,
+    reflection_sign,
     word_key,
-    word_sort_key,
 )
 
 DEFAULT_FUEL = 10_000
+
+#: The reduced expression of every non-terminal atom that a successful
+#: `reduce_index` has met in this process; it depends on the atom alone.
+REDUCED: dict[Index, Expression] = {}
 
 
 class FuelExhausted(RuntimeError):
@@ -71,18 +71,20 @@ def measure(k: Index) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """The identity that rewrites the non-terminal atom `index` by `rule`.
+    """I(index) = rhs, the rewrite of the non-terminal atom `index` by `rule`.
 
     Derived once from those at construction, and left out of equality and
     hashing: `children`, the non-terminal atoms of the rhs in `word_key`
     order; `violation`, the first child whose measure is not below the
-    atom's, or None; and `order`, the key `(measure, word_sort_key)` of the
-    atom that sorts a trace.
+    atom's, or None; and `order`, the key `(measure, word_key)` of the atom
+    that sorts a trace.  With no violation every child's `order` is below
+    the atom's, so substituting steps in increasing `order` reduces every
+    child before its parent.
     """
 
     rule: str
     index: Index
-    identity: Identity
+    rhs: Expression
     children: tuple[Index, ...] = field(init=False, compare=False, repr=False)
     violation: Index | None = field(init=False, compare=False, repr=False)
     order: tuple = field(init=False, compare=False, repr=False)
@@ -95,7 +97,7 @@ class ReductionStep:
             sorted(
                 {
                     a
-                    for mon in self.identity.rhs._terms
+                    for mon in self.rhs._terms
                     for a in mon
                     if (a[0] == 1 or a[-1] == 1) and max(a) > 1
                 },
@@ -107,7 +109,7 @@ class ReductionStep:
         violation = next((c for c in children if len(c) >= r and measure(c) >= bound), None)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "violation", violation)
-        object.__setattr__(self, "order", (bound, word_sort_key(self.index)))
+        object.__setattr__(self, "order", (bound, word_key(self.index)))
 
 
 @dataclass
@@ -116,14 +118,16 @@ class ReductionTrace:
     steps: list[ReductionStep]
 
     def replay(self) -> Expression:
-        """Re-apply the recorded identities from the starting atom."""
+        """Re-apply the recorded steps top-down from the starting atom, one
+        at a time in decreasing `order`: the reference for `reduce_index`,
+        which substitutes the same steps in increasing `order`."""
         expr = Expression.atom(self.start)
         for step in self.steps:
-            expr = expr.substitute({step.index: step.identity.rhs})
+            expr = expr.substitute({step.index: step.rhs})
         return expr
 
 
-def _odd_fay_split(k: Index) -> Identity:
+def _odd_fay_split(k: Index) -> Expression:
     """Odd-parity step for k = (1, k_2, ..., k_r) with k_r >= 2.
 
     Combining the Fay relation on k' = (1, k_2, ..., k_{r-1}, 0, k_r) (whose
@@ -143,11 +147,10 @@ def _odd_fay_split(k: Index) -> Identity:
     add_split_terms(nums, k[:-1] + (0, k[-1]), 1, r + 1, -1)
     for s, c in enumerate_support(k):
         add_split_terms(nums, s + (0,), 1, r, -c)
-    rhs = Expression._from_numerators(nums, 1)
-    return Identity(Expression.atom(k), rhs, "reduction_step")
+    return Expression._from_numerators(nums, 1)
 
 
-def _zero_rotation(k: Index) -> Identity:
+def _zero_rotation(k: Index) -> Expression:
     """Odd-parity step for k = (1, k_2, ..., k_{r-1}, 0).
 
     Parity-splitting ext = (0, k) (even parity) isolates the product
@@ -161,22 +164,20 @@ def _zero_rotation(k: Index) -> Identity:
     ext = (0,) + k
     nums = {(ext,): 2}
     add_split_terms(nums, ext, 2, len(k) + 1, 1)
-    rhs = Expression._from_numerators(nums, 1)
-    return Identity(Expression.atom(k), rhs, "reduction_step")
+    return Expression._from_numerators(nums, 1)
 
 
 @functools.lru_cache(maxsize=None)
 def rewrite_step(k: Index) -> ReductionStep:
-    """Select and build the identity rewriting the non-terminal atom k."""
+    """Select and build the step rewriting the non-terminal atom k."""
     if is_terminal(k):
-        raise ValueError(f"atom {k} is already terminal")
+        raise PreconditionError(f"atom {k} is already terminal")
     if k[-1] == 1:
         if k[0] >= 2:
-            ident = reflection_identity(k[::-1])
-            return ReductionStep("reflect", k, ident)
-        return ReductionStep("trailing_ones", k, trailing_ones(k))
+            return ReductionStep("reflect", k, Expression.atom(k[::-1], reflection_sign(k)))
+        return ReductionStep("trailing_ones", k, trailing_ones(k).rhs)
     if parity_is_even(k):
-        return ReductionStep("parity_split", k, parity_split(k))
+        return ReductionStep("parity_split", k, parity_split(k).rhs)
     # odd parity with last entry != 1 and non-admissible forces first entry 1
     assert k[0] == 1, k
     if k[-1] >= 2:
@@ -185,7 +186,7 @@ def rewrite_step(k: Index) -> ReductionStep:
 
 
 def _ordered_steps(immediate: dict[Index, ReductionStep]) -> list[ReductionStep]:
-    """The recorded steps in decreasing `order`: (measure, word_sort_key)."""
+    """The recorded steps in decreasing `order`: (measure, word_key)."""
     return sorted(immediate.values(), key=attrgetter("order"), reverse=True)
 
 
@@ -213,37 +214,31 @@ def _discover(start: Index, atom: Index, immediate: dict[Index, ReductionStep], 
 def reduce_index(k: Index, fuel: int = DEFAULT_FUEL) -> tuple[Expression, ReductionTrace]:
     """Rewrite I(k) into an expression over admissible and {0,1} atoms.
 
-    Every distinct non-terminal atom is rewritten exactly once by its
-    dispatch rule; since the rule per atom is a function of the atom alone,
-    `reduced_atom` combines the results bottom-up and caches them across
-    calls.  The rule discovery below runs first on every call, so the trace,
-    the fuel count and the measure check do not depend on that cache.  The
-    trace lists each atom's identity in decreasing measure order, so a
-    sequential replay of the substitutions reproduces the final expression.
+    Every distinct non-terminal atom below k is rewritten exactly once by
+    its dispatch rule, and the trace lists those steps in decreasing
+    `order`.  The discovery runs first on every call, so the trace, the fuel
+    count and the measure check do not depend on what `REDUCED` holds.  The
+    row is then the trace substituted in increasing `order`: the measure
+    check makes every child come before its parent, so each step's children
+    are in `REDUCED` when the step is substituted.  Atoms already stored are
+    skipped, and a warm row is one dict read.  `replay()` reproduces the
+    row top-down.
 
     Raises FuelExhausted (with the partial trace attached) if the number of
     rule applications exceeds `fuel` or the termination measure fails to
     decrease, either of which would signal a convention bug, never a silent
-    loop.
+    loop.  A failed reduction stores nothing in `REDUCED`.
     """
     if fuel <= 0:
         raise ArgumentError(f"fuel must be positive, got {fuel}")
     k = as_index(k)
+    if is_terminal(k):
+        return Expression.atom(k), ReductionTrace(k, [])
     immediate: dict[Index, ReductionStep] = {}
-    if not is_terminal(k):
-        _discover(k, k, immediate, fuel)
-    final = reduced_atom(k) if immediate else Expression.atom(k)
-    return final, ReductionTrace(k, _ordered_steps(immediate))
-
-
-@functools.lru_cache(maxsize=None)
-def reduced_atom(k: Index) -> Expression:
-    """Fully reduced expression of the non-terminal atom k.
-
-    It depends on k alone, so it is computed once per process and shared by
-    every reduction that meets k.  Callers must have checked, as
-    `reduce_index` does, that the measure decreases below k.
-    """
-    step = rewrite_step(k)
-    return step.identity.rhs.substitute({c: reduced_atom(c) for c in step.children})
-
+    _discover(k, k, immediate, fuel)
+    steps = _ordered_steps(immediate)
+    if k not in REDUCED:
+        for step in reversed(steps):
+            if step.index not in REDUCED:
+                REDUCED[step.index] = step.rhs.substitute({c: REDUCED[c] for c in step.children})
+    return REDUCED[k], ReductionTrace(k, steps)

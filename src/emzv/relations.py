@@ -291,7 +291,7 @@ class Expression:
         under its interned `canonical_monomial`; only the products of all
         but its last mapped factor are listed first.  No intermediate
         expression is built, and when the mapped expressions hold interned
-        monomials, as `reduced_atom`'s do, so does the result.
+        monomials, as those in `reduction.REDUCED` do, so does the result.
         """
         nums: dict = {}
         get = nums.get

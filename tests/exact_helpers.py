@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 
 from emzv import relations, words
-from emzv.reduction import reduced_atom, rewrite_step
+from emzv.reduction import REDUCED, rewrite_step
 from emzv.relations import Expression, Identity, Monomial, monomial
 from emzv.words import Index, as_index, shuffle, weight
 
@@ -109,7 +109,7 @@ def clear_exact_caches() -> None:
     """Empty every per-process cache and memo of the exact side, so the next
     reduction runs cold."""
     rewrite_step.cache_clear()
-    reduced_atom.cache_clear()
+    REDUCED.clear()
     shuffle.cache_clear()
     for module in (words, relations):
         for memo in vars(module).values():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import inspect
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import emzv
 from emzv import reduction
 from emzv.faypoly import compositions
 from emzv.numerics import Evaluator
@@ -20,15 +22,16 @@ from emzv.reduction import (
     is_terminal,
     measure,
     reduce_index,
-    reduced_atom,
     rewrite_step,
 )
-from emzv.relations import Expression, Identity, monomial
+from emzv.relations import Expression, monomial
 from emzv.words import (
+    PreconditionError,
     is_admissible,
     is_zero_one,
     reflection_sign,
     weight,
+    word_key,
     word_sort_key,
 )
 from exact_helpers import (
@@ -93,7 +96,7 @@ def test_measure_decreases_along_steps():
     for k in [(1, 2, 2), (1, 3, 1, 0), (2, 1, 0, 1)]:
         _, trace = reduce_index(k)
         for step in trace.steps:
-            for atom in step.identity.rhs.atoms():
+            for atom in step.rhs.atoms():
                 if not is_terminal(atom):
                     assert measure(atom) < measure(step.index), (step.index, atom)
 
@@ -109,7 +112,7 @@ def test_fuel_exhausted():
 def test_fuel_exhausted_with_warm_cache():
     k = (1, 2, 2, 3)
     expr, trace = reduce_index(k)
-    assert reduced_atom.cache_info().currsize > 0
+    assert k in reduction.REDUCED
     with pytest.raises(FuelExhausted):
         reduce_index(k, fuel=len(trace.steps) - 1)
     assert reduce_index(k, fuel=len(trace.steps))[0] == expr
@@ -148,11 +151,11 @@ def test_reduced_atom_cache_is_transparent():
     indices = list(all_indices(6, 4))
     cold = {}
     for k in indices:
-        reduced_atom.cache_clear()
+        reduction.REDUCED.clear()
         cold[k] = reduce_index(k)
         # replay substitutes the recorded rules one at a time, without the cache
         assert cold[k][1].replay() == cold[k][0], k
-    reduced_atom.cache_clear()
+    reduction.REDUCED.clear()
     for k in reversed(indices):
         reduce_index(k)
     for k in indices:
@@ -162,11 +165,10 @@ def test_reduced_atom_cache_is_transparent():
 
 
 def test_cold_reduction_recurses_within_a_small_stack():
-    # (1, 1, 3, 2, 1) has a rule DAG 12 atoms deep; reduced_atom reads the
-    # whole of it in one call, from a cold cache.
+    # (1, 1, 3, 2, 1) has a rule DAG 12 atoms deep; reduce_index discovers
+    # and substitutes the whole of it in one call, from cold caches.
     k = (1, 1, 3, 2, 1)
-    rewrite_step.cache_clear()
-    reduced_atom.cache_clear()
+    clear_exact_caches()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
@@ -184,7 +186,7 @@ def test_rewrite_step_dispatch():
     assert rewrite_step((1, 3)).rule == "parity_split"
     assert rewrite_step((1, 2)).rule == "odd_fay_split"
     assert rewrite_step((1, 2, 0, 0)).rule == "zero_rotation"
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match=r"atom \(0, 2\) is already terminal"):
         rewrite_step((0, 2))
 
 
@@ -193,7 +195,7 @@ def test_zero_rotation_identity_numeric():
     for k in [(1, 2, 0, 0), (1, 3, 0)]:
         step = rewrite_step(k)
         assert step.rule == "zero_rotation"
-        res = ev.eval_expression(step.identity.lhs) - ev.eval_expression(step.identity.rhs)
+        res = ev.eval_expression(Expression.atom(k)) - ev.eval_expression(step.rhs)
         assert abs(res) < 1e-6, k
 
 
@@ -202,7 +204,7 @@ def test_odd_fay_split_identity_numeric():
     for k in [(1, 2), (1, 1, 2), (1, 2, 0, 2), (1, 0, 0, 2)]:
         step = rewrite_step(k)
         assert step.rule == "odd_fay_split"
-        res = ev.eval_expression(step.identity.lhs) - ev.eval_expression(step.identity.rhs)
+        res = ev.eval_expression(Expression.atom(k)) - ev.eval_expression(step.rhs)
         assert abs(res) < 1e-6, k
 
 
@@ -218,7 +220,7 @@ def test_zero_rotation_congruence():
         assert step.rule == "zero_rotation"
         rot = (0,) + k[:-1]
         leftover = (
-            step.identity.rhs
+            step.rhs
             - Expression.atom((0,) + k, 2)
             + Expression.atom(rot) * Expression.atom((0,))
         )
@@ -289,7 +291,7 @@ def test_reduced_monomials_are_interned_and_rendered_once():
         expr, _ = reduce_index(k)
         assert expr.terms_json() == json.dumps(expr.to_json_dict()["terms"], sort_keys=True), k
         if not is_terminal(k):
-            monomials += reduced_atom(k)._terms
+            monomials += reduction.REDUCED[k]._terms
     assert len({id(m) for m in monomials}) == len(set(monomials)) > 1000
 
 
@@ -298,11 +300,11 @@ def test_steps_carry_their_children_and_measure_check():
         if is_terminal(k):
             continue
         step = rewrite_step(k)
-        nonterminal = [a for a in step.identity.rhs.atoms() if not is_terminal(a)]
+        nonterminal = [a for a in step.rhs.atoms() if not is_terminal(a)]
         assert step.children == tuple(sorted(nonterminal, key=word_sort_key)), k
         late = [c for c in step.children if measure(c) >= measure(k)]
         assert step.violation == (late[0] if late else None), k
-        assert step.order == (measure(k), word_sort_key(k)), k
+        assert step.order == (measure(k), word_key(k)), k
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=6).map(tuple))
@@ -322,18 +324,17 @@ def test_hand_built_step_carries_its_measure_check():
     # (1, 1, 2) lies below (1, 2, 0) in measure, (1, 3, 0) does not, and
     # the terminal (1, 1, 0) is no child.
     rhs = A(1, 3, 0) + A(1, 1, 2) + A(1, 1, 0)
-    step = ReductionStep("bogus", (1, 2, 0), Identity(A(1, 2, 0), rhs, "bogus"))
+    step = ReductionStep("bogus", (1, 2, 0), rhs)
     assert step.children == ((1, 1, 2), (1, 3, 0))
     assert step.violation == (1, 3, 0)
-    assert step == ReductionStep("bogus", (1, 2, 0), step.identity)
+    assert step == ReductionStep("bogus", (1, 2, 0), step.rhs)
 
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_trace_steps_in_decreasing_measure_order(warm):
     for k in all_indices(6, 5):
         if not warm:
-            rewrite_step.cache_clear()
-            reduced_atom.cache_clear()
+            clear_exact_caches()
         _, trace = reduce_index(k)
         keys = [(measure(s.index), word_sort_key(s.index)) for s in trace.steps]
         assert keys == sorted(keys, reverse=True), k
@@ -341,27 +342,60 @@ def test_trace_steps_in_decreasing_measure_order(warm):
         assert not trace.steps or trace.steps[0].index == k
 
 
+def _cold_reduction(k):
+    clear_exact_caches()
+    cold = reduce_index(k)
+    clear_exact_caches()
+    return cold
+
+
+def _assert_next_reduction_is_cold(k, cold):
+    expr, trace = reduce_index(k)
+    assert (expr, trace) == cold
+    assert trace.replay() == expr
+
+
 def test_measure_violation_raises_with_partial_trace(monkeypatch):
     # (1, 1, 2, 0) parity-splits with first non-terminal child (1, 2, 0); a
     # bogus step sends that child to (1, 3, 0), whose measure is the same.
     start, child, bogus = (1, 1, 2, 0), (1, 2, 0), (1, 3, 0)
+    cold = _cold_reduction(start)
     real = rewrite_step
     assert real(start).children[0] == child
     assert not is_terminal(bogus) and measure(bogus) == measure(child)
-    fake = ReductionStep(
-        "parity_split", child, Identity(Expression.atom(child), Expression.atom(bogus), "bogus")
-    )
+    fake = ReductionStep("parity_split", child, Expression.atom(bogus))
     monkeypatch.setattr(reduction, "rewrite_step", lambda k: fake if k == child else real(k))
-    try:
-        with pytest.raises(FuelExhausted) as info:
-            reduce_index(start)
-    finally:
-        reduced_atom.cache_clear()
+    with pytest.raises(FuelExhausted) as info:
+        reduce_index(start)
+    assert reduction.REDUCED == {}
+    monkeypatch.undo()
     message = str(info.value)
     assert "measure did not decrease" in message
     assert str(child) in message and str(bogus) in message
     assert info.value.trace.start == start
     assert info.value.trace.steps == [real(start)]
+    _assert_next_reduction_is_cold(start, cold)
+
+
+def test_failed_reduction_stores_nothing():
+    # Discovery runs out of fuel before any step is substituted.
+    k = (1, 1, 3, 2, 1)
+    cold = _cold_reduction(k)
+    with pytest.raises(FuelExhausted):
+        reduce_index(k, fuel=1)
+    assert reduction.REDUCED == {}
+    _assert_next_reduction_is_cold(k, cold)
+
+
+# Names deleted from `emzv.reduction`: the recursive reduction of one atom,
+# whose lru_cache the per-process `REDUCED` dict replaced.
+REMOVED_REDUCTION_NAMES = ("reduced_atom",)
+
+
+def test_removed_reduction_names_stay_removed():
+    for name in REMOVED_REDUCTION_NAMES:
+        assert name not in emzv.__all__ and not hasattr(reduction, name), name
+    assert [f.name for f in dataclasses.fields(ReductionStep) if f.init] == ["rule", "index", "rhs"]
 
 
 def _reference_rhs(step: ReductionStep) -> Expression:
@@ -406,8 +440,8 @@ def test_rule_identities_in_canonical_integer_form():
         if is_terminal(k):
             continue
         step = rewrite_step(k)
-        assert step.identity.lhs == Expression.collect([(monomial([k]), 1)]), k
-        rhs = step.identity.rhs
+        assert step.index == k
+        rhs = step.rhs
         pairs = rhs.numerators()
         nums = [n for _, n in pairs]
         assert all(nums) and math.gcd(rhs.den, *nums) == 1, k
@@ -438,6 +472,6 @@ def test_rewrite_steps_golden_digest_lengths_six_and_seven():
                 step = rewrite_step(k)
                 children = ";".join(",".join(map(str, c)) for c in step.children)
                 k_text = ",".join(map(str, k))
-                lines.append(f"{k_text}\t{step.rule}\t{children}\t{step.identity.rhs.terms_json()}\n")
+                lines.append(f"{k_text}\t{step.rule}\t{children}\t{step.rhs.terms_json()}\n")
     assert len(lines) == 4200
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == GOLDEN_STEPS_SHA256

@@ -194,7 +194,8 @@ def test_substitute_grows_its_denominator_cancels_and_keeps_monomials_interned(d
     for atom, d in zip(SUB_KEYS, data.draw(st.permutations(SUB_DENS))):
         terms = {m: Fraction(c, d) for m, c in data.draw(integer_dicts(SUB_OTHERS)).items()}
         # One term with coefficient 1/d fixes the denominator at d; like
-        # `reduced_atom`'s, the replacement's monomials are interned.
+        # the reduced atoms in `reduction.REDUCED`, the replacement's
+        # monomials are interned.
         terms[((3, 0),)] = Fraction(1, d)
         mapping[atom] = replacement = Expression(terms).substitute({})
         assert replacement.den == d
