@@ -29,16 +29,30 @@ Gauss-Legendre panels.  Its mirror, the prefix integral
   A_w(x) = int_{0 < z_1 < ... < z_m < x} f_{w_1}(z_1) ... f_{w_m}(z_m),
 
 comes from A_{w[:-1]} by one forward pass.  Every value is computed on
-panel splits 1 and 2, one _Split each: its grid, its letter table and the
-memos of its integrals, one entry per word.  Evaluator._splits, the one
-place that builds them, makes both together at the first value.
+panel splits 1 and 2, stacked in one _Splits object: one node array (the
+lower-half nodes of split 1, then those of split 2), one letter table over
+it, and one memo entry per word holding the pair of its integrals.  A pass
+runs once over the panels of both splits, each split keeping its own
+running sums, and a weighted sum over the nodes is one dot product on each
+split's block, so each split gets the numbers it would get alone, up to
+how BLAS rounds products of another shape.  Evaluator._splits, the one
+place that builds the grids and the letter table, makes them at the first
+value.  The table holds the rows f_0..f_top only, top the smallest of
+LETTER_TABLE_TOPS (8, 16, MAX_LETTER) that covers the largest letter
+asked for so far; a larger letter rebuilds the table and drops the head
+vectors, and keeps every node value and reg B_w(0), because a row, and
+its entry of a head vector, is bitwise the same at every top (see
+_lambert_letters and _Splits.read_letters).  Over the weight <= 6,
+length <= 4 indices that takes 46 passes and 36 head vectors of 9 entries
+per split, where two separate splits over f_0..f_28 took 92 passes and 72
+head vectors of 29.
 
 Only tails s of length <= NODE_CACHE_LENGTH are ever swept, once each.  A
-word a s up to one letter longer is read from the head vector of s, the
-letters times the weighted node values of s, whose entry a is B_{a s}(0)
-for every letter a at once.  A longer word w = p a s, s its last
-NODE_CACHE_LENGTH letters, is split at the letter a by Chen's identity at
-every node,
+word a s up to one letter longer is read from the head vectors of s, the
+letters times the weighted node values of s on each split, whose entry a
+is B_{a s}(0) for every letter a of the table at once.  A longer word
+w = p a s, s its last NODE_CACHE_LENGTH letters, is split at the letter a
+by Chen's identity at every node,
 
   B_w(0) = int_0^{1/2} A_p(z) f_a(z) B_s(z) dz,
 
@@ -51,10 +65,10 @@ f_n(1 - z) = (-1)^n f_n(z) give the integral over the whole simplex:
 
 Only f_1 has a pole on [0, 1], so B_w(0) converges unless w starts with 1.
 Every value is this sum with each B_w(0) replaced by its shuffle
-regularization (see _Split.reg), which is B_w(0) itself where that
+regularization (see _Splits.reg), which is B_w(0) itself where that
 converges; the gap between the sums on the two splits is its error
-estimate.  Each split keeps every reg B_w(0), so a Chen sum over words
-already seen is a few dictionary reads.
+estimate.  The pair of reg B_w(0) is kept per word, so a Chen sum over
+words already seen is a few dictionary reads, one loop for both splits.
 
 The forward pass integrates panel start to node by the antiderivative
 collocation A, and the backward pass node to panel end as the panel
@@ -96,6 +110,8 @@ LAMBERT_TARGET = 1e-17
 #: Lambert series terms summed at most; a letter that needs more is refused
 #: with NonConvergence.
 LAMBERT_MAX_TERMS = 1024
+#: Letters whose Lambert sums _lambert_letters forms in one matrix product.
+LAMBERT_BLOCK = 8
 #: The lowest Im tau (rounded up) at which the letters on the grid stay
 #: within LAMBERT_MAX_TERMS.
 MIN_IM_TAU = 0.00659
@@ -110,6 +126,11 @@ POLE_TOLERANCE = 1e-8
 #: last NODE_CACHE_LENGTH, so no longer tail is ever swept, and a longer
 #: prefix is kept for one Chen sum only.
 NODE_CACHE_LENGTH = 2
+#: The letter table of an evaluator holds the rows f_0..f_top for the
+#: smallest of these tops that covers every letter asked for so far.  A
+#: row is bitwise the same at every top, so a wider table leaves every
+#: integral already computed as it is.
+LETTER_TABLE_TOPS = (8, 16, MAX_LETTER)
 
 
 class NonConvergence(ArithmeticError):
@@ -320,23 +341,33 @@ def _lambert_letters(z: np.ndarray, tau: Tau, top: int, terms: int) -> np.ndarra
 
     j = n - 1, trig_j = sin for even j and cos for odd j: the coefficients of
     alpha^{n-1} in F = pi cot(pi z) + pi cot(pi alpha) + 4 pi sum_{m,d>=1}
-    q^{md} sin 2 pi (m z + d alpha)."""
-    eulerian, scale, zetas = _lambert_constants(top)
+    q^{md} sin 2 pi (m z + d alpha).
+
+    Row n is bitwise the same at every top: the Eulerian product runs over
+    all MAX_LETTER polynomials, and the Lambert sums over the rows of one
+    block of LAMBERT_BLOCK letters at a time, so each row comes from a
+    matrix product of the same shape whatever the top.  A BLAS product can
+    round an entry differently when only the number of rows changes."""
+    eulerian, scale, zetas = _lambert_constants(MAX_LETTER)
     m = np.arange(1, terms + 1)
     exponent = TWO_PI_I * tau.tau * m
     x = np.exp(exponent)
     # row j, column m: scale[j] Li_{-j}(q^m); 1 - q^m comes from expm1, so
     # that it keeps its digits where q^m is near 1
-    coef = (np.vander(x, top, increasing=True) @ eulerian).T
-    coef *= scale[:, None] * x / (-np.expm1(exponent)) ** (np.arange(1, top + 1)[:, None])
+    coef = (np.vander(x, MAX_LETTER, increasing=True) @ eulerian)[:, :top].T
+    coef *= scale[:top, None] * x / (-np.expm1(exponent)) ** (np.arange(1, top + 1)[:, None])
     phase = np.multiply.outer(2 * math.pi * m, z)
     out = np.empty((top + 1, len(z)), dtype=complex)
     out[0] = 1.0
-    _product_into(out[1::2], coef[0::2], np.sin(phase))
-    _product_into(out[2::2], coef[1::2], np.cos(phase, out=phase))
+    sin = np.sin(phase)
+    cos = np.cos(phase, out=phase)
+    for lo in range(0, top, LAMBERT_BLOCK):  # the letters n = lo + 1..hi
+        hi = lo + LAMBERT_BLOCK
+        _product_into(out[lo + 1 : hi + 1 : 2], coef[lo:hi:2], sin)  # odd n, even j
+        _product_into(out[lo + 2 : hi + 1 : 2], coef[lo + 1 : hi : 2], cos)  # even n, odd j
     if top:
         out[1] += math.pi / np.tan(math.pi * z)
-    out[2::2] -= zetas[:, None]
+    out[2::2] -= zetas[: top // 2, None]
     return out
 
 
@@ -400,8 +431,8 @@ class PanelGrid:
     half enters through the reflection of the letters.  That keeps full
     relative accuracy near z = 1, where the distance 1 - z would otherwise
     drown in rounding.  An iterated integral on the lower half grows by one
-    letter per pass: `sweep` integrates backward from 1/2, `forward`
-    forward from 0.
+    letter per pass of _Splits, which runs each pass over the grids of both
+    panel splits at once.
     """
 
     def __init__(self, order: int, depth: int, split: int = 1):
@@ -422,34 +453,12 @@ class PanelGrid:
         self.n_panels = len(self.breakpoints) - 1
         assert self.n_panels % 2 == 0
         lower = self.breakpoints[: self.n_panels // 2 + 1]
-        self._half = (lower[1:] - lower[:-1]) / 2.0
-        self._half_col = self._half[:, None]
-        self._amat_t = self._amat.T
+        #: half the width of each lower-half panel
+        self.half = (lower[1:] - lower[:-1]) / 2.0
         mid = (lower[1:] + lower[:-1]) / 2.0
-        self.lower_nodes = (mid[:, None] + self._half_col * xg[None, :]).ravel()
+        self.lower_nodes = (mid[:, None] + self.half[:, None] * xg[None, :]).ravel()
         #: quadrature weights of the lower-half nodes: int_0^{1/2} g = weights @ g
-        self.weights = (self._half[:, None] * self._wg[None, :]).ravel()
-
-    def sweep(self, letter: np.ndarray, inner: np.ndarray) -> tuple[complex, np.ndarray]:
-        """One backward pass over the lower half: int_x^{1/2} letter * inner.
-
-        `letter` and `inner` hold values on the lower-half nodes.  Returns
-        the integral at x = 0 and at every lower-half node.
-        """
-        h = (letter * inner).reshape(-1, self.order)
-        panel_ints = self._half * (h @ self._wg)
-        tails = panel_ints[::-1].cumsum()[::-1]  # from each panel's start to 1/2
-        nodes = (tails[:, None] - self._half_col * (h @ self._amat_t)).ravel()
-        return complex(tails[0]), nodes
-
-    def forward(self, letter: np.ndarray, inner: np.ndarray) -> np.ndarray:
-        """One forward pass over the lower half, the mirror of `sweep`:
-        int_0^x letter * inner at every lower-half node."""
-        h = (letter * inner).reshape(-1, self.order)
-        panel_ints = self._half * (h @ self._wg)
-        starts = np.zeros_like(panel_ints)  # from 0 to each panel's start
-        np.cumsum(panel_ints[:-1], out=starts[1:])
-        return (starts[:, None] + self._half_col * (h @ self._amat_t)).ravel()
+        self.weights = (self.half[:, None] * self._wg[None, :]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -464,63 +473,127 @@ def _chen_terms(k: Index) -> list[tuple[Index, Index, float]]:
     return [(k[:j], rev[: r - j], -1.0 if sum(k[j:]) % 2 else 1.0) for j in range(r + 1)]
 
 
-class _Split:
-    """One panel split: its grid, its letter table (row n is f_n on the
-    grid's lower-half nodes) and the memos of its integrals, one entry per
-    word.  The alphabet is the table's rows, and only row 1, f_1 with its
-    pole at 0, is regularized."""
+class _Splits:
+    """Panel splits 1 and 2, stacked: one node array (the lower-half nodes
+    of split 1, then those of split 2), one letter table over it (row n is
+    f_n at every node) and the memos of the integrals, one entry per word
+    holding its pair (split 1, split 2).  A pass runs once over the panels
+    of both splits, with each split's running sums kept apart, and a
+    weighted sum over the nodes is one dot product on each split's block,
+    so each entry of a pair is the number its split alone would give, up
+    to how BLAS rounds products of another shape.  The alphabet is the
+    table's rows, and only row 1, f_1 with its pole at 0, is
+    regularized."""
 
-    def __init__(self, grid: PanelGrid, letters: np.ndarray):
-        self.grid = grid
-        self.letters = letters
-        ones = np.ones(len(grid.lower_nodes), dtype=complex)
-        # word -> B_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
+    def __init__(self, grids: tuple[PanelGrid, PanelGrid]):
+        self.grids = grids
+        self.order = grids[0].order
+        self.nodes = np.concatenate([g.lower_nodes for g in grids])
+        self.weights = np.concatenate([g.weights for g in grids])
+        # the real factors of each pass as complex arrays, cast once here:
+        # numpy would cast them to complex in every pass
+        self._half = np.concatenate([g.half for g in grids]).astype(complex)
+        self._half_col = self._half[:, None]
+        self._wg, self._amat_t = grids[0]._wg.astype(complex), grids[0]._amat.T.astype(complex)
+        # each split's nodes, and its panels, in the stacked arrays
+        split_nodes, split_panels = len(grids[0].lower_nodes), len(grids[0].half)
+        self.blocks = (slice(0, split_nodes), slice(split_nodes, len(self.nodes)))
+        self._panel_blocks = (slice(0, split_panels), slice(split_panels, len(self._half)))
+        ones = np.ones(len(self.nodes), dtype=complex)
+        # word -> B_word on the nodes, len(word) <= NODE_CACHE_LENGTH
         self._nodes: dict[Index, np.ndarray] = {(): ones}
-        # word -> A_word on the lower-half nodes, len(word) <= NODE_CACHE_LENGTH
+        # word -> A_word on the nodes, len(word) <= NODE_CACHE_LENGTH
         self._prefixes: dict[Index, np.ndarray] = {(): ones}
-        # tail s -> the head vector of s: entry a is B_{a s}(0)
+        # tail s -> the head vectors of s, one row per split: entry a is B_{a s}(0)
         self._heads: dict[Index, np.ndarray] = {}
-        # word -> the shuffle-regularized B_word(0)
-        self._regs: dict[Index, complex] = {(): 1.0}
+        # word -> the shuffle-regularized B_word(0) on each split
+        self._regs: dict[Index, tuple[complex, complex]] = {(): (1.0, 1.0)}
+        # the letter table: no rows until Evaluator._splits installs one
+        self.read_letters(np.empty((0, len(self.nodes)), dtype=complex))
+
+    def read_letters(self, letters: np.ndarray) -> None:
+        """Install `letters`, a table over the nodes whose first rows are
+        those of the current one, and drop the head vectors, which hold one
+        entry per row.  The node values and the regularized B_w(0) stay.
+        A head vector is summed over the rows of one tier of
+        LETTER_TABLE_TOPS at a time (the rows after the last one form one
+        more), so each of its entries comes from a product of the same shape
+        at every table size."""
+        self.letters = letters
+        self._heads.clear()
+        ends = [top + 1 for top in LETTER_TABLE_TOPS if top + 1 < len(letters)] + [len(letters)]
+        self._tiers = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+    def backward(self, letter: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """int_x^{1/2} letter * inner at every node x, on each split: one
+        backward pass.  `letter` and `inner` hold values on the nodes."""
+        h = (letter * inner).reshape(-1, self.order)
+        panel_ints = self._half * (h @ self._wg)
+        tails = np.empty_like(panel_ints)  # from each panel's start to 1/2
+        for b in self._panel_blocks:
+            np.add.accumulate(panel_ints[b][::-1], out=tails[b][::-1])
+        nodes = self._half_col * (h @ self._amat_t)
+        return np.subtract(tails[:, None], nodes, out=nodes).ravel()
+
+    def forward(self, letter: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """int_0^x letter * inner at every node x, on each split: one forward
+        pass, the mirror of `backward`."""
+        h = (letter * inner).reshape(-1, self.order)
+        panel_ints = self._half * (h @ self._wg)
+        starts = np.empty_like(panel_ints)  # from 0 to each panel's start
+        for b in self._panel_blocks:
+            starts[b.start] = 0.0
+            np.add.accumulate(panel_ints[b][:-1], out=starts[b][1:])
+        nodes = self._half_col * (h @ self._amat_t)
+        return np.add(starts[:, None], nodes, out=nodes).ravel()
 
     def sweep(self, word: Index) -> np.ndarray:
-        """B_word on the lower-half nodes, from B_word[1:] by one backward
-        pass, kept: only words up to NODE_CACHE_LENGTH are swept, each once."""
+        """B_word on the nodes, from B_word[1:] by one backward pass, kept:
+        only words up to NODE_CACHE_LENGTH are swept, each once."""
         nodes = self._nodes.get(word)
         if nodes is None:
             inner = self.sweep(word[1:])
-            nodes = self._nodes[word] = self.grid.sweep(self.letters[word[0]], inner)[1]
+            nodes = self._nodes[word] = self.backward(self.letters[word[0]], inner)
         return nodes
 
     def prefix(self, word: Index, scratch: dict) -> np.ndarray:
         """A_word(x) = int_{0 < z_1 < ... < z_m < x} f_{w_1}(z_1) ... f_{w_m}(z_m)
-        on the lower-half nodes, from A_word[:-1] by one forward pass.  Node
-        values of words up to NODE_CACHE_LENGTH are kept; `scratch` holds
-        those of longer words for one Chen sum and is dropped with it."""
+        on the nodes, from A_word[:-1] by one forward pass.  Node values of
+        words up to NODE_CACHE_LENGTH are kept; `scratch` holds those of
+        longer words for one Chen sum and is dropped with it."""
         store = self._prefixes if len(word) <= NODE_CACHE_LENGTH else scratch
         nodes = store.get(word)
         if nodes is None:
             inner = self.prefix(word[:-1], scratch)
-            nodes = store[word] = self.grid.forward(self.letters[word[-1]], inner)
+            nodes = store[word] = self.forward(self.letters[word[-1]], inner)
         return nodes
 
+    def _split_sums(self, weighted: np.ndarray, letter: np.ndarray) -> tuple[complex, complex]:
+        """weighted @ letter on each split's block."""
+        one, two = self.blocks
+        return complex(weighted[one] @ letter[one]), complex(weighted[two] @ letter[two])
+
     def head(self, tail: Index) -> np.ndarray:
-        """The head vector of `tail`: entry a is B_{a tail}(0) =
-        int_0^{1/2} f_a B_tail for every letter a at once, one weighted
-        product of the letters with the node values of `tail`.  Entry 1,
-        where B_{1 tail}(0) diverges, is NaN."""
+        """The head vectors of `tail`, one row per split: entry a is
+        B_{a tail}(0) = int_0^{1/2} f_a B_tail for every letter a at once,
+        the letters times the weighted node values of `tail` on the split's
+        block.  Entry 1, where B_{1 tail}(0) diverges, is NaN."""
         head = self._heads.get(tail)
         if head is None:
-            head = self._heads[tail] = self.letters @ (self.grid.weights * self.sweep(tail))
-            head[1] = math.nan
+            weighted = self.weights * self.sweep(tail)
+            head = self._heads[tail] = np.empty((2, len(self.letters)), dtype=complex)
+            for split, b in enumerate(self.blocks):
+                for rows in self._tiers:
+                    np.matmul(self.letters[rows, b], weighted[b], out=head[split, rows])
+            head[:, 1] = math.nan
         return head
 
-    def reg(self, word: Index, scratch: dict) -> complex:
-        """B_word(0), shuffle-regularized where word starts with 1, kept per
-        word.
+    def reg(self, word: Index, scratch: dict) -> tuple[complex, complex]:
+        """B_word(0) on each split, shuffle-regularized where word starts
+        with 1, kept per word.
 
         A convergent word w up to NODE_CACHE_LENGTH + 1 letters is read from
-        the head vector of w[1:].  A longer one is split at the letter a
+        the head vectors of w[1:].  A longer one is split at the letter a
         before its last NODE_CACHE_LENGTH letters s, w = p a s, by Chen's
         identity at every node: B_w(0) = int_0^{1/2} A_p f_a B_s.
 
@@ -534,44 +607,51 @@ class _Split:
         value = self._regs.get(word)
         if value is not None:
             return value
-        grid = self.grid
         if word[0] != 1 and len(word) <= NODE_CACHE_LENGTH + 1:
-            # an exact copy as Python complex: the Chen sums then multiply
+            # exact copies as Python complex: the Chen sums then multiply
             # them in the same order, several times faster than numpy scalars
-            value = complex(self.head(word[1:])[word[0]])
+            head, a = self.head(word[1:]), word[0]
+            value = complex(head[0, a]), complex(head[1, a])
         elif word[0] != 1:
             cut = len(word) - NODE_CACHE_LENGTH
             prefix = self.prefix(word[: cut - 1], scratch)
-            value = complex((grid.weights * prefix * self.sweep(word[cut:])) @ self.letters[word[cut - 1]])
+            weighted = self.weights * prefix * self.sweep(word[cut:])
+            value = self._split_sums(weighted, self.letters[word[cut - 1]])
         elif word == (1,):
-            value = complex(grid.weights @ (self.letters[1] - 1.0 / grid.lower_nodes))
-            value += complex(math.log(math.pi), -math.pi / 2)
+            constant = complex(math.log(math.pi), -math.pi / 2)
+            regular = self.letters[1] - 1.0 / self.nodes
+            value = tuple(s + constant for s in self._split_sums(self.weights, regular))
         else:
             ones = next((i for i, n in enumerate(word) if n != 1), len(word))
             c = self.reg((1,), scratch)
             if ones == len(word):
-                value = c**ones / math.factorial(ones)
+                value = tuple(ci**ones / math.factorial(ones) for ci in c)
             else:
                 y, rest = word[ones : ones + 1], word[ones + 1 :]
-                value = 0.0
-                for i in range(ones + 1):
-                    inner = 0
-                    for s, n in shuffle((1,) * (ones - i), rest):
-                        inner += n * self.reg(y + s, scratch)
-                    value += c**i / math.factorial(i) * (-1) ** (ones - i) * inner
+                value = []
+                for side, ci in enumerate(c):
+                    total = 0.0
+                    for i in range(ones + 1):
+                        inner = 0
+                        for s, n in shuffle((1,) * (ones - i), rest):
+                            inner += n * self.reg(y + s, scratch)[side]
+                        total += ci**i / math.factorial(i) * (-1) ** (ones - i) * inner
+                    value.append(total)
+                value = tuple(value)
         self._regs[word] = value
         return value
 
-    def chen_sum(self, terms: list[tuple[Index, Index, float]]) -> complex:
-        """I(k) on this split from the terms _chen_terms(k) of Chen's identity
-        at 1/2 with the reflection f_n(1 - z) = (-1)^n f_n(z),
+    def chen_sums(self, terms: list[tuple[Index, Index, float]]) -> tuple[complex, complex]:
+        """I(k) on each split from the terms _chen_terms(k) of Chen's
+        identity at 1/2 with the reflection f_n(1 - z) = (-1)^n f_n(z),
 
           sum_j reg B_{k[:j]}(0) (-1)^{|k[j:]|} reg B_{rev(k[j:])}(0),
 
-        each factor read from the memo of reg before it is computed."""
+        each pair of factors read from the memo of reg before it is
+        computed."""
         regs = self._regs
         scratch: dict[Index, np.ndarray] = {}
-        total = 0.0
+        one = two = 0.0
         for head, tail, sign in terms:
             left = regs.get(head)
             if left is None:
@@ -579,35 +659,40 @@ class _Split:
             right = regs.get(tail)
             if right is None:
                 right = self.reg(tail, scratch)
-            total += left * (sign * right)
-        return complex(total)
+            one += left[0] * (sign * right[0])
+            two += left[1] * (sign * right[1])
+        return complex(one), complex(two)
 
 
 class Evaluator:
     """All numerics for one (tau, config): letters, integrals, value cache.
 
-    Every value is computed on panel splits 1 and 2, two _Split objects
-    that _splits builds together, each with its own grid, letter table and
-    memos of integrals."""
+    Every value is computed on panel splits 1 and 2, stacked in one _Splits
+    object that _splits builds, with one letter table and one memo entry per
+    word for both."""
 
     def __init__(self, tau, cfg: NumericsConfig = DEFAULT_CONFIG):
         self.tau = as_tau(tau)
         self.cfg = cfg
-        self._pair: tuple[_Split, _Split] | None = None  # built by _splits
+        self._stack: _Splits | None = None  # built by _splits
         self._values: dict[Index, complex] = {}
 
-    def _splits(self) -> tuple[_Split, _Split]:
-        """Splits 1 and 2, each letter table holding the letters
-        f_0..f_MAX_LETTER as rows on its grid's lower-half nodes: the one
-        place that builds them.  The first call builds both together."""
-        if self._pair is None:
+    def _splits(self, letter: int = 0) -> _Splits:
+        """Splits 1 and 2, stacked, with a letter table that holds f_letter:
+        the one place that builds them.  The first call builds both grids
+        and a table of the letters f_0..f_top on their lower-half nodes, top
+        the smallest of LETTER_TABLE_TOPS that covers `letter`; a later
+        letter above top rebuilds the table at the top that covers it."""
+        splits = self._stack
+        if splits is None or letter >= len(splits.letters):
             # refuses a tau that needs too many terms before any grid is built
             terms = _lambert_terms(2 * math.pi * self.tau.tau.imag)
-            grids = [PanelGrid(self.cfg.panel_order, GRADING_DEPTH, s) for s in (1, 2)]
-            self._pair = tuple(
-                _Split(g, _lambert_letters(g.lower_nodes, self.tau, MAX_LETTER, terms)) for g in grids
-            )
-        return self._pair
+            if splits is None:
+                grids = tuple(PanelGrid(self.cfg.panel_order, GRADING_DEPTH, s) for s in (1, 2))
+                splits = self._stack = _Splits(grids)
+            top = next(top for top in LETTER_TABLE_TOPS if top >= letter)
+            splits.read_letters(_lambert_letters(splits.nodes, self.tau, top, terms))
+        return splits
 
     def _letter_rows(self, z, top: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows f_0..f_top at the points w = z - b tau - m, z flattened, and
@@ -697,9 +782,7 @@ class Evaluator:
             raise PreconditionError(f"length {len(k)} exceeds the limit {MAX_IINT_LENGTH}")
         if k and max(k) > MAX_LETTER:
             raise PreconditionError(f"letter order {max(k)} exceeds the limit {MAX_LETTER}")
-        terms = _chen_terms(k)
-        one, two = self._splits()
-        coarse, fine = one.chen_sum(terms), two.chen_sum(terms)
+        coarse, fine = self._splits(max(k, default=0)).chen_sums(_chen_terms(k))
         gap = abs(coarse - fine)
         if gap > self.cfg.tolerance:
             raise ToleranceError(f"refinement moved I{k} by {gap:.3e}")

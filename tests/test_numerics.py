@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emzv import numerics
 from emzv.numerics import (
     DEFAULT_CONFIG,
     KRONECKER_ALPHA_FRACTION,
+    LETTER_TABLE_TOPS,
     MAX_IINT_LENGTH,
     MAX_LETTER,
     MIN_IM_TAU,
@@ -33,8 +35,10 @@ from emzv.numerics import (
     parse_tau,
     shortest_period,
     _chen_terms,
+    _lambert_letters,
+    _lambert_terms,
     _legendre_antiderivative_matrix,
-    _Split,
+    _Splits,
     zeta,
 )
 from emzv.relations import Expression, parity_split, shuffle_identity
@@ -404,11 +408,12 @@ def lambert_reference(nodes, tau, top):
 def test_letters_match_a_40_digit_lambert_reference(tau):
     """f_0..f_28 on split-1 nodes (every tenth, and the last), each within
     1e-13 of its largest magnitude there."""
-    split = Evaluator(tau)._splits()[0]
-    picked = np.r_[0 : len(split.grid.lower_nodes) : 10, -1]
-    ref = lambert_reference(split.grid.lower_nodes[picked], tau, MAX_LETTER)
+    splits = Evaluator(tau)._splits(MAX_LETTER)
+    grid, letters = split_tables(splits)[0]
+    picked = np.r_[0 : len(grid.lower_nodes) : 10, -1]
+    ref = lambert_reference(grid.lower_nodes[picked], tau, MAX_LETTER)
     for n in range(MAX_LETTER + 1):
-        got = split.letters[n][picked]
+        got = letters[n][picked]
         assert np.max(np.abs(got - ref[n])) <= 1e-13 * np.max(np.abs(ref[n])), n
 
 
@@ -460,7 +465,7 @@ def test_letters_refuse_an_im_tau_below_the_term_cap_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    assert tiny._pair is None
+    assert tiny._stack is None
 
 
 def test_values_at_large_im_tau_reach_the_constant_letter_limit():
@@ -546,25 +551,40 @@ def test_quadrature_refinement_agreement():
         assert ev.regularized(k)[1] < 1e-11, k
 
 
-def chen_sum(split, k):
-    """The Chen sum at x = 0 on one panel split, as Evaluator.regularized
-    computes it before comparing the two splits."""
-    return split.chen_sum(_chen_terms(k))
+def chen_sums(splits, k):
+    """The Chen sums at x = 0 on panel splits 1 and 2, as
+    Evaluator.regularized computes them before comparing the two."""
+    return splits.chen_sums(_chen_terms(k))
 
 
-def forward_reference(split, k, magnitude=False):
+def split_tables(splits):
+    """Each split's grid, and its block of the stacked letter table: row n
+    is f_n on the grid's lower-half nodes."""
+    return [(grid, splits.letters[:, block]) for grid, block in zip(splits.grids, splits.blocks)]
+
+
+def backward_reference(grid, letter, inner):
+    """One backward pass over the lower half of one split's grid alone:
+    int_x^{1/2} letter * inner at x = 0 and at every lower-half node."""
+    _, wg, amat = _legendre_antiderivative_matrix(grid.order)
+    h = (letter * inner).reshape(-1, grid.order)
+    panel_ints = grid.half * (h @ wg)
+    tails = panel_ints[::-1].cumsum()[::-1]
+    return complex(tails[0]), (tails[:, None] - grid.half[:, None] * (h @ amat.T)).ravel()
+
+
+def forward_reference(grid, letters, k, magnitude=False):
     """Reference I(k) on one panel split: one forward nested Gauss-Legendre
     pass over the panels of [0, 1], letters on the upper half by
     reflection, with its node values A_k(x) on every node of [0, 1].  With
     `magnitude`, the same pass over |f_n|, the scale of its rounding
     error."""
-    grid = split.grid
     _, wg, amat = _legendre_antiderivative_matrix(grid.order)
     half = np.diff(grid.breakpoints) / 2.0
     g = np.ones(half.size * grid.order, dtype=complex)
     total = 1.0 + 0.0j
     for n in k:
-        lower = split.letters[n]
+        lower = letters[n]
         values = np.concatenate([lower, (-1) ** n * lower[::-1]])
         if magnitude:
             values = np.abs(values)
@@ -576,56 +596,153 @@ def forward_reference(split, k, magnitude=False):
     return total, g
 
 
-def assert_matches_forward(split, k, scale=None):
-    """chen_sum against the forward reference: 1e-12 relative to `scale`
-    (by default the reference value), or 1e-13 absolute when it is below
-    1."""
-    ref = forward_reference(split, k)[0]
-    scale = abs(ref) if scale is None else scale
-    tol = 1e-12 * scale if scale >= 1 else 1e-13
-    assert abs(chen_sum(split, k) - ref) <= tol, k
+def assert_matches_forward(splits, k, scales=(None, None)):
+    """chen_sums against the forward reference on each split: 1e-12
+    relative to that split's scale (by default the reference value), or
+    1e-13 absolute when it is below 1."""
+    got = chen_sums(splits, k)
+    for i, (table, scale) in enumerate(zip(split_tables(splits), scales)):
+        ref = forward_reference(*table, k)[0]
+        scale = abs(ref) if scale is None else scale
+        tol = 1e-12 * scale if scale >= 1 else 1e-13
+        assert abs(got[i] - ref) <= tol, (k, i + 1)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def forward_lower_reference(grid, letter, inner):
+    """One forward pass over the lower half of one split's grid alone:
+    int_0^x letter * inner at every lower-half node."""
+    _, wg, amat = _legendre_antiderivative_matrix(grid.order)
+    h = (letter * inner).reshape(-1, grid.order)
+    panel_ints = grid.half * (h @ wg)
+    starts = np.concatenate(([0.0], np.cumsum(panel_ints[:-1])))
+    return (starts[:, None] + grid.half[:, None] * (h @ amat.T)).ravel()
+
+
+def test_stacked_passes_keep_each_splits_running_sums_apart():
+    """A backward or forward pass over the stacked panels gives on each
+    split's block the pass over that split's grid alone, to 1e-14 of the
+    same pass over magnitudes: a running sum that crossed from one split
+    into the other would move a block by its whole integral.  (On the
+    hosts measured the blocks are bitwise equal; BLAS does not promise it
+    for products with more rows.)"""
+    splits = Evaluator(0.5 + 0.8j)._splits()
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 5):
+        letter = splits.letters[n]
+        inner = rng.standard_normal(len(splits.nodes)) + 1j * rng.standard_normal(len(splits.nodes))
+        backward, forward = splits.backward(letter, inner), splits.forward(letter, inner)
+        for i, (grid, block) in enumerate(zip(splits.grids, splits.blocks), 1):
+            size = np.abs(letter[block]), np.abs(inner[block])
+            alone = backward_reference(grid, letter[block], inner[block])[1]
+            scale = np.abs(backward_reference(grid, *size)[1])
+            assert np.all(np.abs(backward[block] - alone) <= 1e-14 * scale), (n, i)
+            alone = forward_lower_reference(grid, letter[block], inner[block])
+            scale = np.abs(forward_lower_reference(grid, *size))
+            assert np.all(np.abs(forward[block] - alone) <= 1e-14 * scale), (n, i)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.5 + 0.8j, 0.1j, 0.37 + 0.1j])
+def test_letter_rows_do_not_depend_on_the_table_top(tau):
+    """Rows 0..top of a letter table built with top 8 or 16 are bitwise the
+    first rows of the MAX_LETTER table, on the stacked nodes of both splits
+    and on each split's nodes alone, whatever the number of BLAS threads:
+    each row comes from products of the same shape at every top.  So a wider
+    table changes no integral already computed."""
+    splits = Evaluator(tau)._splits()
+    terms = _lambert_terms(2 * math.pi * tau.imag)
+    assert LETTER_TABLE_TOPS == (8, 16, MAX_LETTER)
+    for nodes in [splits.nodes] + [grid.lower_nodes for grid in splits.grids]:
+        full = _lambert_letters(nodes, Tau(tau), MAX_LETTER, terms)
+        for top in LETTER_TABLE_TOPS[:-1]:
+            table = _lambert_letters(nodes, Tau(tau), top, terms)
+            assert same_bits(table, full[: top + 1]), (len(nodes), top)
+    assert same_bits(splits.letters, _lambert_letters(splits.nodes, Tau(tau), 8, terms))
+
+
+def test_the_letter_table_grows_with_the_letters_asked_for(monkeypatch):
+    """One evaluator asked for I(2,0,3), then I(12,0,3), then I(28) builds
+    its table three times, at tops 8, 16 and 28.  Each growth drops the
+    head vectors, which are rebuilt at the new width with the old entries
+    bitwise, and keeps the node values and regularized B_w(0); each value
+    and gap is bitwise a fresh evaluator's.  A letter above MAX_LETTER is
+    refused before any table is built."""
+    indices = [(2, 0, 3), (12, 0, 3), (28,)]
+    fresh = {k: Evaluator(TAU).regularized(k) for k in indices}
+    tops = []
+
+    def counted(z, tau, top, terms):
+        tops.append(top)
+        return lambert_letters(z, tau, top, terms)
+
+    lambert_letters = numerics._lambert_letters
+    monkeypatch.setattr(numerics, "_lambert_letters", counted)
+    cold = Evaluator(TAU)
+    with pytest.raises(PreconditionError, match="letter order 29"):
+        cold.regularized((2, 29, 0, 3))
+    assert cold._stack is None and not tops
+    ev = Evaluator(TAU)
+    heads, nodes, regs = {}, {}, {}  # as they were before each growth
+    for k, top in zip(indices, LETTER_TABLE_TOPS):
+        value, gap = ev.regularized(k)
+        assert (bits(value), gap.hex()) == (bits(fresh[k][0]), fresh[k][1].hex()), k
+        splits = ev._stack
+        assert tops[-1] == top and len(splits.letters) == top + 1, k
+        assert splits._heads, k
+        for tail, head in splits._heads.items():
+            assert head.shape == (2, top + 1), (k, tail)
+            if tail in heads:
+                old = heads[tail]
+                assert head is not old and same_bits(head[:, : old.shape[1]], old), (k, tail)
+        assert all(splits._nodes[w] is v for w, v in nodes.items()), k
+        assert all(splits._regs[w] is v for w, v in regs.items()), k
+        with pytest.raises(PreconditionError, match="letter order 29"):
+            ev.regularized((2, 29, 0, 3))
+        heads, nodes, regs = dict(splits._heads), dict(splits._nodes), dict(splits._regs)
+    assert tops == list(LETTER_TABLE_TOPS)
 
 
 # Admissible words only: their Chen sums read every B_w(0) unregularized,
 # which is what the forward pass integrates.
 @pytest.mark.parametrize("k", [(2,), (0, 2), (2, 1, 3), (0, 1, 1, 2), (4, 1, 0, 2)])
 def test_cut_integral_matches_forward_quadrature(k):
-    for split in Evaluator(TAU)._splits():
-        assert_matches_forward(split, k)
+    assert_matches_forward(Evaluator(TAU)._splits(), k)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple).filter(is_admissible),
-    st.sampled_from((0, 1)),
-)
-def test_cut_integral_matches_forward_quadrature_random(k, which):
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple).filter(is_admissible))
+def test_cut_integral_matches_forward_quadrature_random(k):
     # Many words integrate to 0 by the reflection or the shuffle relations,
     # so the error is measured against the integral of the magnitudes, not
     # against the value.
-    split = Evaluator(TAU)._splits()[which]
-    scale = abs(forward_reference(split, k, magnitude=True)[0])
-    assert_matches_forward(split, k, scale)
+    splits = Evaluator(TAU)._splits()
+    scales = [abs(forward_reference(*table, k, magnitude=True)[0]) for table in split_tables(splits)]
+    assert_matches_forward(splits, k, scales)
 
 
 def test_a_split_reads_its_alphabet_from_its_letter_table():
-    """A split over a stacked table, the grid's letters in rows 0-28 and a
-    copy of them in rows 30-58, gives each admissible word of weight <= 6
-    and length <= 4 with every letter raised by 30 the Chen sum of the word
-    itself, within 1e-14 relative: the offset is even, so the reflection
-    sign (-1)^{|w|} holds, and only row 1 is singular.  A table with
-    derivative rows after the letters is read the same way."""
+    """Splits over a wider table, the grid's letters in rows 0-28 and a
+    copy of them in rows 30-58, give each admissible word of weight <= 6
+    and length <= 4 with every letter raised by 30 the Chen sums of the
+    word itself, within 1e-14 relative on each split: the offset is even,
+    so the reflection sign (-1)^{|w|} holds, and only row 1 is singular.  A
+    table with derivative rows after the letters is read the same way."""
     from emzv.faypoly import compositions
 
     words = [k for r in range(1, 5) for w in range(7) for k in compositions(w, r) if is_admissible(k)]
-    for split in Evaluator(TAU)._splits():
-        filler = np.zeros((1, split.letters.shape[1]), dtype=complex)
-        stacked = _Split(split.grid, np.vstack([split.letters, filler, split.letters]))
-        assert len(stacked.letters) == 59
-        for k in words:
-            expected = chen_sum(split, k)
-            got = chen_sum(stacked, tuple(n + 30 for n in k))
-            assert abs(got - expected) <= 1e-14 * abs(expected), k
+    splits = Evaluator(TAU)._splits(MAX_LETTER)
+    filler = np.zeros((1, len(splits.nodes)), dtype=complex)
+    wide = _Splits(splits.grids)
+    wide.read_letters(np.vstack([splits.letters, filler, splits.letters]))
+    assert len(wide.letters) == 59
+    for k in words:
+        expected = chen_sums(splits, k)
+        got = chen_sums(wide, tuple(n + 30 for n in k))
+        for i in range(2):
+            assert abs(got[i] - expected[i]) <= 1e-14 * abs(expected[i]), (k, i + 1)
 
 
 def test_values_do_not_depend_on_cache_order():
@@ -647,8 +764,9 @@ def test_cut_integrals_do_not_depend_on_cache_order_at_length_four():
         warm.value(k)
     for k in indices:
         fresh = Evaluator(TAU)
-        for i, (new, old) in enumerate(zip(fresh._splits(), warm._splits()), 1):
-            assert bits(chen_sum(new, k)) == bits(chen_sum(old, k)), (k, i)
+        new, old = chen_sums(fresh._splits(), k), chen_sums(warm._splits(), k)
+        for i in range(2):
+            assert bits(new[i]) == bits(old[i]), (k, i + 1)
         value, gap = fresh.regularized(k)
         warm_value, warm_gap = warm.regularized(k)
         assert (bits(value), gap.hex()) == (bits(warm_value), warm_gap.hex()), k
@@ -657,19 +775,21 @@ def test_cut_integrals_do_not_depend_on_cache_order_at_length_four():
 
 def test_short_words_are_swept_once(monkeypatch):
     """One evaluator over the W<=6/L<=4 population sweeps each word of length
-    <= NODE_CACHE_LENGTH at most once per direction and split: backward as a
-    tail, forward as a prefix.  It builds the head vector of each tail once
-    per split, and none for a longer tail, since a longer word is split at
-    a letter; reg B_1 is a weighted sum and runs no sweep.  That takes 92
-    sweeps (290 when length-3 tails were swept for head vectors, 892 when
-    every B_w(0) was read from a sweep of w, 1156 when a log-power fit read
-    every cut of two profiles, 2388 when no node values were kept)."""
+    <= NODE_CACHE_LENGTH at most once per direction: backward as a tail,
+    forward as a prefix, each pass over the stacked panels of both splits.
+    It builds the head vectors of each tail once, and none for a longer
+    tail, since a longer word is split at a letter; reg B_1 is a weighted
+    sum and runs no sweep.  That takes 46 stacked passes (92 when each
+    split ran its own, 290 when length-3 tails were swept for head
+    vectors, 892 when every B_w(0) was read from a sweep of w, 1156 when a
+    log-power fit read every cut of two profiles, 2388 when no node values
+    were kept)."""
     from emzv.faypoly import compositions
     from emzv.reduction import reduce_index
 
     active, swept, heads = [], Counter(), {}
-    originals = {name: getattr(_Split, name) for name in ("sweep", "prefix", "head")}
-    grid_passes = {name: getattr(PanelGrid, name) for name in ("sweep", "forward")}
+    originals = {name: getattr(_Splits, name) for name in ("sweep", "prefix", "head")}
+    passes = {name: getattr(_Splits, name) for name in ("backward", "forward")}
 
     def tracked(name):
         def method(self, word, *scratch):
@@ -683,52 +803,51 @@ def test_short_words_are_swept_once(monkeypatch):
 
     def counted(name):
         def method(self, letter, inner):
-            swept[(split_of[self], *active[-1]) if active else None] += 1
-            return grid_passes[name](self, letter, inner)
+            swept[active[-1] if active else None] += 1
+            return passes[name](self, letter, inner)
 
         return method
 
     def tracked_head(self, tail):
         head = originals["head"](self, tail)
-        key = (split_of[self.grid], tail)
-        assert heads.setdefault(key, head) is head, key
+        assert heads.setdefault(tail, head) is head, tail
         return head
 
-    monkeypatch.setattr(_Split, "sweep", tracked("sweep"))
-    monkeypatch.setattr(_Split, "prefix", tracked("prefix"))
-    monkeypatch.setattr(_Split, "head", tracked_head)
-    monkeypatch.setattr(PanelGrid, "sweep", counted("sweep"))
-    monkeypatch.setattr(PanelGrid, "forward", counted("forward"))
+    monkeypatch.setattr(_Splits, "sweep", tracked("sweep"))
+    monkeypatch.setattr(_Splits, "prefix", tracked("prefix"))
+    monkeypatch.setattr(_Splits, "head", tracked_head)
+    monkeypatch.setattr(_Splits, "backward", counted("backward"))
+    monkeypatch.setattr(_Splits, "forward", counted("forward"))
     ev = Evaluator(TAU)
-    split_of = {split.grid: n for n, split in enumerate(ev._splits(), 1)}
     for r in range(5):
         for w in range(7):
             for k in compositions(w, r):
                 ev.value(k)
                 ev.eval_expression(reduce_index(k)[0])
     assert None not in swept
-    assert {name for _, name, _ in swept} == {"sweep", "prefix"}
-    assert all(len(word) <= NODE_CACHE_LENGTH for _, _, word in swept)
+    assert {name for name, _ in swept} == {"sweep", "prefix"}
+    assert all(len(word) <= NODE_CACHE_LENGTH for _, word in swept)
     repeated = {key: n for key, n in swept.items() if n > 1}
     assert not repeated
-    tails = {split: {tail for s, tail in heads if s == split} for split in (1, 2)}
-    assert tails[1] == tails[2]
-    assert all(len(tail) <= NODE_CACHE_LENGTH for tail in tails[1])
-    assert sum(swept.values()) <= 92
+    assert all(len(tail) <= NODE_CACHE_LENGTH for tail in heads)
+    assert all(head.shape == (2, len(ev._stack.letters)) for head in heads.values())
+    assert sum(swept.values()) <= 46
 
 
 def test_head_vectors_leave_the_divergent_entry_nan():
     """Entry 1 of a head vector, B_{1 s}(0), diverges; the graded grid would
-    give it a finite value with no meaning, so it is NaN, and every
-    regularized value, which reads only convergent entries, is finite."""
+    give it a finite value with no meaning, so it is NaN on each split, and
+    every regularized value, which reads only convergent entries, is
+    finite."""
     from emzv.faypoly import compositions
 
     ev = Evaluator(TAU)
     for k in (k for r in range(5) for w in range(7) for k in compositions(w, r)):
         assert cmath.isfinite(ev.value(k)), k
-    for i, split in enumerate(ev._splits(), 1):
-        assert split._heads
-        for tail, head in split._heads.items():
+    splits = ev._splits()
+    assert splits._heads
+    for tail, heads in splits._heads.items():
+        for i, head in enumerate(heads, 1):
             assert cmath.isnan(head[1]), (i, tail)
             assert all(cmath.isfinite(v) for a, v in enumerate(head) if a != 1), (i, tail)
 
@@ -736,23 +855,22 @@ def test_head_vectors_leave_the_divergent_entry_nan():
 def test_head_vectors_match_a_direct_sweep():
     """B_{a s}(0) matches the x = 0 value of a direct chain of backward
     passes, to 1e-13 of the same chain over the magnitudes of the letters.
-    It is read from the head vector of s where s is at most
+    It is read from the head vectors of s where s is at most
     NODE_CACHE_LENGTH long, and split at a letter for the longer tails."""
-    ev = Evaluator(TAU)
-    for i, split in enumerate(ev._splits(), 1):
-        grid, letters = split.grid, split.letters
+    splits = Evaluator(TAU)._splits()
+    for i, (grid, letters) in enumerate(split_tables(splits)):
         tails = [s for r in range(4) for s in itertools.product(range(4), repeat=r)]
         for s in tails:
             direct = np.ones(len(grid.lower_nodes), dtype=complex)
             magnitude = direct.copy()
             for n in reversed(s):
-                _, direct = grid.sweep(letters[n], direct)
-                _, magnitude = grid.sweep(np.abs(letters[n]), magnitude)
+                _, direct = backward_reference(grid, letters[n], direct)
+                _, magnitude = backward_reference(grid, np.abs(letters[n]), magnitude)
             for a in (0, 2, 3, 4):
-                expected, _ = grid.sweep(letters[a], direct)
-                scale, _ = grid.sweep(np.abs(letters[a]), magnitude)
-                got = split.reg((a,) + s, {})
-                assert abs(got - expected) <= 1e-13 * abs(scale), (i, a, s)
+                expected, _ = backward_reference(grid, letters[a], direct)
+                scale, _ = backward_reference(grid, np.abs(letters[a]), magnitude)
+                got = splits.reg((a,) + s, {})[i]
+                assert abs(got - expected) <= 1e-13 * abs(scale), (i + 1, a, s)
 
 
 @pytest.mark.parametrize("tau", [TAU, 0.5 + 0.8j])
@@ -763,45 +881,47 @@ def test_long_words_split_at_a_letter_match_a_direct_sweep(tau):
     1e-12 of the same chain over the magnitudes of the letters."""
     from emzv.faypoly import compositions
 
-    ev = Evaluator(tau)
+    splits = Evaluator(tau)._splits()
     words = [w for r in (4, 5) for n in range(7) for w in compositions(n, r) if w[0] != 1]
     assert all(len(w) > NODE_CACHE_LENGTH + 1 for w in words)
-    for i, split in enumerate(ev._splits(), 1):
-        grid, letters = split.grid, split.letters
+    for i, (grid, letters) in enumerate(split_tables(splits)):
         chains = {(): (np.ones(len(grid.lower_nodes), dtype=complex),) * 2}
 
         def chain(s):  # B_s on the nodes, and the same chain over magnitudes
             if s not in chains:
                 direct, magnitude = chain(s[1:])
                 letter = letters[s[0]]
-                chains[s] = (grid.sweep(letter, direct)[1], grid.sweep(np.abs(letter), magnitude)[1])
+                chains[s] = (
+                    backward_reference(grid, letter, direct)[1],
+                    backward_reference(grid, np.abs(letter), magnitude)[1],
+                )
             return chains[s]
 
         for w in words:
             direct, magnitude = chain(w[1:])
-            expected, _ = grid.sweep(letters[w[0]], direct)
-            scale, _ = grid.sweep(np.abs(letters[w[0]]), magnitude)
-            got = split.reg(w, {})
-            assert abs(got - expected) <= 1e-12 * abs(scale), (i, w)
+            expected, _ = backward_reference(grid, letters[w[0]], direct)
+            scale, _ = backward_reference(grid, np.abs(letters[w[0]]), magnitude)
+            got = splits.reg(w, {})[i]
+            assert abs(got - expected) <= 1e-12 * abs(scale), (i + 1, w)
 
 
 def test_forward_pass_matches_the_forward_reference():
-    """A chain of PanelGrid.forward passes gives A_p on the lower-half nodes
-    as the forward pass over [0, 1] does, to 1e-13 of the same pass over the
-    magnitudes of the letters at each node, and A_{0^m}(x) = x^m / m!."""
-    ev = Evaluator(TAU)
-    for i, split in enumerate(ev._splits(), 1):
-        grid = split.grid
-        lower = len(grid.lower_nodes)
-        for r in range(1, 4):
-            for p in itertools.product(range(4), repeat=r):
-                if p[0] == 1:  # A_1 diverges at 0
-                    continue
-                got = np.ones(lower, dtype=complex)
-                for n in p:
-                    got = grid.forward(split.letters[n], got)
-                expected = forward_reference(split, p)[1][:lower]
-                scale = np.abs(forward_reference(split, p, magnitude=True)[1][:lower])
+    """A chain of stacked forward passes gives A_p on each split's
+    lower-half nodes as the forward pass over [0, 1] does, to 1e-13 of the
+    same pass over the magnitudes of the letters at each node, and
+    A_{0^m}(x) = x^m / m!."""
+    splits = Evaluator(TAU)._splits()
+    for r in range(1, 4):
+        for p in itertools.product(range(4), repeat=r):
+            if p[0] == 1:  # A_1 diverges at 0
+                continue
+            stacked = np.ones(len(splits.nodes), dtype=complex)
+            for n in p:
+                stacked = splits.forward(splits.letters[n], stacked)
+            for i, ((grid, letters), block) in enumerate(zip(split_tables(splits), splits.blocks), 1):
+                got, lower = stacked[block], len(grid.lower_nodes)
+                expected = forward_reference(grid, letters, p)[1][:lower]
+                scale = np.abs(forward_reference(grid, letters, p, magnitude=True)[1][:lower])
                 assert np.all(np.abs(got - expected) <= 1e-13 * scale), (i, p)
                 if set(p) == {0}:
                     volume = grid.lower_nodes**r / math.factorial(r)
@@ -824,7 +944,7 @@ def test_a_letter_above_max_letter_is_refused_at_every_position():
                         ev.regularized(k)
                     with pytest.raises(PreconditionError, match="letter order 29"):
                         ev.value(k)
-                assert cold._pair is None, k
+                assert cold._stack is None, k
 
 
 def test_value_validates_what_it_has_not_cached():
@@ -909,8 +1029,8 @@ def test_every_grid_of_an_order_shares_one_read_only_rule():
     rule = _legendre_antiderivative_matrix(DEFAULT_CONFIG.panel_order)
     for tau in (TAU, 0.5 + 0.8j):
         ev = Evaluator(tau)
-        for i, split in enumerate(ev._splits(), 1):
-            assert split.grid._wg is rule[1] and split.grid._amat is rule[2], (tau, i)
+        for i, grid in enumerate(ev._splits().grids, 1):
+            assert grid._wg is rule[1] and grid._amat is rule[2], (tau, i)
     assert not any(array.flags.writeable for array in rule)
 
 
@@ -1002,7 +1122,7 @@ def test_reg_b1_is_the_log_of_theta_at_one_half(tau, turns, tol):
         theta, prime = mp_theta(tau)
         ratio = complex(theta(0.5) / prime)
     closed = cmath.log(ratio) + math.log(2 * math.pi) - 0.5j * math.pi
-    c = Evaluator(tau)._splits()[1].reg((1,), {})
+    c = Evaluator(tau)._splits().reg((1,), {})[1]
     assert abs(c - closed - 2j * math.pi * turns) < tol, tau
 
 
